@@ -20,7 +20,6 @@ from .audit import (
     run_full_audit,
     run_identity_suite,
 )
-from .cachefile import CacheError, load_cache, save_cache, seed_engine
 from .engine import (
     BELOW_MIN_DEGREE,
     DEGENERATE_GEOMETRY,
@@ -28,14 +27,12 @@ from .engine import (
     InvariantEngine,
     InvariantKind,
     KIND_ORDER,
-    MemoConflictError,
     domain_status,
 )
 from .exact import (
     ExactScalar,
     LinearWeight,
     binom,
-    eval_weight,
     format_exact,
     is_integral,
     parse_exact,
@@ -46,7 +43,6 @@ __all__ = [
     "AuditCheck",
     "AuditReport",
     "BELOW_MIN_DEGREE",
-    "CacheError",
     "CheckKind",
     "CheckStatus",
     "DEGENERATE_GEOMETRY",
@@ -57,15 +53,12 @@ __all__ = [
     "InvariantRecord",
     "KIND_ORDER",
     "LinearWeight",
-    "MemoConflictError",
     "__version__",
     "binom",
     "build_records",
     "domain_status",
-    "eval_weight",
     "format_exact",
     "is_integral",
-    "load_cache",
     "parse_exact",
     "render_csv",
     "render_json",
@@ -73,6 +66,4 @@ __all__ = [
     "run_discrepancy_probes",
     "run_full_audit",
     "run_identity_suite",
-    "save_cache",
-    "seed_engine",
 ]

@@ -2,18 +2,14 @@
 
 Verbs::
 
-    severi eval INVARIANT D [--cache PATH]
+    severi eval INVARIANT D
     severi table --d-max N [--format csv|json] [--invariants LIST]
-                 [--cache PATH] [--output PATH]
-    severi audit --d-max N [--format text|json] [--cache PATH]
                  [--output PATH]
-    severi cache save   --cache PATH --d-max N
-    severi cache verify --cache PATH
+    severi audit --d-max N [--format text|json] [--output PATH]
 
 Exit codes: 0 success (and no blocking audit failure), 1 audit FAIL
-present, 2 usage or I/O error (including a refused cache file).
-Identical commands produce byte-identical output regardless of cache
-state.
+present, 2 usage or I/O error.  Identical commands produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from pathlib import Path
 
 from ._version import __version__
 from .audit import run_full_audit
-from .cachefile import CacheError, load_cache, save_cache, seed_engine
 from .engine import InvariantEngine, InvariantKind
 from .exact import format_exact, is_integral
 from .tables import (
@@ -78,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="print one invariant value")
     p_eval.add_argument("invariant", type=_invariant_kind)
     p_eval.add_argument("d", type=_positive_int)
-    p_eval.add_argument("--cache", type=Path, default=None)
 
     p_table = sub.add_parser("table", help="emit an invariant table")
     p_table.add_argument("--d-max", type=_positive_int, required=True)
@@ -88,31 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated invariant names (default: all)",
     )
-    p_table.add_argument("--cache", type=Path, default=None)
     p_table.add_argument("--output", type=Path, default=None)
 
     p_audit = sub.add_parser("audit", help="run anchor/identity/probe suites")
     p_audit.add_argument("--d-max", type=_positive_int, required=True)
     p_audit.add_argument("--format", choices=("text", "json"), default="text")
-    p_audit.add_argument("--cache", type=Path, default=None)
     p_audit.add_argument("--output", type=Path, default=None)
 
-    p_cache = sub.add_parser("cache", help="persist or verify memoized values")
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    p_save = cache_sub.add_parser("save", help="compute and persist a table")
-    p_save.add_argument("--cache", type=Path, required=True)
-    p_save.add_argument("--d-max", type=_positive_int, required=True)
-    p_verify = cache_sub.add_parser("verify", help="validate a cache file")
-    p_verify.add_argument("--cache", type=Path, required=True)
-
     return parser
-
-
-def _engine_with_cache(cache_path: Path | None) -> InvariantEngine:
-    engine = InvariantEngine()
-    if cache_path is not None:
-        seed_engine(engine, load_cache(cache_path))
-    return engine
 
 
 def _write_output(text: str, output: Path | None) -> None:
@@ -125,60 +102,32 @@ def _write_output(text: str, output: Path | None) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    engine = _engine_with_cache(args.cache)
-    value, status = engine.evaluate(args.invariant, args.d)
+    value, status = InvariantEngine().evaluate(args.invariant, args.d)
     tokens = flag_tokens(CellFlags(status=status, integral=is_integral(value)))
     line = " ".join([format_exact(value)] + tokens)
     sys.stdout.write(line + "\n")
-    if args.cache is not None:
-        save_cache(engine, args.cache)
     return EXIT_OK
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     kinds = select_kinds(args.invariants)
-    engine = _engine_with_cache(args.cache)
-    records = build_records(engine, args.d_max, kinds)
+    records = build_records(InvariantEngine(), args.d_max, kinds)
     if args.format == "csv":
         text = render_csv(records, kinds)
     else:
         text = render_json(records, kinds)
     _write_output(text, args.output)
-    if args.cache is not None:
-        save_cache(engine, args.cache)
     return EXIT_OK
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    if args.d_max < 3:
-        raise ValueError(f"audit requires --d-max >= 3, got {args.d_max}")
-    engine = _engine_with_cache(args.cache)
-    report = run_full_audit(engine, args.d_max)
+    report = run_full_audit(InvariantEngine(), args.d_max)
     if args.format == "text":
         text = report.to_text()
     else:
         text = json.dumps(report.to_json_obj(), indent=2) + "\n"
     _write_output(text, args.output)
-    if args.cache is not None:
-        save_cache(engine, args.cache)
     return EXIT_AUDIT_FAIL if report.has_blocking_failure else EXIT_OK
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    if args.cache_command == "save":
-        engine = _engine_with_cache(args.cache)
-        engine.fill(args.d_max)
-        save_cache(engine, args.cache)
-        sys.stdout.write(f"saved cache for degrees 1..{args.d_max}\n")
-        return EXIT_OK
-    entries = load_cache(args.cache)
-    total = sum(len(table) for table in entries.values())
-    d_top = max((d for table in entries.values() for d in table), default=0)
-    sys.stdout.write(
-        f"cache OK: {len(entries)} invariants, {total} entries, "
-        f"max degree {d_top}\n"
-    )
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -193,10 +142,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_eval(args)
         if args.command == "table":
             return _cmd_table(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        return _cmd_cache(args)
-    except (CacheError, ValueError, OSError) as exc:
+        return _cmd_audit(args)
+    except (ValueError, OSError) as exc:
         print(f"severi: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,10 +15,6 @@ All values are exact rationals.  Intermediate values are legitimately
 fractional (halved ordered sums, twelfth-type coefficients);
 integrality is asserted only at final invariant boundaries and is
 reported, never silently enforced.
-
-Concurrency: computation is single-threaded fill followed by immutable
-shared reads.  Stored values are never overwritten with a different
-value; conflicting writes raise :class:`MemoConflictError`.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from .exact import (
 
 
 class InvariantKind(str, Enum):
-    """The invariants the table, cache, and CLI surfaces expose."""
+    """The invariants the table and CLI surfaces expose."""
 
     N0 = "N0"
     N1 = "N1"
@@ -124,10 +120,6 @@ def domain_status(kind: InvariantKind, d: int) -> DomainStatus:
     return IN_DOMAIN
 
 
-class MemoConflictError(RuntimeError):
-    """A memoized value was about to be overwritten with a different one."""
-
-
 def _check_degree(d: int) -> None:
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"degree must be a positive integer, got {d!r}")
@@ -141,7 +133,7 @@ def _splittings(d: int) -> Iterator[tuple[int, int]]:
 class InvariantEngine:
     """Exact invariant calculator with one memo table per invariant.
 
-    Values are filled bottom-up in the degree: the recursive counts
+    Values are computed bottom-up in the degree: the recursive counts
     ``n0``/``n1`` at degree d use only degrees below d, and every
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so memo correctness is by construction.
@@ -153,24 +145,6 @@ class InvariantEngine:
         }
 
     # -- memo plumbing -------------------------------------------------
-
-    def seed(self, kind: InvariantKind, d: int, value: ExactScalar) -> None:
-        """Pre-populate a memo entry (e.g. from a persisted cache).
-
-        Seeding an existing entry with a different value raises
-        :class:`MemoConflictError`; equal re-seeding is a no-op.
-        """
-        _check_degree(d)
-        table = self._memo[kind]
-        if d in table and table[d] != value:
-            raise MemoConflictError(
-                f"{kind.value} at d={d}: stored {table[d]} conflicts with {value}"
-            )
-        table[d] = value
-
-    def snapshot(self) -> dict[InvariantKind, dict[int, ExactScalar]]:
-        """Copy of all memoized values (kind -> degree -> value)."""
-        return {kind: dict(table) for kind, table in self._memo.items()}
 
     def _memoized(
         self, kind: InvariantKind, d: int, compute: Callable[[int], ExactScalar]
@@ -534,13 +508,6 @@ class InvariantEngine:
         """Value together with its domain flag."""
         return self.value(kind, d), domain_status(kind, d)
 
-    def fill(self, d_max: int, kinds: tuple[InvariantKind, ...] = KIND_ORDER) -> None:
-        """Compute the selected invariants for every degree up to d_max."""
-        _check_degree(d_max)
-        for d in range(1, d_max + 1):
-            for kind in kinds:
-                self.value(kind, d)
-
 
 _METHOD_NAME: dict[InvariantKind, str] = {
     InvariantKind.N0: "n0",
@@ -578,7 +545,6 @@ __all__ = [
     "InvariantEngine",
     "InvariantKind",
     "KIND_ORDER",
-    "MemoConflictError",
     "domain_status",
     "integrality_expected",
     "is_integral",

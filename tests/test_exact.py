@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,9 +13,9 @@ from severi.exact import (
     ExactScalar,
     LinearWeight,
     WEIGHT_3D1_MINUS_2,
+    WEIGHT_D1,
     WEIGHT_ONE,
     binom,
-    eval_weight,
     format_exact,
     is_integral,
     parse_exact,
@@ -87,24 +89,12 @@ def test_normalization_is_idempotent(p, q, g):
     [(3, -2, 1, 1), (0, 1, 7, 1), (9, -2, 2, 16)],
 )
 def test_eval_weight_examples(a, b, d1, expected):
-    assert eval_weight(LinearWeight(a, b), d1) == expected
-
-
-@given(
-    a1=st.integers(-50, 50),
-    b1=st.integers(-50, 50),
-    a2=st.integers(-50, 50),
-    b2=st.integers(-50, 50),
-    d1=st.integers(1, 100),
-)
-def test_eval_weight_is_linear_in_the_weight(a1, b1, a2, b2, d1):
-    u = LinearWeight(a1, b1)
-    v = LinearWeight(a2, b2)
-    assert eval_weight(u + v, d1) == eval_weight(u, d1) + eval_weight(v, d1)
+    assert LinearWeight(a, b)(d1) == expected
 
 
 def test_weight_scaling_and_composition():
-    assert WEIGHT_3D1_MINUS_2 == LinearWeight(1, 0).scaled(3) + WEIGHT_ONE.scaled(-2)
+    for d1 in range(1, 20):
+        assert WEIGHT_3D1_MINUS_2(d1) == 3 * WEIGHT_D1(d1) - 2 * WEIGHT_ONE(d1)
     assert WEIGHT_3D1_MINUS_2(4) == 10
 
 
@@ -121,3 +111,15 @@ def test_weight_scaling_and_composition():
 def test_format_parse_round_trip(value, text):
     assert format_exact(value) == text
     assert parse_exact(text) == value
+
+
+def test_round_trip_beyond_the_int_str_digit_limit():
+    # 5001 digits: above Python's default 4300-digit conversion limit,
+    # which N0 passes at d = 572.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    big = 7 * 10**5000 + 1
+    for value in (Fraction(big), Fraction(-big, 3)):
+        text = format_exact(value)
+        assert len(text.split("/")[0].lstrip("-")) == 5001
+        assert parse_exact(text) == value
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

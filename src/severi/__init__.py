@@ -32,7 +32,6 @@ from .engine import (
 from .exact import (
     ExactScalar,
     LinearWeight,
-    binom,
     format_exact,
     is_integral,
     parse_exact,
@@ -54,7 +53,6 @@ __all__ = [
     "KIND_ORDER",
     "LinearWeight",
     "__version__",
-    "binom",
     "build_records",
     "domain_status",
     "format_exact",

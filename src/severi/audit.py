@@ -27,7 +27,7 @@ from .exact import (
     is_integral,
     parse_exact,
 )
-from .engine import InvariantEngine, InvariantKind, integrality_expected
+from .engine import KIND_SPEC, REPORTED, REQUIRED, InvariantEngine, InvariantKind
 
 
 class CheckKind(str, Enum):
@@ -200,16 +200,21 @@ def run_anchor_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
 
 
 # Hard integrality checks for the invariants that must be integers;
-# the reportable-only trio (G1, OMEGA, M) is surfaced as INFO.
+# the reportable-only ones (G1, OMEGA, M) are surfaced as INFO.
 _CHECKED_INTEGRALITY = tuple(
-    kind for kind in InvariantKind if integrality_expected(kind)
+    kind for kind in InvariantKind if KIND_SPEC[kind].integrality == REQUIRED
 )
-_INFO_INTEGRALITY = (InvariantKind.G1, InvariantKind.OMEGA, InvariantKind.M)
+_INFO_INTEGRALITY = tuple(
+    kind for kind in InvariantKind if KIND_SPEC[kind].integrality == REPORTED
+)
 
 
 def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
     """Two-path equalities, the component-count identity, T-linearity on
-    the fixed weight basis, and integrality scans, for 3 <= d <= d_max."""
+    the fixed weight basis, and integrality scans, for 3 <= d <= d_max.
+
+    ``k1_two_path`` and ``t_linearity`` compare T read from the stored
+    basis against T summed term by term (``t_op_direct``)."""
     _require_min_degree(d_max)
     checks = []
     for d in range(3, d_max + 1):
@@ -224,7 +229,8 @@ def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
             (
                 "t_linearity",
                 engine.t_op(WEIGHT_3D1_MINUS_2, d),
-                3 * engine.t_op(WEIGHT_D1, d) - 2 * engine.t_op(WEIGHT_ONE, d),
+                3 * engine.t_op_direct(WEIGHT_D1, d)
+                - 2 * engine.t_op_direct(WEIGHT_ONE, d),
             ),
         )
         for check_id, first, second in pairs:

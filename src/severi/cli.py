@@ -21,7 +21,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .audit import run_full_audit
-from .engine import InvariantEngine, InvariantKind
+from .engine import MAX_DEGREE, InvariantEngine, InvariantKind
 from .exact import format_exact, is_integral
 from .tables import (
     CellFlags,
@@ -47,13 +47,15 @@ def _invariant_kind(name: str) -> InvariantKind:
         )
 
 
-def _positive_int(text: str) -> int:
+def _degree(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"degree must be >= 1, got {value}")
+    if not 1 <= value <= MAX_DEGREE:
+        raise argparse.ArgumentTypeError(
+            f"degree must be between 1 and the ceiling {MAX_DEGREE}, got {value}"
+        )
     return value
 
 
@@ -72,10 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="print one invariant value")
     p_eval.add_argument("invariant", type=_invariant_kind)
-    p_eval.add_argument("d", type=_positive_int)
+    p_eval.add_argument("d", type=_degree)
 
     p_table = sub.add_parser("table", help="emit an invariant table")
-    p_table.add_argument("--d-max", type=_positive_int, required=True)
+    p_table.add_argument("--d-max", type=_degree, required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument(
         "--invariants",
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--output", type=Path, default=None)
 
     p_audit = sub.add_parser("audit", help="run anchor/identity/probe suites")
-    p_audit.add_argument("--d-max", type=_positive_int, required=True)
+    p_audit.add_argument("--d-max", type=_degree, required=True)
     p_audit.add_argument("--format", choices=("text", "json"), default="text")
     p_audit.add_argument("--output", type=Path, default=None)
 

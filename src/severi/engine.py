@@ -11,17 +11,22 @@ The engine computes, for each degree d >= 1:
   the one-cuspidal counts ``k0``/``k1`` (each with an independent
   second evaluation path), and the linear genera ``g0``/``g1``.
 
-All values are exact rationals.  Intermediate values are legitimately
-fractional (halved ordered sums, twelfth-type coefficients);
-integrality is asserted only at final invariant boundaries and is
-reported, never silently enforced.
+All values are exact.  The recursions and every splitting sum run on
+plain ``int``: N0 and N1 are stored as integer lists, N1 is carried as
+36 N1 and reduced by exact division, and T is stored as the integer
+pair (T(d1), T(1)) per degree.  ``Fraction`` appears only in the
+O(1)-per-degree assembly steps where a value can be fractional (halved
+ordered sums, twelfth-type coefficients); public methods return
+``Fraction``.  Integrality is asserted only at final invariant
+boundaries and is reported, never silently enforced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from math import comb
+from typing import Callable, NamedTuple
 
 from .exact import (
     ExactScalar,
@@ -29,10 +34,16 @@ from .exact import (
     WEIGHT_3D1_MINUS_2,
     WEIGHT_D1,
     WEIGHT_ONE,
-    ZERO,
-    binom,
+    exact_div,
     is_integral,
 )
+
+# Largest degree any query may ask for, checked before any work starts.
+# It lies just past d = 572, where N0 first passes 4300 decimal digits
+# (Python's default int<->str limit).  The run time grows roughly as d^4
+# (``eval N0 572`` takes about 18 s on a 2-core Xeon VM, Python 3.11), so
+# degrees far beyond the ceiling would run for hours.
+MAX_DEGREE = 600
 
 
 class InvariantKind(str, Enum):
@@ -72,6 +83,35 @@ KIND_ORDER: tuple[InvariantKind, ...] = (
 BELOW_MIN_DEGREE = "BELOW_MIN_DEGREE"
 DEGENERATE_GEOMETRY = "DEGENERATE_GEOMETRY"
 
+# Integrality classes of KindSpec.integrality.
+REQUIRED = "required"  # a non-integral value is an audit FAIL
+REPORTED = "reported"  # integrality is reported as INFO only
+
+
+class KindSpec(NamedTuple):
+    """How one invariant is evaluated, where it is meaningful, and how
+    the audit treats its integrality (None: not scanned)."""
+
+    method: str
+    min_degree: int
+    integrality: str | None
+
+
+KIND_SPEC: dict[InvariantKind, KindSpec] = {
+    InvariantKind.N0: KindSpec("n0", 1, REQUIRED),
+    InvariantKind.N1: KindSpec("n1", 1, REQUIRED),
+    InvariantKind.K0: KindSpec("k0", 3, REQUIRED),
+    InvariantKind.K0_PRINTED: KindSpec("k0_printed", 2, None),
+    InvariantKind.K1: KindSpec("k1", 3, REQUIRED),
+    InvariantKind.G0: KindSpec("g0", 3, REQUIRED),
+    InvariantKind.G1: KindSpec("g1", 4, REPORTED),
+    InvariantKind.OMEGA: KindSpec("omega", 1, REPORTED),
+    InvariantKind.M: KindSpec("m_invariant", 2, REPORTED),
+    InvariantKind.NODES: KindSpec("reducible_fibre_count", 2, None),
+    InvariantKind.RCOUNT: KindSpec("r_component_count", 2, None),
+    InvariantKind.LR: KindSpec("lr", 2, None),
+}
+
 
 @dataclass(frozen=True)
 class DomainStatus:
@@ -87,22 +127,6 @@ class DomainStatus:
 
 IN_DOMAIN = DomainStatus(True)
 
-# Minimum degree at which each invariant is geometrically meaningful.
-_MIN_DEGREE: dict[InvariantKind, int] = {
-    InvariantKind.N0: 1,
-    InvariantKind.N1: 1,
-    InvariantKind.OMEGA: 1,
-    InvariantKind.M: 2,
-    InvariantKind.NODES: 2,
-    InvariantKind.RCOUNT: 2,
-    InvariantKind.LR: 2,
-    InvariantKind.K0_PRINTED: 2,
-    InvariantKind.K0: 3,
-    InvariantKind.K1: 3,
-    InvariantKind.G0: 3,
-    InvariantKind.G1: 4,
-}
-
 
 def domain_status(kind: InvariantKind, d: int) -> DomainStatus:
     """Domain flag for (invariant, degree); pure function of its inputs."""
@@ -115,7 +139,7 @@ def domain_status(kind: InvariantKind, d: int) -> DomainStatus:
         # The one-parameter elliptic-cubic family is birational to the
         # plane; the genus formula evaluates to the non-integer 5/4.
         return DomainStatus(False, DEGENERATE_GEOMETRY)
-    if d < _MIN_DEGREE[kind]:
+    if d < KIND_SPEC[kind].min_degree:
         return DomainStatus(False, BELOW_MIN_DEGREE)
     return IN_DOMAIN
 
@@ -123,28 +147,28 @@ def domain_status(kind: InvariantKind, d: int) -> DomainStatus:
 def _check_degree(d: int) -> None:
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"degree must be a positive integer, got {d!r}")
-
-
-def _splittings(d: int) -> Iterator[tuple[int, int]]:
-    """Ordered pairs (d1, d2) of positive integers with d1 + d2 = d."""
-    return ((d1, d - d1) for d1 in range(1, d))
+    if d > MAX_DEGREE:
+        raise ValueError(f"degree {d} is above the ceiling {MAX_DEGREE}")
 
 
 class InvariantEngine:
-    """Exact invariant calculator with one memo table per invariant.
+    """Exact invariant calculator.
 
     Values are computed bottom-up in the degree: the recursive counts
     ``n0``/``n1`` at degree d use only degrees below d, and every
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so memo correctness is by construction.
+    N0, N1 and the T basis are integer lists indexed by degree (entry 0
+    unused); derived values have one memo table per invariant.
     """
 
     def __init__(self) -> None:
+        self._n0: list[int] = [0, 1]
+        self._n1: list[int] = [0]
+        self._t_basis: list[tuple[int, int]] = [(0, 0)]
         self._memo: dict[InvariantKind, dict[int, ExactScalar]] = {
             kind: {} for kind in InvariantKind
         }
-
-    # -- memo plumbing -------------------------------------------------
 
     def _memoized(
         self, kind: InvariantKind, d: int, compute: Callable[[int], ExactScalar]
@@ -165,21 +189,16 @@ class InvariantEngine:
                                     - d1^3 d2 C(3d-4, 3d1-1)].
         """
         _check_degree(d)
-        table = self._memo[InvariantKind.N0]
-        for dd in range(1, d + 1):
-            if dd in table:
-                continue
-            if dd == 1:
-                table[dd] = ExactScalar(1)
-                continue
-            total = ZERO
-            for d1, d2 in _splittings(dd):
-                total += table[d1] * table[d2] * (
-                    d1 ** 2 * d2 ** 2 * binom(3 * dd - 4, 3 * d1 - 2)
-                    - d1 ** 3 * d2 * binom(3 * dd - 4, 3 * d1 - 1)
-                )
-            table[dd] = total
-        return table[d]
+        n0 = self._n0
+        for dd in range(len(n0), d + 1):
+            n = 3 * dd - 4
+            n0.append(sum(
+                d1 * d1 * (dd - d1)
+                * ((dd - d1) * comb(n, 3 * d1 - 2) - d1 * comb(n, 3 * d1 - 1))
+                * n0[d1] * n0[dd - d1]
+                for d1 in range(1, dd)
+            ))
+        return ExactScalar(n0[d])
 
     def n1(self, d: int) -> ExactScalar:
         """Elliptic curves of degree d through 3d general points.
@@ -187,26 +206,24 @@ class InvariantEngine:
             N1(d) = (1/12) C(d,3) N0(d)
                   + sum ((3 d1 - 2)/9) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2).
 
+        The sum is T(3 d1 - 2) / 9, so one loop per degree fills both N1
+        and the T basis, and 36 N1 = 3 C(d,3) N0 + 4 T(3 d1 - 2) is reduced
+        by exact division (an ``ArithmeticError`` if N1 is not integral).
         The sum needs N1 only below d, so no base value is required; it
         evaluates to 0 for d = 1, 2 (no elliptic curves of degree < 3).
         """
         _check_degree(d)
         self.n0(d)
-        n0_table = self._memo[InvariantKind.N0]
-        table = self._memo[InvariantKind.N1]
-        for dd in range(1, d + 1):
-            if dd in table:
-                continue
-            total = ExactScalar(1, 12) * binom(dd, 3) * n0_table[dd]
-            for d1, d2 in _splittings(dd):
-                total += (
-                    ExactScalar(3 * d1 - 2, 9)
-                    * d1 * d2
-                    * binom(3 * dd - 1, 3 * d1 - 1)
-                    * n0_table[d1] * table[d2]
-                )
-            table[dd] = total
-        return table[d]
+        n0, n1, basis = self._n0, self._n1, self._t_basis
+        for dd in range(len(n1), d + 1):
+            s1 = s0 = 0
+            for d1 in range(1, dd):
+                w = d1 * (dd - d1) * comb(3 * dd - 1, 3 * d1 - 1) * n0[d1] * n1[dd - d1]
+                s1 += d1 * w
+                s0 += w
+            basis.append((s1, s0))
+            n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * (3 * s1 - 2 * s0), 36))
+        return ExactScalar(n1[d])
 
     # -- the T-operator -------------------------------------------------
 
@@ -215,23 +232,47 @@ class InvariantEngine:
 
             T(u) = sum u(d1) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2)
 
-        over ordered pairs d1 + d2 = d.  Linear in the weight u.
+        over ordered pairs d1 + d2 = d.  Linear in the weight u, so it is
+        read off the stored basis as a T(d1) + b T(1).
+        """
+        _check_degree(d)
+        self.n1(d)
+        s1, s0 = self._t_basis[d]
+        return ExactScalar(u.a * s1 + u.b * s0)
+
+    def t_op_direct(self, u: LinearWeight, d: int) -> ExactScalar:
+        """The T-operator summed term by term, without the stored basis.
+
+        Audit-only and never memoized: it is the second path of the
+        two-path checks that would otherwise read the basis twice.
         """
         _check_degree(d)
         if d >= 2:
-            self.n0(d - 1)
             self.n1(d - 1)
-        total = ZERO
-        for d1, d2 in _splittings(d):
-            total += (
-                u(d1) * d1 * d2
-                * binom(3 * d - 1, 3 * d1 - 1)
-                * self._memo[InvariantKind.N0][d1]
-                * self._memo[InvariantKind.N1][d2]
-            )
-        return total
+        n0, n1 = self._n0, self._n1
+        return ExactScalar(sum(
+            u(d1) * d1 * (d - d1) * comb(3 * d - 1, 3 * d1 - 1) * n0[d1] * n1[d - d1]
+            for d1 in range(1, d)
+        ))
 
     # -- derived invariants ----------------------------------------------
+
+    def _splitting_sum(self, d: int, n: int, k: int, a: int = 0, b: int = 1) -> int:
+        """The one splitting kernel of the derived invariants:
+
+            sum (a d2 + b) N0(d1) N0(d2) d1 d2 C(n, 3 d1 - k)
+
+        over ordered pairs d1 + d2 = d (empty, hence 0, at d = 1).  Every
+        caller passes n >= 3d - 4 and k <= 2, so both arguments of C are
+        non-negative and ``math.comb`` needs no zero convention.
+        """
+        self.n0(d)
+        n0 = self._n0
+        return sum(
+            (a * (d - d1) + b) * d1 * (d - d1) * comb(n, 3 * d1 - k)
+            * n0[d1] * n0[d - d1]
+            for d1 in range(1, d)
+        )
 
     def omega(self, d: int) -> ExactScalar:
         """One-twelfth of the irreducible nodal fibre count:
@@ -259,19 +300,11 @@ class InvariantEngine:
         Empty sum (hence 0) at d = 1.
         """
         _check_degree(d)
-
-        def compute(dd: int) -> ExactScalar:
-            self.n0(dd)
-            n0_table = self._memo[InvariantKind.N0]
-            total = ZERO
-            for d1, d2 in _splittings(dd):
-                total += (
-                    n0_table[d1] * n0_table[d2]
-                    * d1 * d2 * binom(3 * dd - 4, 3 * d1 - 2)
-                )
-            return total / 2
-
-        return self._memoized(InvariantKind.M, d, compute)
+        return self._memoized(
+            InvariantKind.M,
+            d,
+            lambda dd: ExactScalar(self._splitting_sum(dd, 3 * dd - 4, 2), 2),
+        )
 
     def reducible_fibre_count(self, d: int) -> ExactScalar:
         """Number of reducible (nodal) fibres of the rational family.
@@ -282,19 +315,11 @@ class InvariantEngine:
         pinned by the degree-3 cuspidal anchor).
         """
         _check_degree(d)
-
-        def compute(dd: int) -> ExactScalar:
-            self.n0(dd)
-            n0_table = self._memo[InvariantKind.N0]
-            total = ZERO
-            for d1, d2 in _splittings(dd):
-                total += (
-                    n0_table[d1] * n0_table[d2]
-                    * d1 * d2 * binom(3 * dd - 2, 3 * d1 - 1)
-                )
-            return total / 2
-
-        return self._memoized(InvariantKind.NODES, d, compute)
+        return self._memoized(
+            InvariantKind.NODES,
+            d,
+            lambda dd: ExactScalar(self._splitting_sum(dd, 3 * dd - 2, 1), 2),
+        )
 
     def r_component_count(self, d: int) -> ExactScalar:
         """Reducible fibres counted by the degree d1 of the component
@@ -307,19 +332,11 @@ class InvariantEngine:
         audit suite re-checks this at every degree.
         """
         _check_degree(d)
-
-        def compute(dd: int) -> ExactScalar:
-            self.n0(dd)
-            n0_table = self._memo[InvariantKind.N0]
-            total = ZERO
-            for d1, d2 in _splittings(dd):
-                total += (
-                    n0_table[d1] * n0_table[d2]
-                    * d1 * d2 * binom(3 * dd - 3, 3 * d1 - 2)
-                )
-            return total
-
-        return self._memoized(InvariantKind.RCOUNT, d, compute)
+        return self._memoized(
+            InvariantKind.RCOUNT,
+            d,
+            lambda dd: ExactScalar(self._splitting_sum(dd, 3 * dd - 3, 2)),
+        )
 
     def lr(self, d: int) -> ExactScalar:
         """Total plane degree of the blown-down fibre components:
@@ -330,19 +347,11 @@ class InvariantEngine:
         (unmarked) component.
         """
         _check_degree(d)
-
-        def compute(dd: int) -> ExactScalar:
-            self.n0(dd)
-            n0_table = self._memo[InvariantKind.N0]
-            total = ZERO
-            for d1, d2 in _splittings(dd):
-                total += (
-                    d2 * n0_table[d1] * n0_table[d2]
-                    * d1 * d2 * binom(3 * dd - 3, 3 * d1 - 2)
-                )
-            return total
-
-        return self._memoized(InvariantKind.LR, d, compute)
+        return self._memoized(
+            InvariantKind.LR,
+            d,
+            lambda dd: ExactScalar(self._splitting_sum(dd, 3 * dd - 3, 2, 1, 0)),
+        )
 
     def k0(self, d: int) -> ExactScalar:
         """One-cuspidal rational curves through 3d-2 points (authoritative
@@ -378,15 +387,11 @@ class InvariantEngine:
         _check_degree(d)
 
         def compute(dd: int) -> ExactScalar:
-            self.n0(dd)
-            n0_table = self._memo[InvariantKind.N0]
-            total = ZERO
-            for d1, d2 in _splittings(dd):
-                total += n0_table[d1] * n0_table[d2] * d1 * d2 * (
-                    (3 * d2 - 2) * binom(3 * dd - 2, 3 * d1 - 2)
-                    - ExactScalar(3, 2) * binom(3 * dd - 4, 3 * d1 - 2)
-                )
-            return 3 * n0_table[dd] - total
+            bracket = (
+                self._splitting_sum(dd, 3 * dd - 2, 2, 3, -2)
+                - ExactScalar(3, 2) * self._splitting_sum(dd, 3 * dd - 4, 2)
+            )
+            return 3 * self._n0[dd] - bracket
 
         return self._memoized(InvariantKind.K0_PRINTED, d, compute)
 
@@ -415,14 +420,15 @@ class InvariantEngine:
 
         Agrees with :meth:`k1` exactly (T-linearity plus the omega
         closed form); the audit suite checks the agreement degree by
-        degree.  Not memoized: it exists to stay an independent path.
+        degree.  Not memoized, and T is summed directly rather than read
+        from the basis :meth:`k1` uses, so the two paths stay independent.
         """
         _check_degree(d)
         return (
             3 * self.n1(d)
             + (3 * d - 12) * self.omega(d)
-            + 3 * self.t_op(WEIGHT_D1, d)
-            - 2 * self.t_op(WEIGHT_ONE, d)
+            + 3 * self.t_op_direct(WEIGHT_D1, d)
+            - 2 * self.t_op_direct(WEIGHT_ONE, d)
         )
 
     def g0(self, d: int) -> ExactScalar:
@@ -440,20 +446,21 @@ class InvariantEngine:
         )
 
     def g0_from_splitting_sum(self, d: int) -> ExactScalar:
-        """Second path for ``g0``: 2g - 2 = K0 - sum N0 N0 d1 d2 C(3d-4, 3d1-2),
-        with the splitting sum recomputed inline instead of reusing m.
-        Kept separate so the two-path audit check guards refactoring.
+        """Second path for ``g0``: 2g - 2 = K0 - sum N0 N0 d1 d2 C(3d-4, 3d1-2).
+
+        The sum is 2m retyped as its own loop instead of the shared
+        splitting kernel, so the two-path check only guards the kernel
+        and the m assembly against drift; it is not an independent
+        derivation of the genus.
         """
         _check_degree(d)
         self.n0(d)
-        n0_table = self._memo[InvariantKind.N0]
-        total = ZERO
-        for d1, d2 in _splittings(d):
-            total += (
-                n0_table[d1] * n0_table[d2]
-                * d1 * d2 * binom(3 * d - 4, 3 * d1 - 2)
-            )
-        return (self.k0(d) - total + 2) / 2
+        n0 = self._n0
+        two_m = 0
+        for d1 in range(1, d):
+            d2 = d - d1
+            two_m += n0[d1] * n0[d2] * d1 * d2 * comb(3 * d - 4, 3 * d1 - 2)
+        return (self.k0(d) - two_m + 2) / 2
 
     def g1(self, d: int) -> ExactScalar:
         """Linear genus of the elliptic-curve family:
@@ -502,39 +509,11 @@ class InvariantEngine:
     def value(self, kind: InvariantKind, d: int) -> ExactScalar:
         """The invariant's exact value (formula evaluated even when the
         degree is outside the invariant's geometric domain)."""
-        return getattr(self, _METHOD_NAME[kind])(d)
+        return getattr(self, KIND_SPEC[kind].method)(d)
 
     def evaluate(self, kind: InvariantKind, d: int) -> tuple[ExactScalar, DomainStatus]:
         """Value together with its domain flag."""
         return self.value(kind, d), domain_status(kind, d)
-
-
-_METHOD_NAME: dict[InvariantKind, str] = {
-    InvariantKind.N0: "n0",
-    InvariantKind.N1: "n1",
-    InvariantKind.K0: "k0",
-    InvariantKind.K0_PRINTED: "k0_printed",
-    InvariantKind.K1: "k1",
-    InvariantKind.G0: "g0",
-    InvariantKind.G1: "g1",
-    InvariantKind.OMEGA: "omega",
-    InvariantKind.M: "m_invariant",
-    InvariantKind.NODES: "reducible_fibre_count",
-    InvariantKind.RCOUNT: "r_component_count",
-    InvariantKind.LR: "lr",
-}
-
-
-def integrality_expected(kind: InvariantKind) -> bool:
-    """Whether a non-integral value would be a hard failure (as opposed
-    to a reportable curiosity, as for OMEGA, M, and flagged G1)."""
-    return kind in (
-        InvariantKind.N0,
-        InvariantKind.N1,
-        InvariantKind.K0,
-        InvariantKind.K1,
-        InvariantKind.G0,
-    )
 
 
 __all__ = [
@@ -545,7 +524,11 @@ __all__ = [
     "InvariantEngine",
     "InvariantKind",
     "KIND_ORDER",
+    "KIND_SPEC",
+    "KindSpec",
+    "MAX_DEGREE",
+    "REPORTED",
+    "REQUIRED",
     "domain_status",
-    "integrality_expected",
     "is_integral",
 ]

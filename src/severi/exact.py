@@ -1,9 +1,11 @@
-"""Exact scalar arithmetic, binomial coefficients, and affine weights.
+"""Exact scalar arithmetic, exact integer division, and affine weights.
 
-Every quantity in this package is an arbitrary-precision rational
+Every value this package returns is an arbitrary-precision rational
 (``fractions.Fraction``): always in lowest terms, denominator positive,
 value-equality semantics, no rounding anywhere.  ``ExactScalar`` is the
-name the rest of the code uses for that value type.
+name the rest of the code uses for that value type.  Internally the
+engine's recursions and splitting sums run on plain ``int`` and convert
+to ``ExactScalar`` only where a value can be fractional.
 """
 
 from __future__ import annotations
@@ -12,23 +14,20 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 ExactScalar = Fraction
 
-ZERO = ExactScalar(0)
 
+def exact_div(n: int, m: int) -> int:
+    """The quotient n / m, which must be an integer.
 
-def binom(n: int, k: int) -> ExactScalar:
-    """Binomial coefficient C(n, k) with the zero convention.
-
-    Returns 0 whenever k < 0, n < 0, or k > n, so that every splitting
-    sum in the engine is total even at degenerate small degrees (no
-    point-distributions exist there).
+    Raises ``ArithmeticError`` on a nonzero remainder (a raise, not an
+    ``assert``, so that ``python -O`` keeps the check).
     """
-    if n < 0 or k < 0 or k > n:
-        return ZERO
-    return ExactScalar(comb(n, k))
+    quotient, remainder = divmod(n, m)
+    if remainder:
+        raise ArithmeticError(f"not a multiple of {m} (remainder {remainder})")
+    return quotient
 
 
 def is_integral(x: ExactScalar) -> bool:
@@ -74,8 +73,8 @@ class LinearWeight:
     a: int
     b: int
 
-    def __call__(self, d1: int) -> ExactScalar:
-        return ExactScalar(self.a * d1 + self.b)
+    def __call__(self, d1: int) -> int:
+        return self.a * d1 + self.b
 
 
 # Weights used by the invariant formulas and the audit suites.

@@ -99,6 +99,17 @@ class TestIdentitySuite:
         assert check.status is CheckStatus.PASS
         assert check.actual == 840 and check.expected == 840
 
+    def test_a_corrupted_t_basis_fails_both_two_path_t_checks(self):
+        # k1 and the left side of t_linearity read the stored basis; the
+        # other sides sum T term by term, so tampering shows up in both.
+        engine = InvariantEngine()
+        engine.n1(6)
+        s1, s0 = engine._t_basis[6]
+        engine._t_basis[6] = (s1 + 1, s0)
+        report = run_identity_suite(engine, 6)
+        failed = {(c.id, c.degree) for c in report.checks if c.status is CheckStatus.FAIL}
+        assert failed == {("k1_two_path", 6), ("t_linearity", 6)}
+
 
 class TestDiscrepancyProbes:
     def test_printed_form_probe_reproduces_minus_sixty(self, engine):

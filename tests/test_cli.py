@@ -9,6 +9,8 @@ import time
 
 import pytest
 
+from severi.exact import format_exact, parse_exact
+
 
 class TestEval:
     def test_k0_anchor_prints_24_exactly(self, run_cli):
@@ -40,6 +42,25 @@ class TestEval:
     def test_bad_degree_is_a_usage_error(self, run_cli, bad_d):
         code, _, err = run_cli("eval", "N0", bad_d)
         assert code == 2 and err != ""
+
+    @pytest.mark.parametrize(
+        "argv", [("eval", "N0", "601"), ("table", "--d-max", "601")]
+    )
+    def test_degree_above_the_ceiling_is_a_usage_error(self, run_cli, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert "600" in err
+
+    @pytest.mark.slow
+    def test_degree_572_passes_the_int_str_digit_limit(self):
+        # N0(572) is the first N0 with more than 4300 digits.
+        argv = [sys.executable, "-m", "severi", "eval", "N0", "572"]
+        result = subprocess.run(argv, capture_output=True, text=True)
+        assert result.returncode == 0 and result.stderr == ""
+        assert len(result.stdout) == 4305
+        text = result.stdout.rstrip("\n")
+        assert format_exact(parse_exact(text)) == text
 
 
 class TestTable:
@@ -162,6 +183,14 @@ D60_DIGESTS = {
     ("audit", "json"): "6050fd231faac91d9d481f5d5092499643f9de970d4c2d61a18269bd6d555c2a",
 }
 
+# The same at d = 100, recorded at commit 25a9101.
+D100_DIGESTS = {
+    ("table", "csv"): "42ce9ab32d3981e6372768e73b1dd0db04c13d71487728545637cf47d01003a6",
+    ("table", "json"): "2ec358be17bd3bbce2c680995bbff7556eb7cf2eca361873c1d45f47c7e5fb4e",
+    ("audit", "text"): "2b531619076c1c997739e45a7cf2f1a047b793972e7c00bf1a3743a2e21debbb",
+    ("audit", "json"): "777e5d6366bbfd1ea77465c842d759c1a693b545fb2749dc3d8b30541f61ad46",
+}
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command,fmt", sorted(D60_DIGESTS))
@@ -169,6 +198,12 @@ class TestDeterminism:
         code, out, _ = run_cli(command, "--d-max", "60", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == D60_DIGESTS[command, fmt]
+
+    @pytest.mark.parametrize("command,fmt", sorted(D100_DIGESTS))
+    def test_degree_hundred_output_matches_recorded_digest(self, run_cli, command, fmt):
+        code, out, _ = run_cli(command, "--d-max", "100", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == D100_DIGESTS[command, fmt]
 
     def test_repeated_runs_are_byte_identical_in_process(self, run_cli):
         outputs = set()

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 import sys
 
@@ -15,45 +14,21 @@ from severi.exact import (
     WEIGHT_3D1_MINUS_2,
     WEIGHT_D1,
     WEIGHT_ONE,
-    binom,
+    exact_div,
     format_exact,
-    is_integral,
     parse_exact,
 )
 
 
-@pytest.mark.parametrize(
-    "n,k,expected",
-    [
-        (7, 1, 7),
-        (5, -1, 0),
-        (11, 2, 55),
-        (2, 2, 1),  # boundary case hit by the degree-2 recursion step
-        (0, 0, 1),
-        (-1, 0, 0),
-        (-3, -2, 0),
-        (4, 5, 0),
-    ],
-)
-def test_binom_values_and_out_of_range_convention(n, k, expected):
-    assert binom(n, k) == expected
+def test_exact_div_returns_the_quotient_of_a_multiple():
+    assert exact_div(36 * 225, 36) == 225
+    assert exact_div(-36 * 7 * 10**400, 36) == -7 * 10**400
 
 
-def test_binom_pascal_symmetry_and_integrality_up_to_60():
-    # Pascal needs n >= 1: at n = 0 both row -1 terms are 0 by the
-    # out-of-range convention while C(0,0) = 1.
-    for n in range(61):
-        for k in range(n + 1):
-            value = binom(n, k)
-            if n >= 1:
-                assert value == binom(n - 1, k - 1) + binom(n - 1, k)
-            assert value == binom(n, n - k)
-            assert is_integral(value) and value >= 0
-            assert value == comb(n, k)
-
-
-def test_binom_returns_exact_scalar():
-    assert isinstance(binom(10, 4), ExactScalar)
+@pytest.mark.parametrize("n", [1, 35, 37, -1, 36 * 10**400 + 18])
+def test_exact_div_raises_on_a_non_multiple_of_36(n):
+    with pytest.raises(ArithmeticError):
+        exact_div(n, 36)
 
 
 rationals = st.fractions(

@@ -17,6 +17,7 @@ from severi import (
     KIND_ORDER,
     domain_status,
 )
+from severi.engine import MAX_DEGREE
 from severi.exact import LinearWeight, WEIGHT_D1, WEIGHT_ONE, WEIGHT_3D1_MINUS_2
 
 
@@ -78,6 +79,13 @@ class TestTOperator:
         v = LinearWeight(a2, b2)
         u_plus_v = LinearWeight(a1 + a2, b1 + b2)
         assert engine.t_op(u_plus_v, d) == engine.t_op(u, d) + engine.t_op(v, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.integers(-50, 50), b=st.integers(-50, 50), d=st.integers(1, 40))
+    def test_basis_agrees_with_the_direct_sum(self, a, b, d):
+        engine = InvariantEngine()
+        u = LinearWeight(a, b)
+        assert engine.t_op(u, d) == engine.t_op_direct(u, d)
 
     def test_fixed_basis_combination(self, engine):
         for d in range(2, 13):
@@ -229,6 +237,13 @@ class TestInvariantProperties:
             engine.n0(bad)
         with pytest.raises(ValueError):
             engine.value(InvariantKind.K0, bad)
+
+    def test_degree_above_the_ceiling_is_refused_before_any_work(self, engine):
+        with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+            engine.n0(MAX_DEGREE + 1)
+        with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+            engine.value(InvariantKind.K1, MAX_DEGREE + 1)
+        assert engine._n0 == [0, 1]
 
     def test_degree_must_be_an_integer(self, engine):
         with pytest.raises(ValueError):

@@ -27,7 +27,9 @@ from .exact import (
     is_integral,
     parse_exact,
 )
-from .engine import KIND_SPEC, REPORTED, REQUIRED, InvariantEngine, InvariantKind
+from .engine import (
+    KIND_SPEC, REPORTED, REQUIRED, InvariantEngine, InvariantKind, _check_degree
+)
 
 
 class CheckKind(str, Enum):
@@ -132,9 +134,11 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _require_min_degree(d_max: int, minimum: int = 3) -> None:
+def _require_d_max(d_max: int, minimum: int = 3) -> None:
+    """Reject d_max below ``minimum`` or above the ceiling, before any work."""
     if not isinstance(d_max, int) or isinstance(d_max, bool) or d_max < minimum:
         raise ValueError(f"audit requires d_max >= {minimum}, got {d_max!r}")
+    _check_degree(d_max)
 
 
 # Anchor table: the classical degree-3 cusp count plus the hand-derived
@@ -179,7 +183,7 @@ RECORDED_RAMIFICATION_RESIDUALS: dict[int, ExactScalar] = {
 def run_anchor_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
     """Compare engine outputs against the anchor table, filtered to
     anchors of degree <= d_max.  Any mismatch is a FAIL."""
-    _require_min_degree(d_max)
+    _require_d_max(d_max)
     checks = []
     for kind, d, expected_int in _ANCHORS:
         if d > d_max:
@@ -214,8 +218,10 @@ def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
     the fixed weight basis, and integrality scans, for 3 <= d <= d_max.
 
     ``k1_two_path`` and ``t_linearity`` compare T read from the stored
-    basis against T summed term by term (``t_op_direct``)."""
-    _require_min_degree(d_max)
+    basis against T summed term by term (``t_op_direct``); both sides take
+    C(3d-1, 3 d1 - 1) from ``exact.binomial_row``, as they shared
+    ``math.comb`` before, so the binomials are not checked by them."""
+    _require_d_max(d_max)
     checks = []
     for d in range(3, d_max + 1):
         pairs = (
@@ -279,7 +285,7 @@ def run_discrepancy_probes(engine: InvariantEngine, d_max: int) -> AuditReport:
     FAIL only on evaluator drift (a changed or vanished value), never
     because the inconsistency itself is present.
     """
-    _require_min_degree(d_max)
+    _require_d_max(d_max)
     checks = []
 
     actual = engine.k0_printed(3)
@@ -323,7 +329,7 @@ def run_discrepancy_probes(engine: InvariantEngine, d_max: int) -> AuditReport:
 
 def run_full_audit(engine: InvariantEngine, d_max: int) -> AuditReport:
     """All three suites in canonical order as a single report."""
-    _require_min_degree(d_max)
+    _require_d_max(d_max)
     checks = (
         run_anchor_suite(engine, d_max).checks
         + run_identity_suite(engine, d_max).checks

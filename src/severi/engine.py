@@ -12,9 +12,10 @@ The engine computes, for each degree d >= 1:
   second evaluation path), and the linear genera ``g0``/``g1``.
 
 All values are exact.  The recursions and every splitting sum run on
-plain ``int``: N0 and N1 are stored as integer lists, N1 is carried as
-36 N1 and reduced by exact division, and T is stored as the integer
-pair (T(d1), T(1)) per degree.  ``Fraction`` appears only in the
+plain ``int`` with binomials from exact row recurrences: N0 and N1 are
+integer lists, N1 is carried as 36 N1 and reduced by exact division, T
+is the pair (T(d1), T(1)) per degree, and the splitting statistics
+are one tuple per degree.  ``Fraction`` appears only in the
 O(1)-per-degree assembly steps where a value can be fractional (halved
 ordered sums, twelfth-type coefficients); public methods return
 ``Fraction``.  Integrality is asserted only at final invariant
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import wraps
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -34,6 +36,7 @@ from .exact import (
     WEIGHT_3D1_MINUS_2,
     WEIGHT_D1,
     WEIGHT_ONE,
+    binomial_row,
     exact_div,
     is_integral,
 )
@@ -41,9 +44,22 @@ from .exact import (
 # Largest degree any query may ask for, checked before any work starts.
 # It lies just past d = 572, where N0 first passes 4300 decimal digits
 # (Python's default int<->str limit).  The run time grows roughly as d^4
-# (``eval N0 572`` takes about 18 s on a 2-core Xeon VM, Python 3.11), so
+# (``eval N0 572`` takes about 3 s on a 2-core Xeon VM, Python 3.11), so
 # degrees far beyond the ceiling would run for hours.
 MAX_DEGREE = 600
+
+
+def _paired_sums(n0: list[int], d: int, rows: list[list[int]]) -> list[int]:
+    """For each row, sum row[d1 - 1] N0(d1) N0(d2) over ordered pairs
+    d1 + d2 = d.  Each unordered pair costs one product N0(d1) N0(d2), and
+    the middle term d1 = d2 is counted once."""
+    sums = [0] * len(rows)
+    for d1 in range(1, d // 2 + 1):
+        i, j, p = d1 - 1, d - d1 - 1, n0[d1] * n0[d - d1]
+        sums = [
+            s + p * (row[i] + row[j] if i < j else row[i]) for s, row in zip(sums, rows)
+        ]
+    return sums
 
 
 class InvariantKind(str, Enum):
@@ -151,6 +167,19 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"degree {d} is above the ceiling {MAX_DEGREE}")
 
 
+def _memoized(method: Callable[..., ExactScalar]) -> Callable[..., ExactScalar]:
+    """Check the degree, then evaluate ``method`` once per engine and degree."""
+    @wraps(method)
+    def memoized(self: InvariantEngine, d: int) -> ExactScalar:
+        _check_degree(d)
+        table = self._memo.setdefault(method.__name__, {})
+        if d not in table:
+            table[d] = method(self, d)
+        return table[d]
+
+    return memoized
+
+
 class InvariantEngine:
     """Exact invariant calculator.
 
@@ -159,24 +188,16 @@ class InvariantEngine:
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so memo correctness is by construction.
     N0, N1 and the T basis are integer lists indexed by degree (entry 0
-    unused); derived values have one memo table per invariant.
+    unused); the splitting statistics and K0, K1, G0, G1 are stored per
+    degree.
     """
 
     def __init__(self) -> None:
         self._n0: list[int] = [0, 1]
         self._n1: list[int] = [0]
         self._t_basis: list[tuple[int, int]] = [(0, 0)]
-        self._memo: dict[InvariantKind, dict[int, ExactScalar]] = {
-            kind: {} for kind in InvariantKind
-        }
-
-    def _memoized(
-        self, kind: InvariantKind, d: int, compute: Callable[[int], ExactScalar]
-    ) -> ExactScalar:
-        table = self._memo[kind]
-        if d not in table:
-            table[d] = compute(d)
-        return table[d]
+        self._splits: dict[int, tuple[ExactScalar, ...]] = {}
+        self._memo: dict[str, dict[int, ExactScalar]] = {}
 
     # -- recursive counts ----------------------------------------------
 
@@ -192,12 +213,10 @@ class InvariantEngine:
         n0 = self._n0
         for dd in range(len(n0), d + 1):
             n = 3 * dd - 4
-            n0.append(sum(
-                d1 * d1 * (dd - d1)
-                * ((dd - d1) * comb(n, 3 * d1 - 2) - d1 * comb(n, 3 * d1 - 1))
-                * n0[d1] * n0[dd - d1]
-                for d1 in range(1, dd)
-            ))
+            row = binomial_row(n, 2, dd - 1)
+            for d1, c1 in enumerate(binomial_row(n, 1, dd - 1), 1):
+                row[d1 - 1] = d1 * d1 * (dd - d1) * ((dd - d1) * row[d1 - 1] - d1 * c1)
+            n0.append(_paired_sums(n0, dd, [row])[0])
         return ExactScalar(n0[d])
 
     def n1(self, d: int) -> ExactScalar:
@@ -217,8 +236,9 @@ class InvariantEngine:
         n0, n1, basis = self._n0, self._n1, self._t_basis
         for dd in range(len(n1), d + 1):
             s1 = s0 = 0
+            row = binomial_row(3 * dd - 1, 1, dd - 1)
             for d1 in range(1, dd):
-                w = d1 * (dd - d1) * comb(3 * dd - 1, 3 * d1 - 1) * n0[d1] * n1[dd - d1]
+                w = d1 * (dd - d1) * row[d1 - 1] * n0[d1] * n1[dd - d1]
                 s1 += d1 * w
                 s0 += w
             basis.append((s1, s0))
@@ -244,35 +264,53 @@ class InvariantEngine:
         """The T-operator summed term by term, without the stored basis.
 
         Audit-only and never memoized: it is the second path of the
-        two-path checks that would otherwise read the basis twice.
+        two-path checks that would otherwise read the basis twice.  Both
+        paths take C(3d-1, 3 d1 - 1) from ``binomial_row``, as they
+        shared ``math.comb`` before, so the binomials are common to both.
         """
         _check_degree(d)
         if d >= 2:
             self.n1(d - 1)
-        n0, n1 = self._n0, self._n1
+        n0, n1, row = self._n0, self._n1, binomial_row(3 * d - 1, 1, d - 1)
         return ExactScalar(sum(
-            u(d1) * d1 * (d - d1) * comb(3 * d - 1, 3 * d1 - 1) * n0[d1] * n1[d - d1]
+            u(d1) * d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
             for d1 in range(1, d)
         ))
 
     # -- derived invariants ----------------------------------------------
 
-    def _splitting_sum(self, d: int, n: int, k: int, a: int = 0, b: int = 1) -> int:
-        """The one splitting kernel of the derived invariants:
+    def _splitting_values(self, d: int) -> tuple[ExactScalar, ...]:
+        """(M, NODES, RCOUNT, LR, K0_PRINTED) at degree d, stored per degree.
 
-            sum (a d2 + b) N0(d1) N0(d2) d1 d2 C(n, 3 d1 - k)
+        They are assembled from five splitting sums, each
 
-        over ordered pairs d1 + d2 = d (empty, hence 0, at d = 1).  Every
-        caller passes n >= 3d - 4 and k <= 2, so both arguments of C are
-        non-negative and ``math.comb`` needs no zero convention.
+            sum (a d2 + b) d1 d2 C(n, 3 d1 - k) N0(d1) N0(d2)
+
+        over ordered pairs d1 + d2 = d (0 at d = 1), with (n, k, a, b) from
+        the table below; the five share each product N0(d1) N0(d2).
         """
-        self.n0(d)
-        n0 = self._n0
-        return sum(
-            (a * (d - d1) + b) * d1 * (d - d1) * comb(n, 3 * d1 - k)
-            * n0[d1] * n0[d - d1]
-            for d1 in range(1, d)
-        )
+        values = self._splits.get(d)
+        if values is None:
+            self.n0(d)
+            rows = [
+                [
+                    (a * (d - d1) + b) * d1 * (d - d1) * c
+                    for d1, c in enumerate(binomial_row(n, k, d - 1), 1)
+                ]
+                for n, k, a, b in (
+                    (3 * d - 4, 2, 0, 1),  # 2m
+                    (3 * d - 2, 1, 0, 1),  # 2 NODES
+                    (3 * d - 3, 2, 0, 1),  # RCOUNT
+                    (3 * d - 3, 2, 1, 0),  # LR
+                    (3 * d - 2, 2, 3, -2),  # first sum of the K0_PRINTED bracket
+                )
+            ]
+            two_m, two_nodes, rcount, lr, s = _paired_sums(self._n0, d, rows)
+            k0_printed = 3 * self._n0[d] - (s - ExactScalar(3, 2) * two_m)
+            values = (ExactScalar(two_m, 2), ExactScalar(two_nodes, 2),
+                      ExactScalar(rcount), ExactScalar(lr), k0_printed)
+            self._splits[d] = values
+        return values
 
     def omega(self, d: int) -> ExactScalar:
         """One-twelfth of the irreducible nodal fibre count:
@@ -284,13 +322,7 @@ class InvariantEngine:
         the relatively minimal elliptic surface).
         """
         _check_degree(d)
-        return self._memoized(
-            InvariantKind.OMEGA,
-            d,
-            lambda dd: ExactScalar(1, 12)
-            * ExactScalar((dd - 1) * (dd - 2), 2)
-            * self.n0(dd),
-        )
+        return ExactScalar((d - 1) * (d - 2), 24) * self.n0(d)
 
     def m_invariant(self, d: int) -> ExactScalar:
         """Negative self-intersection of a marked-point section:
@@ -300,11 +332,7 @@ class InvariantEngine:
         Empty sum (hence 0) at d = 1.
         """
         _check_degree(d)
-        return self._memoized(
-            InvariantKind.M,
-            d,
-            lambda dd: ExactScalar(self._splitting_sum(dd, 3 * dd - 4, 2), 2),
-        )
+        return self._splitting_values(d)[0]
 
     def reducible_fibre_count(self, d: int) -> ExactScalar:
         """Number of reducible (nodal) fibres of the rational family.
@@ -315,11 +343,7 @@ class InvariantEngine:
         pinned by the degree-3 cuspidal anchor).
         """
         _check_degree(d)
-        return self._memoized(
-            InvariantKind.NODES,
-            d,
-            lambda dd: ExactScalar(self._splitting_sum(dd, 3 * dd - 2, 1), 2),
-        )
+        return self._splitting_values(d)[1]
 
     def r_component_count(self, d: int) -> ExactScalar:
         """Reducible fibres counted by the degree d1 of the component
@@ -332,11 +356,7 @@ class InvariantEngine:
         audit suite re-checks this at every degree.
         """
         _check_degree(d)
-        return self._memoized(
-            InvariantKind.RCOUNT,
-            d,
-            lambda dd: ExactScalar(self._splitting_sum(dd, 3 * dd - 3, 2)),
-        )
+        return self._splitting_values(d)[2]
 
     def lr(self, d: int) -> ExactScalar:
         """Total plane degree of the blown-down fibre components:
@@ -347,12 +367,9 @@ class InvariantEngine:
         (unmarked) component.
         """
         _check_degree(d)
-        return self._memoized(
-            InvariantKind.LR,
-            d,
-            lambda dd: ExactScalar(self._splitting_sum(dd, 3 * dd - 3, 2, 1, 0)),
-        )
+        return self._splitting_values(d)[3]
 
+    @_memoized
     def k0(self, d: int) -> ExactScalar:
         """One-cuspidal rational curves through 3d-2 points (authoritative
         assembly path):
@@ -364,15 +381,12 @@ class InvariantEngine:
         second Chern class assembly leaves the cusp count.  Anchored by
         the classical K0(3) = 24.
         """
-        _check_degree(d)
-        return self._memoized(
-            InvariantKind.K0,
-            d,
-            lambda dd: 3 * self.n0(dd)
-            - 3 * dd * self.m_invariant(dd)
-            + 3 * self.lr(dd)
-            - self.r_component_count(dd)
-            - self.reducible_fibre_count(dd),
+        return (
+            3 * self.n0(d)
+            - 3 * d * self.m_invariant(d)
+            + 3 * self.lr(d)
+            - self.r_component_count(d)
+            - self.reducible_fibre_count(d)
         )
 
     def k0_printed(self, d: int) -> ExactScalar:
@@ -385,16 +399,9 @@ class InvariantEngine:
         24 and is kept verbatim so the discrepancy stays reproducible.
         """
         _check_degree(d)
+        return self._splitting_values(d)[4]
 
-        def compute(dd: int) -> ExactScalar:
-            bracket = (
-                self._splitting_sum(dd, 3 * dd - 2, 2, 3, -2)
-                - ExactScalar(3, 2) * self._splitting_sum(dd, 3 * dd - 4, 2)
-            )
-            return 3 * self._n0[dd] - bracket
-
-        return self._memoized(InvariantKind.K0_PRINTED, d, compute)
-
+    @_memoized
     def k1(self, d: int) -> ExactScalar:
         """One-cuspidal elliptic curves through 3d-1 points:
 
@@ -403,13 +410,10 @@ class InvariantEngine:
         K1(1) = K1(2) = 0 (no elliptic curves of degree < 3); the
         formula itself already evaluates to 0 there.
         """
-        _check_degree(d)
-        return self._memoized(
-            InvariantKind.K1,
-            d,
-            lambda dd: 3 * self.n1(dd)
-            + ExactScalar((dd - 1) * (dd - 2) * (dd - 4), 8) * self.n0(dd)
-            + self.t_op(WEIGHT_3D1_MINUS_2, dd),
+        return (
+            3 * self.n1(d)
+            + ExactScalar((d - 1) * (d - 2) * (d - 4), 8) * self.n0(d)
+            + self.t_op(WEIGHT_3D1_MINUS_2, d)
         )
 
     def k1_via_c2(self, d: int) -> ExactScalar:
@@ -421,7 +425,8 @@ class InvariantEngine:
         Agrees with :meth:`k1` exactly (T-linearity plus the omega
         closed form); the audit suite checks the agreement degree by
         degree.  Not memoized, and T is summed directly rather than read
-        from the basis :meth:`k1` uses, so the two paths stay independent.
+        from the basis :meth:`k1` uses.  Both T paths share ``binomial_row``
+        for their binomials, as they shared ``math.comb`` before.
         """
         _check_degree(d)
         return (
@@ -431,6 +436,7 @@ class InvariantEngine:
             - 2 * self.t_op_direct(WEIGHT_ONE, d)
         )
 
+    @_memoized
     def g0(self, d: int) -> ExactScalar:
         """Linear genus of the rational-curve family:
 
@@ -438,20 +444,15 @@ class InvariantEngine:
 
         from the section relation m + 2g - 2 = -m + K0.
         """
-        _check_degree(d)
-        return self._memoized(
-            InvariantKind.G0,
-            d,
-            lambda dd: (self.k0(dd) - 2 * self.m_invariant(dd) + 2) / 2,
-        )
+        return (self.k0(d) - 2 * self.m_invariant(d) + 2) / 2
 
     def g0_from_splitting_sum(self, d: int) -> ExactScalar:
         """Second path for ``g0``: 2g - 2 = K0 - sum N0 N0 d1 d2 C(3d-4, 3d1-2).
 
-        The sum is 2m retyped as its own loop instead of the shared
-        splitting kernel, so the two-path check only guards the kernel
-        and the m assembly against drift; it is not an independent
-        derivation of the genus.
+        The sum is 2m retyped term by term with ``math.comb``, against the
+        fused pass's 2m built from binomial rows, so the two-path check
+        guards that pass and the m assembly against drift; both sides read
+        the same K0, so it is not an independent derivation of the genus.
         """
         _check_degree(d)
         self.n0(d)
@@ -462,6 +463,7 @@ class InvariantEngine:
             two_m += n0[d1] * n0[d2] * d1 * d2 * comb(3 * d - 4, 3 * d1 - 2)
         return (self.k0(d) - two_m + 2) / 2
 
+    @_memoized
     def g1(self, d: int) -> ExactScalar:
         """Linear genus of the elliptic-curve family:
 
@@ -473,18 +475,13 @@ class InvariantEngine:
         analysis degenerates); the value is computed and flagged, never
         silently corrected.
         """
-        _check_degree(d)
-
-        def compute(dd: int) -> ExactScalar:
-            rhs = (
-                self.k1(dd)
-                - ExactScalar(9, 2) * self.n1(dd)
-                + ExactScalar((dd - 1) * (dd - 2) * (3 * dd - 4), 24) * self.n0(dd)
-                + self.t_op(WEIGHT_3D1_MINUS_2, dd) / 2
-            )
-            return (rhs + 2) / 2
-
-        return self._memoized(InvariantKind.G1, d, compute)
+        rhs = (
+            self.k1(d)
+            - ExactScalar(9, 2) * self.n1(d)
+            + ExactScalar((d - 1) * (d - 2) * (3 * d - 4), 24) * self.n0(d)
+            + self.t_op(WEIGHT_3D1_MINUS_2, d) / 2
+        )
+        return (rhs + 2) / 2
 
     def ramification_residual(self, d: int) -> ExactScalar:
         """Residual of the candidate ramification identity

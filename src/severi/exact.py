@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic, exact integer division, and affine weights.
+"""Exact scalar arithmetic, exact integer division, binomial rows, and
+affine weights.
 
 Every value this package returns is an arbitrary-precision rational
 (``fractions.Fraction``): always in lowest terms, denominator positive,
@@ -14,6 +15,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 ExactScalar = Fraction
 
@@ -32,6 +34,20 @@ def exact_div(n: int, m: int) -> int:
 
 def is_integral(x: ExactScalar) -> bool:
     return x.denominator == 1
+
+
+def binomial_row(n: int, k: int, count: int) -> list[int]:
+    """[C(n, 3 d1 - k) for d1 in 1..count], for n >= 0 and 0 <= k <= 3.
+
+    One ``math.comb`` starts the row; each next entry steps three places,
+    C(n, j+3) = C(n, j) (n-j)(n-j-1)(n-j-2) / ((j+1)(j+2)(j+3)), and the
+    division is exact because both sides are equal by that identity.
+    """
+    row = [comb(n, 3 - k)] if count else []
+    for j in range(3 - k, 3 * count - k - 2, 3):
+        num = (n - j) * (n - j - 1) * (n - j - 2)
+        row.append(row[-1] * num // ((j + 1) * (j + 2) * (j + 3)))
+    return row
 
 
 @contextmanager

@@ -19,6 +19,7 @@ from .engine import (
     InvariantEngine,
     InvariantKind,
     KIND_ORDER,
+    _check_degree,
 )
 
 
@@ -72,6 +73,8 @@ def build_records(
     d_max: int,
     kinds: tuple[InvariantKind, ...] = KIND_ORDER,
 ) -> list[InvariantRecord]:
+    """One record per degree 1..d_max, with d_max checked before any work."""
+    _check_degree(d_max)
     records = []
     for d in range(1, d_max + 1):
         values: dict[InvariantKind, ExactScalar] = {}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,13 @@ from severi import (
     KIND_ORDER,
     domain_status,
 )
+from severi import engine as engine_module
+from severi.audit import run_full_audit
 from severi.engine import MAX_DEGREE
-from severi.exact import LinearWeight, WEIGHT_D1, WEIGHT_ONE, WEIGHT_3D1_MINUS_2
+from severi.exact import (
+    LinearWeight, WEIGHT_D1, WEIGHT_ONE, WEIGHT_3D1_MINUS_2, binomial_row
+)
+from severi.tables import build_records
 
 
 class TestRationalCounts:
@@ -192,6 +198,16 @@ class TestGoldenAgreement:
         assert engine.g1(13) == oracle.g1(13)
         assert engine.ramification_residual(13) == oracle.ramification_residual(13)
 
+    @pytest.mark.parametrize(
+        "name", ["n0", "n1", "m", "nodes", "rcount", "lr", "k0", "k0_printed", "k1"]
+    )
+    def test_live_oracle_agrees_from_degree_13_to_40(self, engine, name):
+        # Both parities of d, so the paired sums' middle term d1 = d2 is hit.
+        method = getattr(engine, self.NAME_TO_METHOD[name])
+        reference = getattr(oracle, "m_invariant" if name == "m" else name)
+        for d in range(13, 41):
+            assert method(d) == reference(d), (name, d)
+
 
 class TestInvariantProperties:
     def test_integrality_in_domain(self, engine):
@@ -243,6 +259,15 @@ class TestInvariantProperties:
             engine.n0(MAX_DEGREE + 1)
         with pytest.raises(ValueError, match=str(MAX_DEGREE)):
             engine.value(InvariantKind.K1, MAX_DEGREE + 1)
+        assert engine._n0 == [0, 1]
+
+    @pytest.mark.parametrize("entry_point", [build_records, run_full_audit])
+    def test_library_entry_points_refuse_d_max_above_the_ceiling_up_front(
+        self, engine, monkeypatch, entry_point
+    ):
+        monkeypatch.setattr(engine_module, "MAX_DEGREE", 8)
+        with pytest.raises(ValueError, match="ceiling 8"):
+            entry_point(engine, 9)
         assert engine._n0 == [0, 1]
 
     def test_degree_must_be_an_integer(self, engine):
@@ -312,3 +337,23 @@ _GOLDEN_NAME = {
     InvariantKind.RCOUNT: "rcount",
     InvariantKind.LR: "lr",
 }
+
+
+class TestBinomialRow:
+    """``binomial_row`` against per-term ``math.comb``, for every row the
+    engine asks for: n = 3d-4 .. 3d-1, k = 1, 2, length d-1."""
+
+    @staticmethod
+    def _assert_rows_match(d):
+        for n in range(max(3 * d - 4, 0), 3 * d):
+            for k in (1, 2):
+                expected = [comb(n, 3 * d1 - k) for d1 in range(1, d)]
+                assert binomial_row(n, k, d - 1) == expected, (n, k)
+
+    def test_every_row_up_to_degree_100(self):
+        for d in range(1, 101):
+            self._assert_rows_match(d)
+
+    @pytest.mark.parametrize("d", [200, 572, 600])
+    def test_spot_degrees_up_to_the_ceiling(self, d):
+        self._assert_rows_match(d)

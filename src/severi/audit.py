@@ -14,15 +14,13 @@ range, byte-identical body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from ._version import __version__
 from .exact import (
     ExactScalar,
     WEIGHT_3D1_MINUS_2,
-    WEIGHT_D1,
-    WEIGHT_ONE,
     format_exact,
     is_integral,
     parse_exact,
@@ -45,8 +43,7 @@ class CheckStatus(str, Enum):
     INFO = "INFO"
 
 
-@dataclass(frozen=True)
-class AuditCheck:
+class AuditCheck(NamedTuple):
     """One comparison: id code, degree, kind, expected/actual, status."""
 
     id: str
@@ -58,17 +55,17 @@ class AuditCheck:
     detail: str | None = None
 
 
-@dataclass
 class AuditReport:
     """Ordered check list plus summary; rendering is canonical."""
 
-    d_max: int
-    checks: list[AuditCheck] = field(default_factory=list)
-    engine_version: str = __version__
-
-    def __post_init__(self) -> None:
-        if not self.checks:
+    def __init__(
+        self, d_max: int, checks: list[AuditCheck], engine_version: str = __version__
+    ) -> None:
+        if not checks:
             raise ValueError("an audit report must contain at least one check")
+        self.d_max = d_max
+        self.checks = checks
+        self.engine_version = engine_version
 
     @property
     def summary(self) -> dict[str, int]:
@@ -214,13 +211,13 @@ _INFO_INTEGRALITY = tuple(
 
 
 def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
-    """Two-path equalities, the component-count identity, T-linearity on
-    the fixed weight basis, and integrality scans, for 3 <= d <= d_max.
+    """Two-path equalities, the component-count identity, the stored T
+    basis against a direct sum, and integrality scans, for 3 <= d <= d_max.
 
     ``k1_two_path`` and ``t_linearity`` compare T read from the stored
-    basis against T summed term by term (``t_op_direct``); both sides take
-    C(3d-1, 3 d1 - 1) from ``exact.binomial_row``, as they shared
-    ``math.comb`` before, so the binomials are not checked by them."""
+    basis against T summed term by term (``t_op_direct``).  Both sides
+    combine T(d1) and T(1) by linearity and take C(3d-1, 3 d1 - 1) from
+    ``exact.binomial_row``: those two steps are not checked by them."""
     _require_d_max(d_max)
     checks = []
     for d in range(3, d_max + 1):
@@ -235,8 +232,7 @@ def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
             (
                 "t_linearity",
                 engine.t_op(WEIGHT_3D1_MINUS_2, d),
-                3 * engine.t_op_direct(WEIGHT_D1, d)
-                - 2 * engine.t_op_direct(WEIGHT_ONE, d),
+                engine.t_op_direct(WEIGHT_3D1_MINUS_2, d),
             ),
         )
         for check_id, first, second in pairs:

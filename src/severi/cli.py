@@ -14,6 +14,7 @@ byte-identical output.
 
 from __future__ import annotations
 
+# Module-level imports on purpose: bench/tracer.py wraps several of these names.
 import argparse
 import json
 import sys

@@ -24,7 +24,6 @@ boundaries and is reported, never silently enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import wraps
 from math import comb
@@ -34,8 +33,6 @@ from .exact import (
     ExactScalar,
     LinearWeight,
     WEIGHT_3D1_MINUS_2,
-    WEIGHT_D1,
-    WEIGHT_ONE,
     binomial_row,
     exact_div,
     is_integral,
@@ -129,8 +126,7 @@ KIND_SPEC: dict[InvariantKind, KindSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class DomainStatus:
+class DomainStatus(NamedTuple):
     """Validity flag attached to every invariant query.
 
     Out-of-domain queries still evaluate the defining formula (it is
@@ -260,22 +256,30 @@ class InvariantEngine:
         s1, s0 = self._t_basis[d]
         return ExactScalar(u.a * s1 + u.b * s0)
 
-    def t_op_direct(self, u: LinearWeight, d: int) -> ExactScalar:
-        """The T-operator summed term by term, without the stored basis.
+    def t_basis_direct(self, d: int) -> tuple[int, int]:
+        """(T(d1), T(1)) summed term by term in one pass, without the basis.
 
         Audit-only and never memoized: it is the second path of the
         two-path checks that would otherwise read the basis twice.  Both
-        paths take C(3d-1, 3 d1 - 1) from ``binomial_row``, as they
-        shared ``math.comb`` before, so the binomials are common to both.
+        paths take C(3d-1, 3 d1 - 1) from ``binomial_row``, so the
+        binomials are common to both.
         """
         _check_degree(d)
         if d >= 2:
             self.n1(d - 1)
         n0, n1, row = self._n0, self._n1, binomial_row(3 * d - 1, 1, d - 1)
-        return ExactScalar(sum(
-            u(d1) * d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
-            for d1 in range(1, d)
-        ))
+        s1 = s0 = 0
+        for d1 in range(1, d):
+            w = d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
+            s1 += d1 * w
+            s0 += w
+        return s1, s0
+
+    def t_op_direct(self, u: LinearWeight, d: int) -> ExactScalar:
+        """T(u) from :meth:`t_basis_direct`, combined by linearity as
+        a T(d1) + b T(1), as :meth:`t_op` combines the stored basis."""
+        s1, s0 = self.t_basis_direct(d)
+        return ExactScalar(u.a * s1 + u.b * s0)
 
     # -- derived invariants ----------------------------------------------
 
@@ -424,16 +428,16 @@ class InvariantEngine:
 
         Agrees with :meth:`k1` exactly (T-linearity plus the omega
         closed form); the audit suite checks the agreement degree by
-        degree.  Not memoized, and T is summed directly rather than read
-        from the basis :meth:`k1` uses.  Both T paths share ``binomial_row``
-        for their binomials, as they shared ``math.comb`` before.
+        degree.  Not memoized, and T is summed directly in one pass
+        (:meth:`t_basis_direct`) rather than read from the basis :meth:`k1`
+        uses.  Both sides combine T(d1) and T(1) by linearity and share
+        ``binomial_row`` for their binomials.
         """
         _check_degree(d)
         return (
             3 * self.n1(d)
             + (3 * d - 12) * self.omega(d)
-            + 3 * self.t_op_direct(WEIGHT_D1, d)
-            - 2 * self.t_op_direct(WEIGHT_ONE, d)
+            + self.t_op_direct(WEIGHT_3D1_MINUS_2, d)
         )
 
     @_memoized

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 ExactScalar = Fraction
 
@@ -77,8 +77,7 @@ def parse_exact(text: str) -> ExactScalar:
         return ExactScalar(text)
 
 
-@dataclass(frozen=True)
-class LinearWeight:
+class LinearWeight(NamedTuple):
     """Integer-affine weight u(d1) = a*d1 + b.
 
     Affine weights are all the T-operator ever needs (the weights in

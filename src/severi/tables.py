@@ -11,7 +11,7 @@ parsing.  Rendering is byte-deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import ExactScalar, format_exact, is_integral
 from .engine import (
@@ -23,14 +23,12 @@ from .engine import (
 )
 
 
-@dataclass(frozen=True)
-class CellFlags:
+class CellFlags(NamedTuple):
     status: DomainStatus
     integral: bool
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     """One degree's worth of invariant values and flags."""
 
     d: int

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +236,22 @@ class TestUsage:
     def test_version_flag(self, run_cli):
         code, out, _ = run_cli("--version")
         assert code == 0 and out.startswith("severi ")
+
+
+class TestStartup:
+    def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(self):
+        # dataclasses imports inspect, ast, dis and tokenize, a cost every
+        # command pays at start-up.  -S keeps site hooks out of the child.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, severi.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

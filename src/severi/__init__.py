@@ -31,7 +31,6 @@ from .engine import (
 )
 from .exact import (
     ExactScalar,
-    LinearWeight,
     format_exact,
     is_integral,
     parse_exact,
@@ -51,7 +50,6 @@ __all__ = [
     "InvariantKind",
     "InvariantRecord",
     "KIND_ORDER",
-    "LinearWeight",
     "__version__",
     "build_records",
     "domain_status",

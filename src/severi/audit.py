@@ -18,13 +18,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from ._version import __version__
-from .exact import (
-    ExactScalar,
-    WEIGHT_3D1_MINUS_2,
-    format_exact,
-    is_integral,
-    parse_exact,
-)
+from .exact import ExactScalar, format_exact, is_integral, parse_exact
 from .engine import (
     KIND_SPEC, REPORTED, REQUIRED, InvariantEngine, InvariantKind, _check_degree
 )
@@ -212,12 +206,16 @@ _INFO_INTEGRALITY = tuple(
 
 def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
     """Two-path equalities, the component-count identity, the stored T
-    basis against a direct sum, and integrality scans, for 3 <= d <= d_max.
+    against a direct sum, and integrality scans, for 3 <= d <= d_max.
 
-    ``k1_two_path`` and ``t_linearity`` compare T read from the stored
-    basis against T summed term by term (``t_op_direct``).  Both sides
-    combine T(d1) and T(1) by linearity and take C(3d-1, 3 d1 - 1) from
-    ``exact.binomial_row``: those two steps are not checked by them."""
+    ``t_linearity`` compares T stored by the N1 loop (``t_op``) with T
+    summed term by term (``t_op_direct``).  ``k1_two_path`` compares
+    ``k1`` with ``k1_via_c2``, which differ only in those two T paths and
+    in two terms that are the same polynomial times N0:
+    ((d-1)(d-2)(d-4)/8) N0 and (3d-12) omega, with omega =
+    (d-1)(d-2)/24 N0.  So it adds only the omega closed form to what
+    ``t_linearity`` checks.  Both T paths take C(3d-1, 3 d1 - 1) from
+    ``exact.binomial_row``, which neither check covers."""
     _require_d_max(d_max)
     checks = []
     for d in range(3, d_max + 1):
@@ -229,11 +227,7 @@ def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
                 engine.reducible_fibre_count(d),
             ),
             ("g0_two_path", engine.g0(d), engine.g0_from_splitting_sum(d)),
-            (
-                "t_linearity",
-                engine.t_op(WEIGHT_3D1_MINUS_2, d),
-                engine.t_op_direct(WEIGHT_3D1_MINUS_2, d),
-            ),
+            ("t_linearity", engine.t_op(d), engine.t_op_direct(d)),
         )
         for check_id, first, second in pairs:
             checks.append(

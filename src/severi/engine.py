@@ -6,19 +6,19 @@ The engine computes, for each degree d >= 1:
   via the standard ordered-pair splitting recursion;
 * ``n1``  -- elliptic curves through 3d points, via the closed
   recursion built on ``n0``;
-* the T-operator (affine-weighted splitting convolution) and the
-  derived quantities ``omega``, ``m``, the splitting-fibre statistics,
-  the one-cuspidal counts ``k0``/``k1`` (each with an independent
-  second evaluation path), and the linear genera ``g0``/``g1``.
+* the T-operator (the splitting convolution weighted by 3 d1 - 2) and
+  the derived quantities ``omega``, ``m``, the splitting-fibre
+  statistics, the one-cuspidal counts ``k0``/``k1``, and the linear
+  genera ``g0``/``g1``; ``k1_via_c2``, ``t_op_direct`` and
+  ``g0_from_splitting_sum`` are second paths that only the audit reads.
 
 All values are exact.  The recursions and every splitting sum run on
 plain ``int`` with binomials from exact row recurrences: N0 and N1 are
 integer lists, N1 is carried as 36 N1 and reduced by exact division, T
-is the pair (T(d1), T(1)) per degree, and the splitting statistics
-are one tuple per degree.  ``Fraction`` appears only in the
-O(1)-per-degree assembly steps where a value can be fractional (halved
-ordered sums, twelfth-type coefficients); public methods return
-``Fraction``.  Integrality is asserted only at final invariant
+is one integer per degree, and the splitting statistics are one tuple
+per degree.  ``Fraction`` appears only in the O(1)-per-degree assembly
+steps where a value can be fractional (halved ordered sums,
+twelfth-type coefficients); public methods return ``Fraction``.  Integrality is asserted only at final invariant
 boundaries and is reported, never silently enforced.
 """
 
@@ -29,14 +29,7 @@ from functools import wraps
 from math import comb
 from typing import Callable, NamedTuple
 
-from .exact import (
-    ExactScalar,
-    LinearWeight,
-    WEIGHT_3D1_MINUS_2,
-    binomial_row,
-    exact_div,
-    is_integral,
-)
+from .exact import ExactScalar, binomial_row, exact_div, is_integral
 
 # Largest degree any query may ask for, checked before any work starts.
 # It lies just past d = 572, where N0 first passes 4300 decimal digits
@@ -183,15 +176,14 @@ class InvariantEngine:
     ``n0``/``n1`` at degree d use only degrees below d, and every
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so memo correctness is by construction.
-    N0, N1 and the T basis are integer lists indexed by degree (entry 0
-    unused); the splitting statistics and K0, K1, G0, G1 are stored per
-    degree.
+    N0, N1 and T are integer lists indexed by degree (entry 0 unused);
+    the splitting statistics and K0, K1, G0, G1 are stored per degree.
     """
 
     def __init__(self) -> None:
         self._n0: list[int] = [0, 1]
         self._n1: list[int] = [0]
-        self._t_basis: list[tuple[int, int]] = [(0, 0)]
+        self._t: list[int] = [0]
         self._splits: dict[int, tuple[ExactScalar, ...]] = {}
         self._memo: dict[str, dict[int, ExactScalar]] = {}
 
@@ -221,65 +213,54 @@ class InvariantEngine:
             N1(d) = (1/12) C(d,3) N0(d)
                   + sum ((3 d1 - 2)/9) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2).
 
-        The sum is T(3 d1 - 2) / 9, so one loop per degree fills both N1
-        and the T basis, and 36 N1 = 3 C(d,3) N0 + 4 T(3 d1 - 2) is reduced
-        by exact division (an ``ArithmeticError`` if N1 is not integral).
+        The sum is T(d) / 9, so one loop per degree fills both N1 and T,
+        and 36 N1 = 3 C(d,3) N0 + 4 T(d) is reduced by exact division
+        (an ``ArithmeticError`` if N1 is not integral).
         The sum needs N1 only below d, so no base value is required; it
         evaluates to 0 for d = 1, 2 (no elliptic curves of degree < 3).
         """
         _check_degree(d)
         self.n0(d)
-        n0, n1, basis = self._n0, self._n1, self._t_basis
+        n0, n1, t = self._n0, self._n1, self._t
         for dd in range(len(n1), d + 1):
-            s1 = s0 = 0
+            s = 0
             row = binomial_row(3 * dd - 1, 1, dd - 1)
             for d1 in range(1, dd):
-                w = d1 * (dd - d1) * row[d1 - 1] * n0[d1] * n1[dd - d1]
-                s1 += d1 * w
-                s0 += w
-            basis.append((s1, s0))
-            n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * (3 * s1 - 2 * s0), 36))
+                s += (3 * d1 - 2) * d1 * (dd - d1) * row[d1 - 1] * n0[d1] * n1[dd - d1]
+            t.append(s)
+            n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * s, 36))
         return ExactScalar(n1[d])
 
     # -- the T-operator -------------------------------------------------
 
-    def t_op(self, u: LinearWeight, d: int) -> ExactScalar:
+    def t_op(self, d: int) -> ExactScalar:
         """Weighted splitting convolution
 
-            T(u) = sum u(d1) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2)
+            T(d) = sum (3 d1 - 2) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2)
 
-        over ordered pairs d1 + d2 = d.  Linear in the weight u, so it is
-        read off the stored basis as a T(d1) + b T(1).
+        over ordered pairs d1 + d2 = d, read from the list the N1 loop
+        stores.
         """
         _check_degree(d)
         self.n1(d)
-        s1, s0 = self._t_basis[d]
-        return ExactScalar(u.a * s1 + u.b * s0)
+        return ExactScalar(self._t[d])
 
-    def t_basis_direct(self, d: int) -> tuple[int, int]:
-        """(T(d1), T(1)) summed term by term in one pass, without the basis.
+    @_memoized
+    def t_op_direct(self, d: int) -> ExactScalar:
+        """T(d) summed term by term, without reading the stored list.
 
-        Audit-only and never memoized: it is the second path of the
-        two-path checks that would otherwise read the basis twice.  Both
-        paths take C(3d-1, 3 d1 - 1) from ``binomial_row``, so the
-        binomials are common to both.
+        Audit-only: the second path of the two T checks.  It is memoized
+        under its own key, so ``k1_via_c2`` and ``t_linearity`` share one
+        pass per degree.  Both paths take C(3d-1, 3 d1 - 1) from
+        ``binomial_row``, so the binomials are common to both.
         """
-        _check_degree(d)
         if d >= 2:
             self.n1(d - 1)
         n0, n1, row = self._n0, self._n1, binomial_row(3 * d - 1, 1, d - 1)
-        s1 = s0 = 0
-        for d1 in range(1, d):
-            w = d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
-            s1 += d1 * w
-            s0 += w
-        return s1, s0
-
-    def t_op_direct(self, u: LinearWeight, d: int) -> ExactScalar:
-        """T(u) from :meth:`t_basis_direct`, combined by linearity as
-        a T(d1) + b T(1), as :meth:`t_op` combines the stored basis."""
-        s1, s0 = self.t_basis_direct(d)
-        return ExactScalar(u.a * s1 + u.b * s0)
+        return ExactScalar(sum(
+            (3 * d1 - 2) * d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
+            for d1 in range(1, d)
+        ))
 
     # -- derived invariants ----------------------------------------------
 
@@ -291,7 +272,8 @@ class InvariantEngine:
             sum (a d2 + b) d1 d2 C(n, 3 d1 - k) N0(d1) N0(d2)
 
         over ordered pairs d1 + d2 = d (0 at d = 1), with (n, k, a, b) from
-        the table below; the five share each product N0(d1) N0(d2).
+        the table below; LR is the RCOUNT sum weighted by d2, so the two
+        share one row.  The five share each product N0(d1) N0(d2).
         """
         values = self._splits.get(d)
         if values is None:
@@ -305,11 +287,11 @@ class InvariantEngine:
                     (3 * d - 4, 2, 0, 1),  # 2m
                     (3 * d - 2, 1, 0, 1),  # 2 NODES
                     (3 * d - 3, 2, 0, 1),  # RCOUNT
-                    (3 * d - 3, 2, 1, 0),  # LR
                     (3 * d - 2, 2, 3, -2),  # first sum of the K0_PRINTED bracket
                 )
             ]
-            two_m, two_nodes, rcount, lr, s = _paired_sums(self._n0, d, rows)
+            rows.append([(d - d1) * r for d1, r in enumerate(rows[2], 1)])  # LR
+            two_m, two_nodes, rcount, s, lr = _paired_sums(self._n0, d, rows)
             k0_printed = 3 * self._n0[d] - (s - ExactScalar(3, 2) * two_m)
             values = (ExactScalar(two_m, 2), ExactScalar(two_nodes, 2),
                       ExactScalar(rcount), ExactScalar(lr), k0_printed)
@@ -417,27 +399,28 @@ class InvariantEngine:
         return (
             3 * self.n1(d)
             + ExactScalar((d - 1) * (d - 2) * (d - 4), 8) * self.n0(d)
-            + self.t_op(WEIGHT_3D1_MINUS_2, d)
+            + self.t_op(d)
         )
 
     def k1_via_c2(self, d: int) -> ExactScalar:
-        """Independent evaluation path for ``k1`` through the Chern-class
-        identity K1 + 12 omega + T(1) = 3 N1 + 3 d omega + 3 T(d1) - T(1):
+        """Second evaluation path for ``k1``, from the Chern-class identity
+        K1 + 12 omega + T(1) = 3 N1 + 3 d omega + 3 T(d1) - T(1), where
+        T(u) is the splitting convolution weighted by u:
 
-            K1 = 3 N1 + (3d - 12) omega + 3 T(d1) - 2 T(1).
+            K1 = 3 N1 + (3d - 12) omega + T(3 d1 - 2).
 
-        Agrees with :meth:`k1` exactly (T-linearity plus the omega
-        closed form); the audit suite checks the agreement degree by
-        degree.  Not memoized, and T is summed directly in one pass
-        (:meth:`t_basis_direct`) rather than read from the basis :meth:`k1`
-        uses.  Both sides combine T(d1) and T(1) by linearity and share
-        ``binomial_row`` for their binomials.
+        With omega = (d-1)(d-2)/24 N0, the term (3d - 12) omega is the
+        same polynomial in d times N0 as the ((d-1)(d-2)(d-4)/8) N0 of
+        :meth:`k1`.  So the two paths differ only in that this one takes
+        T from :meth:`t_op_direct` and :meth:`k1` from the stored list:
+        the ``k1_two_path`` check adds the omega closed form to what
+        ``t_linearity`` checks, and nothing more.  Not memoized.
         """
         _check_degree(d)
         return (
             3 * self.n1(d)
             + (3 * d - 12) * self.omega(d)
-            + self.t_op_direct(WEIGHT_3D1_MINUS_2, d)
+            + self.t_op_direct(d)
         )
 
     @_memoized
@@ -483,7 +466,7 @@ class InvariantEngine:
             self.k1(d)
             - ExactScalar(9, 2) * self.n1(d)
             + ExactScalar((d - 1) * (d - 2) * (3 * d - 4), 24) * self.n0(d)
-            + self.t_op(WEIGHT_3D1_MINUS_2, d) / 2
+            + self.t_op(d) / 2
         )
         return (rhs + 2) / 2
 
@@ -501,7 +484,7 @@ class InvariantEngine:
         rhs = ExactScalar(1, 2) * (
             (3 * d - 9) * self.omega(d)
             - 9 * self.n1(d)
-            + self.t_op(WEIGHT_3D1_MINUS_2, d)
+            + self.t_op(d)
         )
         return lhs - rhs
 

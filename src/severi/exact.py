@@ -1,5 +1,4 @@
-"""Exact scalar arithmetic, exact integer division, binomial rows, and
-affine weights.
+"""Exact scalar arithmetic, exact integer division, and binomial rows.
 
 Every value this package returns is an arbitrary-precision rational
 (``fractions.Fraction``): always in lowest terms, denominator positive,
@@ -15,7 +14,6 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple
 
 ExactScalar = Fraction
 
@@ -76,23 +74,3 @@ def parse_exact(text: str) -> ExactScalar:
     with _unlimited_int_digits():
         return ExactScalar(text)
 
-
-class LinearWeight(NamedTuple):
-    """Integer-affine weight u(d1) = a*d1 + b.
-
-    Affine weights are all the T-operator ever needs (the weights in
-    actual use are 3*d1-2, d1, and 1), and restricting to them makes
-    linearity a finitely checkable property.
-    """
-
-    a: int
-    b: int
-
-    def __call__(self, d1: int) -> int:
-        return self.a * d1 + self.b
-
-
-# Weights used by the invariant formulas and the audit suites.
-WEIGHT_D1 = LinearWeight(1, 0)
-WEIGHT_ONE = LinearWeight(0, 1)
-WEIGHT_3D1_MINUS_2 = LinearWeight(3, -2)

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from severi import InvariantEngine, InvariantKind, KIND_ORDER
 from severi.audit import CheckKind, CheckStatus, run_full_audit
-from severi.exact import LinearWeight, WEIGHT_D1, WEIGHT_ONE
 
 
 def criterion(number: int, label: str):
@@ -125,11 +124,6 @@ def test_criterion_7_property_suite():
     engine = InvariantEngine()
     for d in range(2, 13):
         assert engine.r_component_count(d) == engine.reducible_fibre_count(d)
-        # T-linearity over the weight basis {d1, 1}.
-        for a, b in ((3, -2), (9, -2), (3, -1), (1, 0), (0, 1), (-5, 7)):
-            assert engine.t_op(LinearWeight(a, b), d) == (
-                a * engine.t_op(WEIGHT_D1, d) + b * engine.t_op(WEIGHT_ONE, d)
-            )
         assert engine.n0(d).denominator == 1
         assert engine.n1(d).denominator == 1
         if d >= 3:

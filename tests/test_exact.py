@@ -10,10 +10,6 @@ from hypothesis import strategies as st
 
 from severi.exact import (
     ExactScalar,
-    LinearWeight,
-    WEIGHT_3D1_MINUS_2,
-    WEIGHT_D1,
-    WEIGHT_ONE,
     exact_div,
     format_exact,
     parse_exact,
@@ -57,20 +53,6 @@ def test_normalization_is_idempotent(p, q, g):
     from math import gcd
 
     assert gcd(x.numerator, x.denominator) == 1
-
-
-@pytest.mark.parametrize(
-    "a,b,d1,expected",
-    [(3, -2, 1, 1), (0, 1, 7, 1), (9, -2, 2, 16)],
-)
-def test_eval_weight_examples(a, b, d1, expected):
-    assert LinearWeight(a, b)(d1) == expected
-
-
-def test_weight_scaling_and_composition():
-    for d1 in range(1, 20):
-        assert WEIGHT_3D1_MINUS_2(d1) == 3 * WEIGHT_D1(d1) - 2 * WEIGHT_ONE(d1)
-    assert WEIGHT_3D1_MINUS_2(4) == 10
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,6 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracle
 from conftest import golden_value
@@ -21,9 +19,7 @@ from severi import (
 from severi import engine as engine_module
 from severi.audit import run_full_audit
 from severi.engine import MAX_DEGREE
-from severi.exact import (
-    LinearWeight, WEIGHT_D1, WEIGHT_ONE, WEIGHT_3D1_MINUS_2, binomial_row
-)
+from severi.exact import binomial_row
 from severi.tables import build_records
 
 
@@ -64,40 +60,15 @@ class TestEllipticCounts:
 
 class TestTOperator:
     def test_vanishes_when_no_elliptic_factor_exists(self, engine):
-        assert engine.t_op(WEIGHT_3D1_MINUS_2, 3) == 0
+        assert engine.t_op(3) == 0
 
     def test_single_surviving_term_at_degree_four(self, engine):
-        # (1,3): u(1)*1*3*C(11,2)*N0(1)*N1(3) = 1*3*55 = 165.
-        assert engine.t_op(WEIGHT_3D1_MINUS_2, 4) == 165
-        assert engine.t_op(WEIGHT_ONE, 4) == 165
+        # (1,3): (3*1-2)*1*3*C(11,2)*N0(1)*N1(3) = 1*3*55 = 165.
+        assert engine.t_op(4) == 165
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        a1=st.integers(-20, 20),
-        b1=st.integers(-20, 20),
-        a2=st.integers(-20, 20),
-        b2=st.integers(-20, 20),
-        d=st.integers(1, 10),
-    )
-    def test_linear_in_the_weight(self, a1, b1, a2, b2, d):
-        engine = InvariantEngine()
-        u = LinearWeight(a1, b1)
-        v = LinearWeight(a2, b2)
-        u_plus_v = LinearWeight(a1 + a2, b1 + b2)
-        assert engine.t_op(u_plus_v, d) == engine.t_op(u, d) + engine.t_op(v, d)
-
-    @settings(max_examples=40, deadline=None)
-    @given(a=st.integers(-50, 50), b=st.integers(-50, 50), d=st.integers(1, 40))
-    def test_basis_agrees_with_the_direct_sum(self, a, b, d):
-        engine = InvariantEngine()
-        u = LinearWeight(a, b)
-        assert engine.t_op(u, d) == engine.t_op_direct(u, d)
-
-    def test_fixed_basis_combination(self, engine):
-        for d in range(2, 13):
-            assert engine.t_op(WEIGHT_3D1_MINUS_2, d) == (
-                3 * engine.t_op(WEIGHT_D1, d) - 2 * engine.t_op(WEIGHT_ONE, d)
-            )
+    def test_stored_and_direct_sums_match_the_oracle(self, engine):
+        for d in range(1, 41):
+            assert engine.t_op(d) == engine.t_op_direct(d) == oracle.t_weighted(3, -2, d)
 
 
 class TestDerivedInvariants:

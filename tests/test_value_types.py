@@ -6,12 +6,10 @@ import pytest
 
 from severi.audit import AuditCheck, CheckKind, CheckStatus
 from severi.engine import IN_DOMAIN, DomainStatus
-from severi.exact import LinearWeight
 from severi.tables import CellFlags, InvariantRecord
 
 # Each value type with one instance and the defaults its fields declare.
 VALUES = {
-    "LinearWeight": (LinearWeight(3, -2), {}),
     "DomainStatus": (DomainStatus(True), {"reason": None}),
     "CellFlags": (CellFlags(status=IN_DOMAIN, integral=True), {}),
     "InvariantRecord": (InvariantRecord(d=1, values={}, flags={}), {}),

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from ._version import __version__
-from .exact import ExactScalar, format_exact, is_integral, parse_exact
+from .exact import ExactScalar, InexactDivision, format_exact, is_integral, parse_exact
 from .engine import (
     KIND_SPEC, REPORTED, REQUIRED, InvariantEngine, InvariantKind, _check_degree
 )
@@ -214,8 +214,10 @@ def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
     in two terms that are the same polynomial times N0:
     ((d-1)(d-2)(d-4)/8) N0 and (3d-12) omega, with omega =
     (d-1)(d-2)/24 N0.  So it adds only the omega closed form to what
-    ``t_linearity`` checks.  Both T paths take C(3d-1, 3 d1 - 1) from
-    ``exact.binomial_row``, which neither check covers."""
+    ``t_linearity`` checks.  The stored T takes C(3d-1, 3 d1 - 1) from
+    the engine's Pascal row window and the direct T from
+    ``exact.binomial_row``, so both checks also compare the two binomial
+    constructions."""
     _require_d_max(d_max)
     checks = []
     for d in range(3, d_max + 1):
@@ -318,13 +320,19 @@ def run_discrepancy_probes(engine: InvariantEngine, d_max: int) -> AuditReport:
 
 
 def run_full_audit(engine: InvariantEngine, d_max: int) -> AuditReport:
-    """All three suites in canonical order as a single report."""
+    """All three suites in canonical order as a single report.  An exact
+    division with a remainder (a corrupted engine) ends it: the suites
+    completed so far are kept, then one IDENTITY FAIL at that degree."""
     _require_d_max(d_max)
-    checks = (
-        run_anchor_suite(engine, d_max).checks
-        + run_identity_suite(engine, d_max).checks
-        + run_discrepancy_probes(engine, d_max).checks
-    )
+    checks: list[AuditCheck] = []
+    try:
+        for suite in (run_anchor_suite, run_identity_suite, run_discrepancy_probes):
+            checks += suite(engine, d_max).checks
+    except InexactDivision as exc:
+        checks.append(AuditCheck(
+            id="exact_division", degree=exc.degree, kind=CheckKind.IDENTITY,
+            actual=exc.quotient, status=CheckStatus.FAIL, detail=str(exc),
+        ))
     return AuditReport(d_max=d_max, checks=checks)
 
 

@@ -8,8 +8,8 @@ Verbs::
     severi audit --d-max N [--format text|json] [--output PATH]
 
 Exit codes: 0 success (and no blocking audit failure), 1 audit FAIL
-present, 2 usage or I/O error.  Identical commands produce
-byte-identical output.
+present, 2 usage, I/O or arithmetic error (a corrupted engine).
+Identical commands produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table":
             return _cmd_table(args)
         return _cmd_audit(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"severi: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

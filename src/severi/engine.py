@@ -13,13 +13,18 @@ The engine computes, for each degree d >= 1:
   ``g0_from_splitting_sum`` are second paths that only the audit reads.
 
 All values are exact.  The recursions and every splitting sum run on
-plain ``int`` with binomials from exact row recurrences: N0 and N1 are
-integer lists, N1 is carried as 36 N1 and reduced by exact division, T
-is one integer per degree, and the splitting statistics are one tuple
-per degree.  ``Fraction`` appears only in the O(1)-per-degree assembly
-steps where a value can be fractional (halved ordered sums,
-twelfth-type coefficients); public methods return ``Fraction``.  Integrality is asserted only at final invariant
-boundaries and is reported, never silently enforced.
+plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
+carried as 36 N1 and reduced by exact division, T is one integer per
+degree, and the splitting statistics are one tuple per degree.
+``Fraction`` appears only in the O(1)-per-degree assembly steps where a
+value can be fractional; public methods return ``Fraction``.
+Integrality is asserted only at final invariant boundaries and is
+reported, never silently enforced.
+
+``n0``, ``n1`` (which advances N0 in lockstep) and the splitting sums
+read a window of the Pascal rows C(3d-4, .) and C(3d-1, .) of one degree
+d.  The audit's second paths do not: ``t_op_direct`` uses
+``exact.binomial_row`` and ``g0_from_splitting_sum`` ``math.comb``.
 """
 
 from __future__ import annotations
@@ -27,9 +32,11 @@ from __future__ import annotations
 from enum import Enum
 from functools import wraps
 from math import comb
-from typing import Callable, NamedTuple
+from operator import add, mul
+from typing import Callable, Iterable, NamedTuple
 
 from .exact import ExactScalar, binomial_row, exact_div, is_integral
+from .exact import pascal_full, pascal_half, pascal_step
 
 # Largest degree any query may ask for, checked before any work starts.
 # It lies just past d = 572, where N0 first passes 4300 decimal digits
@@ -39,17 +46,19 @@ from .exact import ExactScalar, binomial_row, exact_div, is_integral
 MAX_DEGREE = 600
 
 
-def _paired_sums(n0: list[int], d: int, rows: list[list[int]]) -> list[int]:
-    """For each row, sum row[d1 - 1] N0(d1) N0(d2) over ordered pairs
-    d1 + d2 = d.  Each unordered pair costs one product N0(d1) N0(d2), and
-    the middle term d1 = d2 is counted once."""
-    sums = [0] * len(rows)
-    for d1 in range(1, d // 2 + 1):
-        i, j, p = d1 - 1, d - d1 - 1, n0[d1] * n0[d - d1]
-        sums = [
-            s + p * (row[i] + row[j] if i < j else row[i]) for s, row in zip(sums, rows)
-        ]
-    return sums
+def _pair_products(n0: list[int], d: int) -> Iterable[int]:
+    """d1 d2 N0(d1) N0(d2) for the pairs d1 + d2 = d, d1 <= d2, lazily."""
+    h = d // 2
+    pairs = map(mul, range(1, h + 1), range(d - 1, d - h - 1, -1))
+    return map(mul, pairs, map(mul, n0[1:h + 1], n0[d - 1:d - h - 1:-1]))
+
+
+def _paired_sum(row: list[int], d: int, products: Iterable[int]) -> int:
+    """Sum row[d1 - 1] d1 d2 N0(d1) N0(d2) over ordered pairs d1 + d2 = d:
+    the row (entries past d - 1 ignored) is folded onto unordered pairs,
+    middle term once, and dotted with :func:`_pair_products`."""
+    m, h = (d - 1) // 2, d // 2
+    return sum(map(mul, [*map(add, row[:m], row[d - 2::-1]), *row[m:h]], products))
 
 
 class InvariantKind(str, Enum):
@@ -178,6 +187,7 @@ class InvariantEngine:
     already-defined quantities, so memo correctness is by construction.
     N0, N1 and T are integer lists indexed by degree (entry 0 unused);
     the splitting statistics and K0, K1, G0, G1 are stored per degree.
+    The binomial row window holds the rows of one degree only.
     """
 
     def __init__(self) -> None:
@@ -186,6 +196,19 @@ class InvariantEngine:
         self._t: list[int] = [0]
         self._splits: dict[int, tuple[ExactScalar, ...]] = {}
         self._memo: dict[str, dict[int, ExactScalar]] = {}
+        self._window: tuple[int, list[int], list[int]] = (0, [], [])
+
+    def _rows(self, d: int) -> tuple[list[int], list[int]]:
+        """Half rows of C(3d-4, .) and C(3d-1, .), the window's only rows.
+        The next degree reuses C(3d-1, .); any other degree rebuilds from
+        one multiplicative row.  Either way three addition steps follow."""
+        at, low, high = self._window
+        if at != d:
+            n = 3 * d - 4
+            low = high if at == d - 1 else pascal_half(n)
+            high = pascal_step(pascal_step(pascal_step(low, n), n + 1), n + 2)
+            self._window = (d, low, high)
+        return low, high
 
     # -- recursive counts ----------------------------------------------
 
@@ -200,11 +223,12 @@ class InvariantEngine:
         _check_degree(d)
         n0 = self._n0
         for dd in range(len(n0), d + 1):
-            n = 3 * dd - 4
-            row = binomial_row(n, 2, dd - 1)
-            for d1, c1 in enumerate(binomial_row(n, 1, dd - 1), 1):
-                row[d1 - 1] = d1 * d1 * (dd - d1) * ((dd - d1) * row[d1 - 1] - d1 * c1)
-            n0.append(_paired_sums(n0, dd, [row])[0])
+            low = pascal_full(self._rows(dd)[0], 3 * dd - 4)
+            row = [
+                d1 * ((dd - d1) * c2 - d1 * c1)
+                for d1, c2, c1 in zip(range(1, dd), low[1::3], low[2::3])
+            ]
+            n0.append(_paired_sum(row, dd, _pair_products(n0, dd)))
         return ExactScalar(n0[d])
 
     def n1(self, d: int) -> ExactScalar:
@@ -215,20 +239,23 @@ class InvariantEngine:
 
         The sum is T(d) / 9, so one loop per degree fills both N1 and T,
         and 36 N1 = 3 C(d,3) N0 + 4 T(d) is reduced by exact division
-        (an ``ArithmeticError`` if N1 is not integral).
+        (an ``ArithmeticError`` naming the degree if N1 is not integral).
+        N0 advances with it, so both read the same row window.
         The sum needs N1 only below d, so no base value is required; it
         evaluates to 0 for d = 1, 2 (no elliptic curves of degree < 3).
         """
         _check_degree(d)
-        self.n0(d)
         n0, n1, t = self._n0, self._n1, self._t
         for dd in range(len(n1), d + 1):
-            s = 0
-            row = binomial_row(3 * dd - 1, 1, dd - 1)
-            for d1 in range(1, dd):
-                s += (3 * d1 - 2) * d1 * (dd - d1) * row[d1 - 1] * n0[d1] * n1[dd - d1]
+            self.n0(dd)
+            high = pascal_full(self._rows(dd)[1], 3 * dd - 1)
+            weights = [
+                (3 * d1 - 2) * d1 * (dd - d1) * c
+                for d1, c in zip(range(1, dd), high[2::3])
+            ]
+            s = sum(map(mul, weights, map(mul, n0[1:dd], n1[dd - 1:0:-1])))
+            n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * s, 36, dd))
             t.append(s)
-            n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * s, 36))
         return ExactScalar(n1[d])
 
     # -- the T-operator -------------------------------------------------
@@ -251,8 +278,8 @@ class InvariantEngine:
 
         Audit-only: the second path of the two T checks.  It is memoized
         under its own key, so ``k1_via_c2`` and ``t_linearity`` share one
-        pass per degree.  Both paths take C(3d-1, 3 d1 - 1) from
-        ``binomial_row``, so the binomials are common to both.
+        pass per degree.  Its binomials come from ``exact.binomial_row``,
+        the stored T's from the row window, so the paths share none.
         """
         if d >= 2:
             self.n1(d - 1)
@@ -269,29 +296,33 @@ class InvariantEngine:
 
         They are assembled from five splitting sums, each
 
-            sum (a d2 + b) d1 d2 C(n, 3 d1 - k) N0(d1) N0(d2)
+            sum w d1 d2 C(n, 3 d1 - k) N0(d1) N0(d2)
 
-        over ordered pairs d1 + d2 = d (0 at d = 1), with (n, k, a, b) from
-        the table below; LR is the RCOUNT sum weighted by d2, so the two
-        share one row.  The five share each product N0(d1) N0(d2).
+        over ordered pairs d1 + d2 = d (0 at d = 1), with (n, k, w) noted
+        by each row.  C(3d-3, .) and C(3d-2, .) are transient steps from
+        the window's C(3d-4, .).  The five share the pair products.
         """
         values = self._splits.get(d)
         if values is None:
             self.n0(d)
+            n = 3 * d - 4
+            c4 = self._rows(d)[0]
+            c3 = pascal_step(c4, n)
+            c2 = pascal_full(pascal_step(c3, n + 1), n + 2)
+            c4, c3 = pascal_full(c4, n), pascal_full(c3, n + 1)
             rows = [
-                [
-                    (a * (d - d1) + b) * d1 * (d - d1) * c
-                    for d1, c in enumerate(binomial_row(n, k, d - 1), 1)
-                ]
-                for n, k, a, b in (
-                    (3 * d - 4, 2, 0, 1),  # 2m
-                    (3 * d - 2, 1, 0, 1),  # 2 NODES
-                    (3 * d - 3, 2, 0, 1),  # RCOUNT
-                    (3 * d - 2, 2, 3, -2),  # first sum of the K0_PRINTED bracket
-                )
+                c4[1::3],  # 2m: (3d-4, 2, 1)
+                c2[2::3],  # 2 NODES: (3d-2, 1, 1)
+                c3[1::3],  # RCOUNT: (3d-3, 2, 1)
+                # first sum of the K0_PRINTED bracket: (3d-2, 2, 3 d2 - 2)
+                [(3 * (d - d1) - 2) * c for d1, c in zip(range(1, d), c2[1::3])],
+                # LR: (3d-3, 2, d2)
+                [(d - d1) * c for d1, c in zip(range(1, d), c3[1::3])],
             ]
-            rows.append([(d - d1) * r for d1, r in enumerate(rows[2], 1)])  # LR
-            two_m, two_nodes, rcount, s, lr = _paired_sums(self._n0, d, rows)
+            products = list(_pair_products(self._n0, d))
+            two_m, two_nodes, rcount, s, lr = [
+                _paired_sum(row, d, products) for row in rows
+            ]
             k0_printed = 3 * self._n0[d] - (s - ExactScalar(3, 2) * two_m)
             values = (ExactScalar(two_m, 2), ExactScalar(two_nodes, 2),
                       ExactScalar(rcount), ExactScalar(lr), k0_printed)
@@ -437,7 +468,7 @@ class InvariantEngine:
         """Second path for ``g0``: 2g - 2 = K0 - sum N0 N0 d1 d2 C(3d-4, 3d1-2).
 
         The sum is 2m retyped term by term with ``math.comb``, against the
-        fused pass's 2m built from binomial rows, so the two-path check
+        fused pass's 2m built from the row window, so the two-path check
         guards that pass and the m assembly against drift; both sides read
         the same K0, so it is not an independent derivation of the genus.
         """

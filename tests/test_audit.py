@@ -110,6 +110,28 @@ class TestIdentitySuite:
         assert failed == {("k1_two_path", 6), ("t_linearity", 6)}
 
 
+def _engine_with_corrupted_n0():
+    # N0(4) off by one: 36 N1(4) is no longer a multiple of 36.
+    engine = InvariantEngine()
+    engine.n0(5)
+    engine._n0[4] += 1
+    return engine
+
+
+class TestCorruptedEngine:
+    def test_full_audit_reports_the_failed_exact_division(self):
+        report = run_full_audit(_engine_with_corrupted_n0(), 12)
+        failed = [c for c in report.checks if c.status is CheckStatus.FAIL]
+        assert len(failed) == 1
+        check = failed[0]
+        assert (check.id, check.degree) == ("exact_division", 4)
+        assert check.kind is CheckKind.IDENTITY
+        assert check.actual.denominator != 1
+        assert "remainder 12" in check.detail
+        assert report.has_blocking_failure
+        assert "[FAIL] IDENTITY" in report.to_text()
+
+
 class TestDiscrepancyProbes:
     def test_printed_form_probe_reproduces_minus_sixty(self, engine):
         report = run_discrepancy_probes(engine, 3)

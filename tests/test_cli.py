@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from severi import InvariantEngine
+from severi import cli
 from severi.exact import format_exact, parse_exact
 
 
@@ -226,6 +228,35 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.decode().startswith("d,N0,N1,")
+
+
+class TestCorruptedEngine:
+    """A corrupted N0 entry makes an exact division fail inside the engine."""
+
+    @pytest.fixture(autouse=True)
+    def corrupted(self, monkeypatch):
+        def make():
+            engine = InvariantEngine()
+            engine.n0(5)
+            engine._n0[4] += 1
+            return engine
+
+        monkeypatch.setattr(cli, "InvariantEngine", make)
+
+    @pytest.mark.parametrize(
+        "argv", [("eval", "N1", "6"), ("table", "--d-max", "12")]
+    )
+    def test_eval_and_table_fail_with_one_error_line(self, run_cli, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("severi: error: ") and err.count("\n") == 1
+        assert "d=4" in err
+
+    def test_audit_reports_the_failure_with_exit_one(self, run_cli):
+        code, out, _ = run_cli("audit", "--d-max", "12")
+        assert code == 1
+        assert "[FAIL] IDENTITY          d=4   exact_division" in out
 
 
 class TestUsage:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from severi.exact import (
     ExactScalar,
+    InexactDivision,
     exact_div,
     format_exact,
     parse_exact,
@@ -25,6 +26,19 @@ def test_exact_div_returns_the_quotient_of_a_multiple():
 def test_exact_div_raises_on_a_non_multiple_of_36(n):
     with pytest.raises(ArithmeticError):
         exact_div(n, 36)
+
+
+def test_inexact_division_names_the_degree_and_keeps_the_exact_quotient():
+    with pytest.raises(InexactDivision) as info:
+        exact_div(36 * 225 + 12, 36, 4)
+    assert info.value.degree == 4
+    assert info.value.quotient == Fraction(36 * 225 + 12, 36)
+    assert str(info.value) == "division by 36 failed at d=4: remainder 12"
+
+
+def test_parse_rejects_malformed_text():
+    with pytest.raises(ValueError):
+        parse_exact("12/x")
 
 
 rationals = st.fractions(

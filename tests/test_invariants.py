@@ -311,8 +311,8 @@ _GOLDEN_NAME = {
 
 
 class TestBinomialRow:
-    """``binomial_row`` against per-term ``math.comb``, for every row the
-    engine asks for: n = 3d-4 .. 3d-1, k = 1, 2, length d-1."""
+    """``binomial_row`` against per-term ``math.comb`` for n = 3d-4 .. 3d-1,
+    k = 1, 2, length d-1 (``t_op_direct`` reads n = 3d-1, k = 1)."""
 
     @staticmethod
     def _assert_rows_match(d):

@@ -1,0 +1,124 @@
+"""The engine's binomial row window and the audit's independent rows.
+
+The window serves half Pascal rows of C(3d-4, .) and C(3d-1, .) for one
+degree at a time; ``t_op_direct`` alone builds rows with
+``exact.binomial_row``.  Every row is compared with ``math.comb``.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from severi import InvariantEngine, InvariantKind
+from severi import engine as engine_module
+from severi.audit import run_full_audit
+from severi.exact import binomial_row, pascal_full, pascal_half, pascal_step
+
+
+@lru_cache(maxsize=8)
+def _comb_row(n):
+    """C(n, .) from ``math.comb``, half computed and half mirrored."""
+    half = [comb(n, k) for k in range(n // 2 + 1)]
+    return half + half[::-1][1 - n % 2:] if n >= 0 else []
+
+
+def _assert_window_rows(engine, d):
+    low, high = engine._rows(d)
+    assert engine._window[0] == d
+    for half, n in ((low, 3 * d - 4), (high, 3 * d - 1)):
+        assert half == _comb_row(n)[:n // 2 + 1], n
+
+
+class TestPascalRows:
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 10, 11])
+    def test_half_full_and_step_match_comb(self, n):
+        half = pascal_half(n)
+        assert half == [comb(n, k) for k in range(n // 2 + 1)]
+        assert pascal_full(half, n) == [comb(n, k) for k in range(n + 1)]
+        assert pascal_step(half, n) == pascal_half(n + 1)
+
+
+class TestRowWindow:
+    def test_every_served_row_up_to_degree_100_in_sequence(self):
+        engine = InvariantEngine()
+        for d in range(1, 101):
+            _assert_window_rows(engine, d)
+            for half, n in zip(engine._rows(d), (3 * d - 4, 3 * d - 1)):
+                assert pascal_full(half, n) == [comb(n, k) for k in range(n + 1)]
+
+    @pytest.mark.parametrize("d", [200, 572, 600])
+    def test_rows_after_a_jump(self, d):
+        engine = InvariantEngine()
+        engine._rows(7)
+        _assert_window_rows(engine, d)
+        _assert_window_rows(engine, d - 1)
+        _assert_window_rows(engine, d)
+        _assert_window_rows(engine, 1)
+
+    def test_n1_leaves_one_degree_of_rows_behind(self):
+        engine = InvariantEngine()
+        engine.n1(200)
+        # No other attribute may hold binomial rows.
+        assert set(vars(engine)) == {"_n0", "_n1", "_t", "_splits", "_memo", "_window"}
+        d, low, high = engine._window
+        assert d == 200
+        assert len(low) <= 3 * 200 and len(high) <= 3 * 200
+        assert len(engine._n0) == len(engine._n1) == len(engine._t) == 201
+
+    @pytest.mark.slow
+    def test_every_row_up_to_the_ceiling(self):
+        # n = 3d - 4 .. 3d - 1 for d <= 600 reaches n = 1799; the
+        # audit's binomial_row rows are checked over the same range.
+        engine = InvariantEngine()
+        for d in range(1, 601):
+            _assert_window_rows(engine, d)
+            for n in range(max(3 * d - 4, 0), 3 * d):
+                for k in (1, 2):
+                    expected = _comb_row(n)[3 - k::3][:d - 1]
+                    assert binomial_row(n, k, d - 1) == expected, (n, k)
+
+
+@lru_cache(maxsize=None)
+def _fresh_value(kind, d):
+    return InvariantEngine().value(kind, d)
+
+
+_QUERY = st.tuples(st.sampled_from(list(InvariantKind)), st.integers(1, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_QUERY, min_size=1, max_size=12))
+def test_any_query_order_gives_the_values_of_fresh_engines(queries):
+    # Jumps, rebuilds and lockstep steps of the window must not change
+    # any value.
+    engine = InvariantEngine()
+    for kind, d in queries:
+        assert engine.value(kind, d) == _fresh_value(kind, d), (kind, d)
+
+
+class TestRowBuilds:
+    """Only the audit's direct T sum builds rows with ``binomial_row``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counting(*args):
+            count[0] += 1
+            return binomial_row(*args)
+
+        monkeypatch.setattr(engine_module, "binomial_row", counting)
+        return count
+
+    def test_full_audit_builds_one_row_per_direct_t_pass(self, calls):
+        run_full_audit(InvariantEngine(), 100)
+        assert calls[0] == 98
+
+    def test_the_recursions_build_none(self, calls):
+        InvariantEngine().n1(200)
+        assert calls[0] == 0

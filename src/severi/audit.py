@@ -52,14 +52,12 @@ class AuditCheck(NamedTuple):
 class AuditReport:
     """Ordered check list plus summary; rendering is canonical."""
 
-    def __init__(
-        self, d_max: int, checks: list[AuditCheck], engine_version: str = __version__
-    ) -> None:
+    def __init__(self, d_max: int, checks: list[AuditCheck]) -> None:
         if not checks:
             raise ValueError("an audit report must contain at least one check")
         self.d_max = d_max
         self.checks = checks
-        self.engine_version = engine_version
+        self.engine_version = __version__
 
     @property
     def summary(self) -> dict[str, int]:
@@ -125,10 +123,10 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _require_d_max(d_max: int, minimum: int = 3) -> None:
-    """Reject d_max below ``minimum`` or above the ceiling, before any work."""
-    if not isinstance(d_max, int) or isinstance(d_max, bool) or d_max < minimum:
-        raise ValueError(f"audit requires d_max >= {minimum}, got {d_max!r}")
+def _require_d_max(d_max: int) -> None:
+    """Reject d_max below 3 or above the ceiling, before any work."""
+    if not isinstance(d_max, int) or isinstance(d_max, bool) or d_max < 3:
+        raise ValueError(f"audit requires d_max >= 3, got {d_max!r}")
     _check_degree(d_max)
 
 
@@ -215,9 +213,11 @@ def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
     ((d-1)(d-2)(d-4)/8) N0 and (3d-12) omega, with omega =
     (d-1)(d-2)/24 N0.  So it adds only the omega closed form to what
     ``t_linearity`` checks.  The stored T takes C(3d-1, 3 d1 - 1) from
-    the engine's Pascal row window and the direct T from
-    ``exact.binomial_row``, so both checks also compare the two binomial
-    constructions."""
+    the engine's Pascal row window, stepped by additions, and the direct
+    T from a multiplicative ``exact.pascal_row`` built at every degree, so
+    both checks also compare the two binomial constructions.  The window
+    is seeded by ``pascal_row`` only after a non-sequential query (at
+    d = 1, 2 and 3 in a full audit)."""
     _require_d_max(d_max)
     checks = []
     for d in range(3, d_max + 1):

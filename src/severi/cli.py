@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from ._version import __version__
 from .audit import run_full_audit
@@ -85,17 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated invariant names (default: all)",
     )
-    p_table.add_argument("--output", type=Path, default=None)
+    p_table.add_argument("--output", default=None)
 
     p_audit = sub.add_parser("audit", help="run anchor/identity/probe suites")
     p_audit.add_argument("--d-max", type=_degree, required=True)
     p_audit.add_argument("--format", choices=("text", "json"), default="text")
-    p_audit.add_argument("--output", type=Path, default=None)
+    p_audit.add_argument("--output", default=None)
 
     return parser
 
 
-def _write_output(text: str, output: Path | None) -> None:
+def _write_output(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         sys.stdout.flush()

@@ -22,9 +22,12 @@ Integrality is asserted only at final invariant boundaries and is
 reported, never silently enforced.
 
 ``n0``, ``n1`` (which advances N0 in lockstep) and the splitting sums
-read a window of the Pascal rows C(3d-4, .) and C(3d-1, .) of one degree
-d.  The audit's second paths do not: ``t_op_direct`` uses
-``exact.binomial_row`` and ``g0_from_splitting_sum`` ``math.comb``.
+read a window of the full Pascal rows C(3d-4, .) and C(3d-1, .) of one
+degree d, stepped by additions and seeded by ``exact.pascal_row`` only
+after a non-sequential query.  The audit's second paths build their
+binomials apart: ``t_op_direct`` takes a multiplicative
+``exact.pascal_row`` of its own at every degree, and
+``g0_from_splitting_sum`` per-term ``math.comb``.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from math import comb
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple
 
-from .exact import ExactScalar, binomial_row, exact_div, is_integral
-from .exact import pascal_full, pascal_half, pascal_step
+from .exact import ExactScalar, exact_div, is_integral, pascal_row, pascal_step
 
 # Largest degree any query may ask for, checked before any work starts.
 # It lies just past d = 572, where N0 first passes 4300 decimal digits
@@ -62,38 +64,25 @@ def _paired_sum(row: list[int], d: int, products: Iterable[int]) -> int:
 
 
 class InvariantKind(str, Enum):
-    """The invariants the table and CLI surfaces expose."""
+    """The invariants the table and CLI surfaces expose, declared in the
+    canonical emission order: headline invariants first, then the audit
+    and splitting statistics."""
 
     N0 = "N0"
     N1 = "N1"
     K0 = "K0"
-    K0_PRINTED = "K0_PRINTED"
     K1 = "K1"
     G0 = "G0"
     G1 = "G1"
     OMEGA = "OMEGA"
     M = "M"
+    K0_PRINTED = "K0_PRINTED"
     NODES = "NODES"
     RCOUNT = "RCOUNT"
     LR = "LR"
 
 
-# Canonical emission order: headline invariants first, then the audit
-# and splitting statistics.
-KIND_ORDER: tuple[InvariantKind, ...] = (
-    InvariantKind.N0,
-    InvariantKind.N1,
-    InvariantKind.K0,
-    InvariantKind.K1,
-    InvariantKind.G0,
-    InvariantKind.G1,
-    InvariantKind.OMEGA,
-    InvariantKind.M,
-    InvariantKind.K0_PRINTED,
-    InvariantKind.NODES,
-    InvariantKind.RCOUNT,
-    InvariantKind.LR,
-)
+KIND_ORDER: tuple[InvariantKind, ...] = tuple(InvariantKind)
 
 BELOW_MIN_DEGREE = "BELOW_MIN_DEGREE"
 DEGENERATE_GEOMETRY = "DEGENERATE_GEOMETRY"
@@ -194,19 +183,17 @@ class InvariantEngine:
         self._n0: list[int] = [0, 1]
         self._n1: list[int] = [0]
         self._t: list[int] = [0]
-        self._splits: dict[int, tuple[ExactScalar, ...]] = {}
         self._memo: dict[str, dict[int, ExactScalar]] = {}
         self._window: tuple[int, list[int], list[int]] = (0, [], [])
 
     def _rows(self, d: int) -> tuple[list[int], list[int]]:
-        """Half rows of C(3d-4, .) and C(3d-1, .), the window's only rows.
+        """Rows C(3d-4, .) and C(3d-1, .), the window's only rows.
         The next degree reuses C(3d-1, .); any other degree rebuilds from
         one multiplicative row.  Either way three addition steps follow."""
         at, low, high = self._window
         if at != d:
-            n = 3 * d - 4
-            low = high if at == d - 1 else pascal_half(n)
-            high = pascal_step(pascal_step(pascal_step(low, n), n + 1), n + 2)
+            low = high if at == d - 1 else pascal_row(3 * d - 4)
+            high = pascal_step(pascal_step(pascal_step(low)))
             self._window = (d, low, high)
         return low, high
 
@@ -223,7 +210,7 @@ class InvariantEngine:
         _check_degree(d)
         n0 = self._n0
         for dd in range(len(n0), d + 1):
-            low = pascal_full(self._rows(dd)[0], 3 * dd - 4)
+            low = self._rows(dd)[0]
             row = [
                 d1 * ((dd - d1) * c2 - d1 * c1)
                 for d1, c2, c1 in zip(range(1, dd), low[1::3], low[2::3])
@@ -248,7 +235,7 @@ class InvariantEngine:
         n0, n1, t = self._n0, self._n1, self._t
         for dd in range(len(n1), d + 1):
             self.n0(dd)
-            high = pascal_full(self._rows(dd)[1], 3 * dd - 1)
+            high = self._rows(dd)[1]
             weights = [
                 (3 * d1 - 2) * d1 * (dd - d1) * c
                 for d1, c in zip(range(1, dd), high[2::3])
@@ -278,12 +265,13 @@ class InvariantEngine:
 
         Audit-only: the second path of the two T checks.  It is memoized
         under its own key, so ``k1_via_c2`` and ``t_linearity`` share one
-        pass per degree.  Its binomials come from ``exact.binomial_row``,
-        the stored T's from the row window, so the paths share none.
+        pass per degree.  Its row C(3d-1, .) is a multiplicative
+        ``exact.pascal_row`` built here at every degree; the stored T's is
+        the window's, stepped by additions, so the paths share no row.
         """
         if d >= 2:
             self.n1(d - 1)
-        n0, n1, row = self._n0, self._n1, binomial_row(3 * d - 1, 1, d - 1)
+        n0, n1, row = self._n0, self._n1, pascal_row(3 * d - 1)[2::3]
         return ExactScalar(sum(
             (3 * d1 - 2) * d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
             for d1 in range(1, d)
@@ -291,8 +279,9 @@ class InvariantEngine:
 
     # -- derived invariants ----------------------------------------------
 
+    @_memoized
     def _splitting_values(self, d: int) -> tuple[ExactScalar, ...]:
-        """(M, NODES, RCOUNT, LR, K0_PRINTED) at degree d, stored per degree.
+        """(M, NODES, RCOUNT, LR, K0_PRINTED) at degree d, memoized per degree.
 
         They are assembled from five splitting sums, each
 
@@ -302,32 +291,26 @@ class InvariantEngine:
         by each row.  C(3d-3, .) and C(3d-2, .) are transient steps from
         the window's C(3d-4, .).  The five share the pair products.
         """
-        values = self._splits.get(d)
-        if values is None:
-            self.n0(d)
-            n = 3 * d - 4
-            c4 = self._rows(d)[0]
-            c3 = pascal_step(c4, n)
-            c2 = pascal_full(pascal_step(c3, n + 1), n + 2)
-            c4, c3 = pascal_full(c4, n), pascal_full(c3, n + 1)
-            rows = [
-                c4[1::3],  # 2m: (3d-4, 2, 1)
-                c2[2::3],  # 2 NODES: (3d-2, 1, 1)
-                c3[1::3],  # RCOUNT: (3d-3, 2, 1)
-                # first sum of the K0_PRINTED bracket: (3d-2, 2, 3 d2 - 2)
-                [(3 * (d - d1) - 2) * c for d1, c in zip(range(1, d), c2[1::3])],
-                # LR: (3d-3, 2, d2)
-                [(d - d1) * c for d1, c in zip(range(1, d), c3[1::3])],
-            ]
-            products = list(_pair_products(self._n0, d))
-            two_m, two_nodes, rcount, s, lr = [
-                _paired_sum(row, d, products) for row in rows
-            ]
-            k0_printed = 3 * self._n0[d] - (s - ExactScalar(3, 2) * two_m)
-            values = (ExactScalar(two_m, 2), ExactScalar(two_nodes, 2),
-                      ExactScalar(rcount), ExactScalar(lr), k0_printed)
-            self._splits[d] = values
-        return values
+        self.n0(d)
+        c4 = self._rows(d)[0]
+        c3 = pascal_step(c4)
+        c2 = pascal_step(c3)
+        rows = [
+            c4[1::3],  # 2m: (3d-4, 2, 1)
+            c2[2::3],  # 2 NODES: (3d-2, 1, 1)
+            c3[1::3],  # RCOUNT: (3d-3, 2, 1)
+            # first sum of the K0_PRINTED bracket: (3d-2, 2, 3 d2 - 2)
+            [(3 * (d - d1) - 2) * c for d1, c in zip(range(1, d), c2[1::3])],
+            # LR: (3d-3, 2, d2)
+            [(d - d1) * c for d1, c in zip(range(1, d), c3[1::3])],
+        ]
+        products = list(_pair_products(self._n0, d))
+        two_m, two_nodes, rcount, s, lr = [
+            _paired_sum(row, d, products) for row in rows
+        ]
+        k0_printed = 3 * self._n0[d] - (s - ExactScalar(3, 2) * two_m)
+        return (ExactScalar(two_m, 2), ExactScalar(two_nodes, 2),
+                ExactScalar(rcount), ExactScalar(lr), k0_printed)
 
     def omega(self, d: int) -> ExactScalar:
         """One-twelfth of the irreducible nodal fibre count:
@@ -443,9 +426,11 @@ class InvariantEngine:
         With omega = (d-1)(d-2)/24 N0, the term (3d - 12) omega is the
         same polynomial in d times N0 as the ((d-1)(d-2)(d-4)/8) N0 of
         :meth:`k1`.  So the two paths differ only in that this one takes
-        T from :meth:`t_op_direct` and :meth:`k1` from the stored list:
-        the ``k1_two_path`` check adds the omega closed form to what
-        ``t_linearity`` checks, and nothing more.  Not memoized.
+        T from :meth:`t_op_direct` (binomials from a multiplicative
+        ``exact.pascal_row``) and :meth:`k1` from the stored list (from
+        the row window, stepped by additions): the ``k1_two_path`` check
+        adds the omega closed form to what ``t_linearity`` checks, and
+        nothing more.  Not memoized.
         """
         _check_degree(d)
         return (

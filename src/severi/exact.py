@@ -7,17 +7,19 @@ name the rest of the code uses for that value type.  Internally the
 engine's recursions and splitting sums run on plain ``int`` and convert
 to ``ExactScalar`` only where a value can be fractional.
 
-Binomials come two ways: half Pascal rows (``pascal_half``, then
-addition-only ``pascal_step``) for the engine's recursions and splitting
-sums, and ``binomial_row`` (a multiplicative recurrence) for the audit's
-direct T sum only.
+Binomial rows come two ways: ``pascal_row`` builds C(n, .) by a
+multiplicative recurrence, and ``pascal_step`` derives C(n + 1, .) from
+C(n, .) by additions only.  Both compute the first half of a row and
+mirror it, so the mirrored half shares its ints with the first; callers
+see only full rows.  The engine steps its row window with additions and
+seeds it with ``pascal_row`` only after a non-sequential query; the
+audit's direct T sum builds every row with ``pascal_row``.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb
 from operator import add
 
 ExactScalar = Fraction
@@ -26,13 +28,13 @@ ExactScalar = Fraction
 class InexactDivision(ArithmeticError):
     """n / m left a remainder at ``degree``; ``quotient`` is the exact n / m."""
 
-    def __init__(self, n: int, m: int, degree: int | None) -> None:
+    def __init__(self, n: int, m: int, degree: int) -> None:
         super().__init__(f"division by {m} failed at d={degree}: remainder {n % m}")
         self.quotient, self.degree = Fraction(n, m), degree
 
 
-def exact_div(n: int, m: int, degree: int | None = None) -> int:
-    """The quotient n / m, which must be an integer.
+def exact_div(n: int, m: int, degree: int) -> int:
+    """The quotient n / m, which must be an integer at ``degree``.
 
     Raises ``InexactDivision`` (an ``ArithmeticError``) on a nonzero
     remainder (a raise, not an ``assert``, so ``python -O`` keeps it).
@@ -47,39 +49,20 @@ def is_integral(x: ExactScalar) -> bool:
     return x.denominator == 1
 
 
-def binomial_row(n: int, k: int, count: int) -> list[int]:
-    """[C(n, 3 d1 - k) for d1 in 1..count], for n >= 0 and 0 <= k <= 3.
-
-    One ``math.comb`` starts the row; each next entry steps three places,
-    C(n, j+3) = C(n, j) (n-j)(n-j-1)(n-j-2) / ((j+1)(j+2)(j+3)), and the
-    division is exact because both sides are equal by that identity.
-    """
-    row = [comb(n, 3 - k)] if count else []
-    for j in range(3 - k, 3 * count - k - 2, 3):
-        num = (n - j) * (n - j - 1) * (n - j - 2)
-        row.append(row[-1] * num // ((j + 1) * (j + 2) * (j + 3)))
-    return row
-
-
-def pascal_half(n: int) -> list[int]:
-    """[C(n, k) for k in 0..n // 2], one multiplicative pass (empty if n < 0)."""
-    row = [1] if n >= 0 else []
+def pascal_row(n: int) -> list[int]:
+    """The row C(n, .): one multiplicative pass over the first half, then
+    mirrored by symmetry (empty if n < 0)."""
+    half = [1] if n >= 0 else []
     for k in range(n // 2):
-        row.append(row[-1] * (n - k) // (k + 1))
-    return row
-
-
-def pascal_step(half: list[int], n: int) -> list[int]:
-    """The half row of C(n + 1, .) from that of C(n, .), by additions only."""
-    row = [1, *map(add, half, half[1:])]
-    if half and n % 2:
-        row.append(2 * half[-1])
-    return row
-
-
-def pascal_full(half: list[int], n: int) -> list[int]:
-    """The full row C(n, .) from its half row, by symmetry."""
+        half.append(half[-1] * (n - k) // (k + 1))
     return half + half[::-1][1 - n % 2:]
+
+
+def pascal_step(row: list[int]) -> list[int]:
+    """The row C(n + 1, .) from the row C(n, .): additions on the first
+    half only, then mirrored by symmetry."""
+    half = [1, *map(add, row, row[1:len(row) // 2 + 1])]
+    return half + half[::-1][1 - len(row) % 2:]
 
 
 def _lift_digit_limit(convert, value):

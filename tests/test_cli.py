@@ -64,6 +64,7 @@ class TestEval:
         assert len(result.stdout) == 4305
         text = result.stdout.rstrip("\n")
         assert format_exact(parse_exact(text)) == text
+        assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == EVAL_N0_572_DIGEST
 
 
 class TestTable:
@@ -195,7 +196,18 @@ D100_DIGESTS = {
 }
 
 
+# stdout sha256 of ``eval N1 200`` and ``eval N0 572``, recorded at
+# commit 2332325.
+EVAL_N1_200_DIGEST = "15ea0ea927f27aa7c0ac1f5ac9fe567335bf88178ad0097d40b05969f0058590"
+EVAL_N0_572_DIGEST = "3cf9b2253b482cb8b1084aafec3347c13811562032cb7cd60e4f13273c5db8df"
+
+
 class TestDeterminism:
+    def test_eval_n1_200_output_matches_recorded_digest(self, run_cli):
+        code, out, _ = run_cli("eval", "N1", "200")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVAL_N1_200_DIGEST
+
     @pytest.mark.parametrize("command,fmt", sorted(D60_DIGESTS))
     def test_degree_sixty_output_matches_recorded_digest(self, run_cli, command, fmt):
         code, out, _ = run_cli(command, "--d-max", "60", "--format", fmt)
@@ -271,12 +283,13 @@ class TestUsage:
 
 class TestStartup:
     def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(self):
-        # dataclasses imports inspect, ast, dis and tokenize, a cost every
-        # command pays at start-up.  -S keeps site hooks out of the child.
+        # dataclasses imports inspect, ast, dis and tokenize, and pathlib
+        # imports fnmatch, ntpath and urllib.parse, a cost every command
+        # pays at start-up.  -S keeps site hooks out of the child.
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys, severi.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
         )
         result = subprocess.run(
             [sys.executable, "-S", "-c", code],

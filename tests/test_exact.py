@@ -18,14 +18,14 @@ from severi.exact import (
 
 
 def test_exact_div_returns_the_quotient_of_a_multiple():
-    assert exact_div(36 * 225, 36) == 225
-    assert exact_div(-36 * 7 * 10**400, 36) == -7 * 10**400
+    assert exact_div(36 * 225, 36, 4) == 225
+    assert exact_div(-36 * 7 * 10**400, 36, 1) == -7 * 10**400
 
 
 @pytest.mark.parametrize("n", [1, 35, 37, -1, 36 * 10**400 + 18])
 def test_exact_div_raises_on_a_non_multiple_of_36(n):
     with pytest.raises(ArithmeticError):
-        exact_div(n, 36)
+        exact_div(n, 36, 1)
 
 
 def test_inexact_division_names_the_degree_and_keeps_the_exact_quotient():

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -19,7 +18,6 @@ from severi import (
 from severi import engine as engine_module
 from severi.audit import run_full_audit
 from severi.engine import MAX_DEGREE
-from severi.exact import binomial_row
 from severi.tables import build_records
 
 
@@ -308,23 +306,3 @@ _GOLDEN_NAME = {
     InvariantKind.RCOUNT: "rcount",
     InvariantKind.LR: "lr",
 }
-
-
-class TestBinomialRow:
-    """``binomial_row`` against per-term ``math.comb`` for n = 3d-4 .. 3d-1,
-    k = 1, 2, length d-1 (``t_op_direct`` reads n = 3d-1, k = 1)."""
-
-    @staticmethod
-    def _assert_rows_match(d):
-        for n in range(max(3 * d - 4, 0), 3 * d):
-            for k in (1, 2):
-                expected = [comb(n, 3 * d1 - k) for d1 in range(1, d)]
-                assert binomial_row(n, k, d - 1) == expected, (n, k)
-
-    def test_every_row_up_to_degree_100(self):
-        for d in range(1, 101):
-            self._assert_rows_match(d)
-
-    @pytest.mark.parametrize("d", [200, 572, 600])
-    def test_spot_degrees_up_to_the_ceiling(self, d):
-        self._assert_rows_match(d)

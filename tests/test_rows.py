@@ -1,8 +1,9 @@
 """The engine's binomial row window and the audit's independent rows.
 
-The window serves half Pascal rows of C(3d-4, .) and C(3d-1, .) for one
-degree at a time; ``t_op_direct`` alone builds rows with
-``exact.binomial_row``.  Every row is compared with ``math.comb``.
+The window serves the Pascal rows C(3d-4, .) and C(3d-1, .) for one
+degree at a time; ``exact.pascal_row`` seeds it after a non-sequential
+query and builds the rows of ``t_op_direct``.  Every row is compared
+with ``math.comb``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from severi import InvariantEngine, InvariantKind
 from severi import engine as engine_module
 from severi.audit import run_full_audit
-from severi.exact import binomial_row, pascal_full, pascal_half, pascal_step
+from severi.exact import pascal_row, pascal_step
 
 
 @lru_cache(maxsize=8)
@@ -30,17 +31,17 @@ def _comb_row(n):
 def _assert_window_rows(engine, d):
     low, high = engine._rows(d)
     assert engine._window[0] == d
-    for half, n in ((low, 3 * d - 4), (high, 3 * d - 1)):
-        assert half == _comb_row(n)[:n // 2 + 1], n
+    for row, n in ((low, 3 * d - 4), (high, 3 * d - 1)):
+        assert row == _comb_row(n), n
 
 
 class TestPascalRows:
-    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 10, 11])
+    # The row is built from its first half and mirrored; the step adds
+    # on the first half only.  Both parities of n, and n = -1 and 0.
+    @pytest.mark.parametrize("n", range(-1, 61))
     def test_half_full_and_step_match_comb(self, n):
-        half = pascal_half(n)
-        assert half == [comb(n, k) for k in range(n // 2 + 1)]
-        assert pascal_full(half, n) == [comb(n, k) for k in range(n + 1)]
-        assert pascal_step(half, n) == pascal_half(n + 1)
+        assert pascal_row(n) == [comb(n, k) for k in range(n + 1)]
+        assert pascal_step(pascal_row(n)) == [comb(n + 1, k) for k in range(n + 2)]
 
 
 class TestRowWindow:
@@ -48,8 +49,6 @@ class TestRowWindow:
         engine = InvariantEngine()
         for d in range(1, 101):
             _assert_window_rows(engine, d)
-            for half, n in zip(engine._rows(d), (3 * d - 4, 3 * d - 1)):
-                assert pascal_full(half, n) == [comb(n, k) for k in range(n + 1)]
 
     @pytest.mark.parametrize("d", [200, 572, 600])
     def test_rows_after_a_jump(self, d):
@@ -64,7 +63,7 @@ class TestRowWindow:
         engine = InvariantEngine()
         engine.n1(200)
         # No other attribute may hold binomial rows.
-        assert set(vars(engine)) == {"_n0", "_n1", "_t", "_splits", "_memo", "_window"}
+        assert set(vars(engine)) == {"_n0", "_n1", "_t", "_memo", "_window"}
         d, low, high = engine._window
         assert d == 200
         assert len(low) <= 3 * 200 and len(high) <= 3 * 200
@@ -73,14 +72,12 @@ class TestRowWindow:
     @pytest.mark.slow
     def test_every_row_up_to_the_ceiling(self):
         # n = 3d - 4 .. 3d - 1 for d <= 600 reaches n = 1799; the
-        # audit's binomial_row rows are checked over the same range.
+        # multiplicative pascal_row is checked over the same range.
         engine = InvariantEngine()
         for d in range(1, 601):
             _assert_window_rows(engine, d)
             for n in range(max(3 * d - 4, 0), 3 * d):
-                for k in (1, 2):
-                    expected = _comb_row(n)[3 - k::3][:d - 1]
-                    assert binomial_row(n, k, d - 1) == expected, (n, k)
+                assert pascal_row(n) == _comb_row(n), n
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +99,8 @@ def test_any_query_order_gives_the_values_of_fresh_engines(queries):
 
 
 class TestRowBuilds:
-    """Only the audit's direct T sum builds rows with ``binomial_row``."""
+    """``pascal_row`` builds the audit's direct T rows and seeds the
+    window only after a non-sequential query; sequential queries step."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -110,14 +108,15 @@ class TestRowBuilds:
 
         def counting(*args):
             count[0] += 1
-            return binomial_row(*args)
+            return pascal_row(*args)
 
-        monkeypatch.setattr(engine_module, "binomial_row", counting)
+        monkeypatch.setattr(engine_module, "pascal_row", counting)
         return count
 
     def test_full_audit_builds_one_row_per_direct_t_pass(self, calls):
+        # 98 direct T passes (d = 3..100) and 3 window seeds (d = 1, 2, 3).
         run_full_audit(InvariantEngine(), 100)
-        assert calls[0] == 98
+        assert calls[0] == 101
 
     def test_the_recursions_build_none(self, calls):
         InvariantEngine().n1(200)

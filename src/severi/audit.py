@@ -19,9 +19,7 @@ from typing import NamedTuple
 
 from ._version import __version__
 from .exact import ExactScalar, InexactDivision, format_exact, is_integral, parse_exact
-from .engine import (
-    KIND_SPEC, REPORTED, REQUIRED, InvariantEngine, InvariantKind, _check_degree
-)
+from .engine import KIND_SPEC, REQUIRED, InvariantEngine, InvariantKind, _check_degree
 
 
 class CheckKind(str, Enum):
@@ -125,9 +123,17 @@ class AuditReport:
 
 def _require_d_max(d_max: int) -> None:
     """Reject d_max below 3 or above the ceiling, before any work."""
-    if not isinstance(d_max, int) or isinstance(d_max, bool) or d_max < 3:
-        raise ValueError(f"audit requires d_max >= 3, got {d_max!r}")
     _check_degree(d_max)
+    if d_max < 3:
+        raise ValueError(f"audit requires d_max >= 3, got {d_max!r}")
+
+
+def _compared(
+    check_id: str, d: int, kind: CheckKind, expected: ExactScalar, actual: ExactScalar
+) -> AuditCheck:
+    """A check that passes if and only if the two values are equal."""
+    status = CheckStatus.PASS if actual == expected else CheckStatus.FAIL
+    return AuditCheck(check_id, d, kind, actual, expected, status)
 
 
 # Anchor table: the classical degree-3 cusp count plus the hand-derived
@@ -174,31 +180,20 @@ def run_anchor_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
     anchors of degree <= d_max.  Any mismatch is a FAIL."""
     _require_d_max(d_max)
     checks = []
-    for kind, d, expected_int in _ANCHORS:
-        if d > d_max:
-            continue
-        expected = ExactScalar(expected_int)
-        actual = engine.value(kind, d)
-        checks.append(
-            AuditCheck(
-                id=f"anchor_{kind.value.lower()}_d{d}",
-                degree=d,
-                kind=CheckKind.ANCHOR,
-                actual=actual,
-                expected=expected,
-                status=CheckStatus.PASS if actual == expected else CheckStatus.FAIL,
-            )
-        )
+    for kind, d, expected in _ANCHORS:
+        if d <= d_max:
+            checks.append(_compared(
+                f"anchor_{kind.value.lower()}_d{d}", d, CheckKind.ANCHOR,
+                ExactScalar(expected), engine.value(kind, d),
+            ))
     return AuditReport(d_max=d_max, checks=checks)
 
 
-# Hard integrality checks for the invariants that must be integers;
-# the reportable-only ones (G1, OMEGA, M) are surfaced as INFO.
-_CHECKED_INTEGRALITY = tuple(
-    kind for kind in InvariantKind if KIND_SPEC[kind].integrality == REQUIRED
-)
-_INFO_INTEGRALITY = tuple(
-    kind for kind in InvariantKind if KIND_SPEC[kind].integrality == REPORTED
+# The kinds scanned for integrality, in declaration order: the REQUIRED
+# ones (a non-integral value FAILs) come before the REPORTED ones (G1,
+# OMEGA, M), whose integrality is surfaced as INFO.
+_INTEGRALITY_SCAN = tuple(
+    kind for kind in InvariantKind if KIND_SPEC[kind].integrality is not None
 )
 
 
@@ -232,41 +227,21 @@ def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
             ("t_linearity", engine.t_op(d), engine.t_op_direct(d)),
         )
         for check_id, first, second in pairs:
-            checks.append(
-                AuditCheck(
-                    id=check_id,
-                    degree=d,
-                    kind=CheckKind.IDENTITY,
-                    actual=second,
-                    expected=first,
-                    status=CheckStatus.PASS if first == second else CheckStatus.FAIL,
-                )
-            )
-        for kind in _CHECKED_INTEGRALITY:
+            checks.append(_compared(check_id, d, CheckKind.IDENTITY, first, second))
+        for kind in _INTEGRALITY_SCAN:
             value = engine.value(kind, d)
-            checks.append(
-                AuditCheck(
-                    id=f"integrality_{kind.value.lower()}",
-                    degree=d,
-                    kind=CheckKind.INTEGRALITY,
-                    actual=value,
-                    status=CheckStatus.PASS
-                    if is_integral(value)
-                    else CheckStatus.FAIL,
-                )
-            )
-        for kind in _INFO_INTEGRALITY:
-            value = engine.value(kind, d)
-            checks.append(
-                AuditCheck(
-                    id=f"integrality_{kind.value.lower()}",
-                    degree=d,
-                    kind=CheckKind.INTEGRALITY,
-                    actual=value,
-                    status=CheckStatus.INFO,
-                    detail="integral" if is_integral(value) else "non-integral",
-                )
-            )
+            integral = is_integral(value)
+            if KIND_SPEC[kind].integrality == REQUIRED:
+                status = CheckStatus.PASS if integral else CheckStatus.FAIL
+                detail = None
+            else:
+                status = CheckStatus.INFO
+                detail = "integral" if integral else "non-integral"
+            checks.append(AuditCheck(
+                id=f"integrality_{kind.value.lower()}", degree=d,
+                kind=CheckKind.INTEGRALITY, actual=value,
+                status=status, detail=detail,
+            ))
     return AuditReport(d_max=d_max, checks=checks)
 
 

@@ -131,8 +131,9 @@ class DomainStatus(NamedTuple):
 IN_DOMAIN = DomainStatus(True)
 
 
-def domain_status(kind: InvariantKind, d: int) -> DomainStatus:
+def domain_status(kind: InvariantKind | str, d: int) -> DomainStatus:
     """Domain flag for (invariant, degree); pure function of its inputs."""
+    kind = InvariantKind(kind)
     _check_degree(d)
     if kind is InvariantKind.K0 and d < 3:
         # One-cuspidal rational curves need degree >= 3; below that the
@@ -255,7 +256,6 @@ class InvariantEngine:
         over ordered pairs d1 + d2 = d, read from the list the N1 loop
         stores.
         """
-        _check_degree(d)
         self.n1(d)
         return ExactScalar(self._t[d])
 
@@ -321,8 +321,7 @@ class InvariantEngine:
         one-parameter elliptic family (equivalently, the Euler number of
         the relatively minimal elliptic surface).
         """
-        _check_degree(d)
-        return ExactScalar((d - 1) * (d - 2), 24) * self.n0(d)
+        return self.n0(d) * ExactScalar((d - 1) * (d - 2), 24)
 
     def m_invariant(self, d: int) -> ExactScalar:
         """Negative self-intersection of a marked-point section:
@@ -331,7 +330,6 @@ class InvariantEngine:
 
         Empty sum (hence 0) at d = 1.
         """
-        _check_degree(d)
         return self._splitting_values(d)[0]
 
     def reducible_fibre_count(self, d: int) -> ExactScalar:
@@ -342,7 +340,6 @@ class InvariantEngine:
         halving converts it to an actual fibre count (the convention is
         pinned by the degree-3 cuspidal anchor).
         """
-        _check_degree(d)
         return self._splitting_values(d)[1]
 
     def r_component_count(self, d: int) -> ExactScalar:
@@ -355,7 +352,6 @@ class InvariantEngine:
         fibre has exactly one component missing the marked point); the
         audit suite re-checks this at every degree.
         """
-        _check_degree(d)
         return self._splitting_values(d)[2]
 
     def lr(self, d: int) -> ExactScalar:
@@ -366,7 +362,6 @@ class InvariantEngine:
         i.e. the r-component sum weighted by the degree of the blown-down
         (unmarked) component.
         """
-        _check_degree(d)
         return self._splitting_values(d)[3]
 
     @_memoized
@@ -398,7 +393,6 @@ class InvariantEngine:
         Audit-only evaluator: it yields -60 at d = 3 against the anchor
         24 and is kept verbatim so the discrepancy stays reproducible.
         """
-        _check_degree(d)
         return self._splitting_values(d)[4]
 
     @_memoized
@@ -432,7 +426,6 @@ class InvariantEngine:
         adds the omega closed form to what ``t_linearity`` checks, and
         nothing more.  Not memoized.
         """
-        _check_degree(d)
         return (
             3 * self.n1(d)
             + (3 * d - 12) * self.omega(d)
@@ -457,7 +450,6 @@ class InvariantEngine:
         guards that pass and the m assembly against drift; both sides read
         the same K0, so it is not an independent derivation of the genus.
         """
-        _check_degree(d)
         self.n0(d)
         n0 = self._n0
         two_m = 0
@@ -495,7 +487,6 @@ class InvariantEngine:
         residual does not vanish (2015/2 at d = 4); the discrepancy
         probe records it as a regression artifact.
         """
-        _check_degree(d)
         lhs = 2 * self.g1(d) - 2 - self.k1(d)
         rhs = ExactScalar(1, 2) * (
             (3 * d - 9) * self.omega(d)
@@ -512,8 +503,10 @@ class InvariantEngine:
         return getattr(self, KIND_SPEC[kind].method)(d)
 
     def evaluate(self, kind: InvariantKind, d: int) -> tuple[ExactScalar, DomainStatus]:
-        """Value together with its domain flag."""
-        return self.value(kind, d), domain_status(kind, d)
+        """Value together with its domain flag; the kind and degree are
+        checked before any work."""
+        status = domain_status(kind, d)
+        return self.value(kind, d), status
 
 
 __all__ = [

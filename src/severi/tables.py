@@ -46,6 +46,15 @@ def flag_tokens(flags: CellFlags) -> list[str]:
     return tokens
 
 
+def kind_named(name: str) -> InvariantKind:
+    """The invariant called ``name``, in any letter case."""
+    try:
+        return InvariantKind(name.upper())
+    except ValueError:
+        known = ", ".join(kind.value for kind in KIND_ORDER)
+        raise ValueError(f"unknown invariant {name!r} (known: {known})") from None
+
+
 def select_kinds(names: str | None) -> tuple[InvariantKind, ...]:
     """Resolve a comma-separated kind list (None/empty means all), kept
     in canonical column order."""
@@ -53,14 +62,9 @@ def select_kinds(names: str | None) -> tuple[InvariantKind, ...]:
         return KIND_ORDER
     wanted = set()
     for raw in names.split(","):
-        name = raw.strip().upper()
-        if not name:
-            continue
-        try:
-            wanted.add(InvariantKind(name))
-        except ValueError:
-            known = ", ".join(kind.value for kind in KIND_ORDER)
-            raise ValueError(f"unknown invariant {raw.strip()!r} (known: {known})")
+        name = raw.strip()
+        if name:
+            wanted.add(kind_named(name))
     if not wanted:
         raise ValueError("invariant selection is empty")
     return tuple(kind for kind in KIND_ORDER if kind in wanted)
@@ -139,6 +143,7 @@ __all__ = [
     "InvariantRecord",
     "build_records",
     "flag_tokens",
+    "kind_named",
     "records_to_json_obj",
     "render_csv",
     "render_json",

@@ -83,6 +83,19 @@ class TestIdentitySuite:
             "integrality_m",
         }
 
+    def test_a_non_integral_required_kind_is_a_fail(self, engine):
+        engine.k0 = lambda d: Fraction(1, 2)  # simulate a regression
+        report = run_identity_suite(engine, 4)
+        failed = {
+            (c.id, c.degree)
+            for c in report.checks
+            if c.kind is CheckKind.INTEGRALITY and c.status is CheckStatus.FAIL
+        }
+        # g0 is assembled from k0, so it turns non-integral too.
+        assert failed == {
+            (f"integrality_{name}", d) for name in ("k0", "g0") for d in (3, 4)
+        }
+
     def test_g1_reported_non_integral_at_degree_three(self, engine):
         report = run_identity_suite(engine, 3)
         g1_info = [c for c in report.checks if c.id == "integrality_g1"]

@@ -15,6 +15,11 @@ from severi import cli
 from severi.exact import format_exact, parse_exact
 
 
+def _one_error_line(err: str) -> bool:
+    """True if stderr is exactly one ``severi: error:`` line."""
+    return err.startswith("severi: error: ") and err.count("\n") == 1
+
+
 class TestEval:
     def test_k0_anchor_prints_24_exactly(self, run_cli):
         code, out, err = run_cli("eval", "K0", "3")
@@ -40,20 +45,29 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "unknown invariant" in err
+        assert _one_error_line(err)
 
     @pytest.mark.parametrize("bad_d", ["0", "-3", "two"])
     def test_bad_degree_is_a_usage_error(self, run_cli, bad_d):
         code, _, err = run_cli("eval", "N0", bad_d)
         assert code == 2 and err != ""
+        if bad_d != "two":
+            assert _one_error_line(err)
 
     @pytest.mark.parametrize(
-        "argv", [("eval", "N0", "601"), ("table", "--d-max", "601")]
+        "argv",
+        [
+            ("eval", "N0", "601"),
+            ("table", "--d-max", "601"),
+            ("audit", "--d-max", "601"),
+        ],
     )
     def test_degree_above_the_ceiling_is_a_usage_error(self, run_cli, argv):
         code, out, err = run_cli(*argv)
         assert code == 2
         assert out == ""
         assert "600" in err
+        assert _one_error_line(err)
 
     @pytest.mark.slow
     def test_degree_572_passes_the_int_str_digit_limit(self):

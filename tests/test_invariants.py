@@ -18,7 +18,7 @@ from severi import (
 from severi import engine as engine_module
 from severi.audit import run_full_audit
 from severi.engine import MAX_DEGREE
-from severi.tables import build_records
+from severi.tables import build_records, kind_named, select_kinds
 
 
 class TestRationalCounts:
@@ -278,6 +278,17 @@ class TestDomainStatus:
         assert domain_status(InvariantKind.G1, 3).reason == DEGENERATE_GEOMETRY
         assert domain_status(InvariantKind.G1, 4).in_domain
 
+    def test_a_kind_given_by_its_value_gets_the_same_flag(self, engine):
+        for kind in KIND_ORDER:
+            for d in range(1, 5):
+                assert engine.evaluate(kind.value, d) == engine.evaluate(kind, d)
+
+    def test_an_unknown_kind_is_a_value_error(self, engine):
+        with pytest.raises(ValueError):
+            domain_status("BOGUS", 3)
+        with pytest.raises(ValueError):
+            engine.evaluate("BOGUS", 3)
+
     def test_out_of_domain_queries_still_evaluate(self, engine):
         value, status = engine.evaluate(InvariantKind.G1, 3)
         assert value == Fraction(5, 4)
@@ -290,6 +301,17 @@ class TestDomainStatus:
             assert value == golden_value(
                 golden, _GOLDEN_NAME[kind], 3
             )
+
+
+class TestKindNames:
+    def test_an_unknown_name_lists_the_known_ones(self):
+        with pytest.raises(ValueError, match=r"invariant 'N2' \(known: N0, N1, K0, "):
+            kind_named("N2")
+
+    def test_a_selection_reports_the_unknown_name_once_stripped(self):
+        with pytest.raises(ValueError, match="unknown invariant 'BOGUS'"):
+            select_kinds("N0, BOGUS ")
+        assert select_kinds(" m,n0 ,") == (InvariantKind.N0, InvariantKind.M)
 
 
 _GOLDEN_NAME = {

@@ -276,7 +276,7 @@ class TestCorruptedEngine:
         code, out, err = run_cli(*argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("severi: error: ") and err.count("\n") == 1
+        assert _one_error_line(err)
         assert "d=4" in err
 
     def test_audit_reports_the_failure_with_exit_one(self, run_cli):

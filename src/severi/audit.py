@@ -245,6 +245,21 @@ def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
     return AuditReport(d_max=d_max, checks=checks)
 
 
+def _probe(
+    check_id: str, d: int, actual: ExactScalar, recorded: ExactScalar | None,
+    detail: str,
+) -> AuditCheck:
+    """A discrepancy probe: FAIL if the value drifted from the recorded
+    one, or, with none recorded, if it vanished; INFO otherwise.  Beyond
+    the recorded range only a vanishing value is suspicious: the probe
+    certifies that the inconsistency exists."""
+    drifted = actual == 0 if recorded is None else actual != recorded
+    status = CheckStatus.FAIL if drifted else CheckStatus.INFO
+    return AuditCheck(
+        check_id, d, CheckKind.DISCREPANCY_PROBE, actual, recorded, status, detail
+    )
+
+
 def run_discrepancy_probes(engine: InvariantEngine, d_max: int) -> AuditReport:
     """Reproduce the two documented inconsistencies.
 
@@ -253,44 +268,20 @@ def run_discrepancy_probes(engine: InvariantEngine, d_max: int) -> AuditReport:
     because the inconsistency itself is present.
     """
     _require_d_max(d_max)
-    checks = []
-
-    actual = engine.k0_printed(3)
-    drifted = actual != RECORDED_K0_PRINTED_D3
-    checks.append(
-        AuditCheck(
-            id="k0_printed_vs_anchor",
-            degree=3,
-            kind=CheckKind.DISCREPANCY_PROBE,
-            actual=actual,
-            expected=RECORDED_K0_PRINTED_D3,
-            status=CheckStatus.FAIL if drifted else CheckStatus.INFO,
-            detail="closed form disagrees with assembly anchor 24",
-        )
-    )
-
+    checks = [_probe(
+        "k0_printed_vs_anchor", 3, engine.k0_printed(3), RECORDED_K0_PRINTED_D3,
+        "closed form disagrees with assembly anchor 24",
+    )]
     for d in range(4, d_max + 1):
-        residual = engine.ramification_residual(d)
         recorded = RECORDED_RAMIFICATION_RESIDUALS.get(d)
         if recorded is not None:
-            drifted = residual != recorded
             detail = "nonzero residual reproduces recorded value"
         else:
-            # Beyond the recorded range only a vanishing residual is
-            # suspicious: the probe certifies the inconsistency exists.
-            drifted = residual == 0
             detail = "nonzero residual (no recorded value at this degree)"
-        checks.append(
-            AuditCheck(
-                id="ramification_residual",
-                degree=d,
-                kind=CheckKind.DISCREPANCY_PROBE,
-                actual=residual,
-                expected=recorded,
-                status=CheckStatus.FAIL if drifted else CheckStatus.INFO,
-                detail=detail,
-            )
-        )
+        checks.append(_probe(
+            "ramification_residual", d, engine.ramification_residual(d),
+            recorded, detail,
+        ))
     return AuditReport(d_max=d_max, checks=checks)
 
 

@@ -22,9 +22,8 @@ import sys
 from ._version import __version__
 from .audit import run_full_audit
 from .engine import InvariantEngine
-from .exact import format_exact, is_integral
+from .exact import format_exact
 from .tables import (
-    CellFlags,
     build_records,
     flag_tokens,
     kind_named,
@@ -85,8 +84,7 @@ def _write_output(text: str, output: str | None) -> None:
 def _cmd_eval(args: argparse.Namespace) -> int:
     kind = kind_named(args.invariant)
     value, status = InvariantEngine().evaluate(kind, args.d)
-    tokens = flag_tokens(CellFlags(status=status, integral=is_integral(value)))
-    line = " ".join([format_exact(value)] + tokens)
+    line = " ".join([format_exact(value)] + flag_tokens(status, value))
     sys.stdout.write(line + "\n")
     return EXIT_OK
 
@@ -95,9 +93,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     kinds = select_kinds(args.invariants)
     records = build_records(InvariantEngine(), args.d_max, kinds)
     if args.format == "csv":
-        text = render_csv(records, kinds)
+        text = render_csv(records)
     else:
-        text = render_json(records, kinds)
+        text = render_json(records)
     _write_output(text, args.output)
     return EXIT_OK
 

@@ -22,9 +22,9 @@ Integrality is asserted only at final invariant boundaries and is
 reported, never silently enforced.
 
 ``n0``, ``n1`` (which advances N0 in lockstep) and the splitting sums
-read a window of the full Pascal rows C(3d-4, .) and C(3d-1, .) of one
-degree d, stepped by additions and seeded by ``exact.pascal_row`` only
-after a non-sequential query.  The audit's second paths build their
+read a window of the four full Pascal rows C(3d-4, .) .. C(3d-1, .) of
+one degree d, stepped by additions and seeded by ``exact.pascal_row``
+only after a non-sequential query.  The audit's second paths build their
 binomials apart: ``t_op_direct`` takes a multiplicative
 ``exact.pascal_row`` of its own at every degree, and
 ``g0_from_splitting_sum`` per-term ``math.comb``.
@@ -177,7 +177,8 @@ class InvariantEngine:
     already-defined quantities, so memo correctness is by construction.
     N0, N1 and T are integer lists indexed by degree (entry 0 unused);
     the splitting statistics and K0, K1, G0, G1 are stored per degree.
-    The binomial row window holds the rows of one degree only.
+    The binomial row window holds the rows of one degree only (at
+    degree 0, C(-4, .) .. C(-1, .), all empty).
     """
 
     def __init__(self) -> None:
@@ -185,18 +186,19 @@ class InvariantEngine:
         self._n1: list[int] = [0]
         self._t: list[int] = [0]
         self._memo: dict[str, dict[int, ExactScalar]] = {}
-        self._window: tuple[int, list[int], list[int]] = (0, [], [])
+        self._window: tuple[int, list[list[int]]] = (0, [[]] * 4)
 
-    def _rows(self, d: int) -> tuple[list[int], list[int]]:
-        """Rows C(3d-4, .) and C(3d-1, .), the window's only rows.
+    def _rows(self, d: int) -> list[list[int]]:
+        """Rows C(3d-4, .) .. C(3d-1, .), the window's only rows.
         The next degree reuses C(3d-1, .); any other degree rebuilds from
         one multiplicative row.  Either way three addition steps follow."""
-        at, low, high = self._window
+        at, rows = self._window
         if at != d:
-            low = high if at == d - 1 else pascal_row(3 * d - 4)
-            high = pascal_step(pascal_step(pascal_step(low)))
-            self._window = (d, low, high)
-        return low, high
+            rows = [rows[3] if at == d - 1 else pascal_row(3 * d - 4)]
+            for _ in range(3):
+                rows.append(pascal_step(rows[-1]))
+            self._window = (d, rows)
+        return rows
 
     # -- recursive counts ----------------------------------------------
 
@@ -236,7 +238,7 @@ class InvariantEngine:
         n0, n1, t = self._n0, self._n1, self._t
         for dd in range(len(n1), d + 1):
             self.n0(dd)
-            high = self._rows(dd)[1]
+            high = self._rows(dd)[3]
             weights = [
                 (3 * d1 - 2) * d1 * (dd - d1) * c
                 for d1, c in zip(range(1, dd), high[2::3])
@@ -288,13 +290,11 @@ class InvariantEngine:
             sum w d1 d2 C(n, 3 d1 - k) N0(d1) N0(d2)
 
         over ordered pairs d1 + d2 = d (0 at d = 1), with (n, k, w) noted
-        by each row.  C(3d-3, .) and C(3d-2, .) are transient steps from
-        the window's C(3d-4, .).  The five share the pair products.
+        by each row.  The rows C(3d-4, .) .. C(3d-2, .) are the window's.
+        The five share the pair products.
         """
         self.n0(d)
-        c4 = self._rows(d)[0]
-        c3 = pascal_step(c4)
-        c2 = pascal_step(c3)
+        c4, c3, c2 = self._rows(d)[:3]
         rows = [
             c4[1::3],  # 2m: (3d-4, 2, 1)
             c2[2::3],  # 2 NODES: (3d-2, 1, 1)
@@ -497,10 +497,11 @@ class InvariantEngine:
 
     # -- kind-indexed access ---------------------------------------------
 
-    def value(self, kind: InvariantKind, d: int) -> ExactScalar:
+    def value(self, kind: InvariantKind | str, d: int) -> ExactScalar:
         """The invariant's exact value (formula evaluated even when the
-        degree is outside the invariant's geometric domain)."""
-        return getattr(self, KIND_SPEC[kind].method)(d)
+        degree is outside the invariant's geometric domain); an unknown
+        kind is a ``ValueError``."""
+        return getattr(self, KIND_SPEC[InvariantKind(kind)].method)(d)
 
     def evaluate(self, kind: InvariantKind, d: int) -> tuple[ExactScalar, DomainStatus]:
         """Value together with its domain flag; the kind and degree are

@@ -2,10 +2,12 @@
 
 Values are always emitted as exact strings (plain decimal, or ``p/q``
 in lowest terms); native JSON numbers are never used for values because
-the counts outgrow 64-bit range within a few degrees.  Every selected
-invariant appears in every record, with a flag field carrying its
-domain status and integrality, so the schema is stable for downstream
-parsing.  Rendering is byte-deterministic.
+the counts outgrow 64-bit range within a few degrees.  A record holds
+every selected invariant, in column order, with its value and domain
+status; the renderers take their columns from the records themselves,
+and every cell's flag carries its domain status and integrality, so the
+schema is stable for downstream parsing.  Rendering is
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -23,25 +25,19 @@ from .engine import (
 )
 
 
-class CellFlags(NamedTuple):
-    status: DomainStatus
-    integral: bool
-
-
 class InvariantRecord(NamedTuple):
-    """One degree's worth of invariant values and flags."""
+    """One degree's worth of invariant values and their domain flags,
+    keyed by invariant in column order."""
 
     d: int
     values: dict[InvariantKind, ExactScalar]
-    flags: dict[InvariantKind, CellFlags]
+    flags: dict[InvariantKind, DomainStatus]
 
 
-def flag_tokens(flags: CellFlags) -> list[str]:
+def flag_tokens(status: DomainStatus, value: ExactScalar) -> list[str]:
     """Short flag words: the out-of-domain reason, then integrality."""
-    tokens = []
-    if not flags.status.in_domain and flags.status.reason:
-        tokens.append(flags.status.reason)
-    if not flags.integral:
+    tokens = [status.reason] if status.reason else []
+    if not is_integral(value):
         tokens.append("non-integral")
     return tokens
 
@@ -80,20 +76,18 @@ def build_records(
     records = []
     for d in range(1, d_max + 1):
         values: dict[InvariantKind, ExactScalar] = {}
-        flags: dict[InvariantKind, CellFlags] = {}
+        flags: dict[InvariantKind, DomainStatus] = {}
         for kind in kinds:
-            value, status = engine.evaluate(kind, d)
-            values[kind] = value
-            flags[kind] = CellFlags(status=status, integral=is_integral(value))
+            values[kind], flags[kind] = engine.evaluate(kind, d)
         records.append(InvariantRecord(d=d, values=values, flags=flags))
     return records
 
 
-def render_csv(
-    records: list[InvariantRecord], kinds: tuple[InvariantKind, ...] = KIND_ORDER
-) -> str:
-    """Comma-separated table: value columns in canonical order, then one
-    flag column per invariant.  UTF-8, LF line endings, header row."""
+def render_csv(records: list[InvariantRecord]) -> str:
+    """Comma-separated table: one value column per invariant of the
+    records, in their order, then one flag column per invariant (no
+    records: the bare ``d`` header).  UTF-8, LF line endings, header row."""
+    kinds = list(records[0].values) if records else []
     header = (
         ["d"]
         + [kind.value for kind in kinds]
@@ -103,48 +97,43 @@ def render_csv(
     for record in records:
         row = [str(record.d)]
         row += [format_exact(record.values[kind]) for kind in kinds]
-        row += [" ".join(flag_tokens(record.flags[kind])) for kind in kinds]
+        row += [
+            " ".join(flag_tokens(record.flags[kind], record.values[kind]))
+            for kind in kinds
+        ]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
-def records_to_json_obj(
-    records: list[InvariantRecord], kinds: tuple[InvariantKind, ...] = KIND_ORDER
-) -> list[dict]:
-    out = []
-    for record in records:
-        out.append(
-            {
-                "d": record.d,
-                "values": {
-                    kind.value: format_exact(record.values[kind]) for kind in kinds
-                },
-                "flags": {
-                    kind.value: {
-                        "in_domain": record.flags[kind].status.in_domain,
-                        "reason": record.flags[kind].status.reason,
-                        "integral": record.flags[kind].integral,
-                    }
-                    for kind in kinds
-                },
-            }
-        )
-    return out
-
-
-def render_json(
-    records: list[InvariantRecord], kinds: tuple[InvariantKind, ...] = KIND_ORDER
-) -> str:
-    return json.dumps(records_to_json_obj(records, kinds), indent=2) + "\n"
+def render_json(records: list[InvariantRecord]) -> str:
+    """JSON array with one object per record: its degree, its values as
+    exact strings, and per invariant the domain status and integrality."""
+    out = [
+        {
+            "d": record.d,
+            "values": {
+                kind.value: format_exact(value)
+                for kind, value in record.values.items()
+            },
+            "flags": {
+                kind.value: {
+                    "in_domain": status.in_domain,
+                    "reason": status.reason,
+                    "integral": is_integral(record.values[kind]),
+                }
+                for kind, status in record.flags.items()
+            },
+        }
+        for record in records
+    ]
+    return json.dumps(out, indent=2) + "\n"
 
 
 __all__ = [
-    "CellFlags",
     "InvariantRecord",
     "build_records",
     "flag_tokens",
     "kind_named",
-    "records_to_json_obj",
     "render_csv",
     "render_json",
     "select_kinds",

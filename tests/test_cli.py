@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from severi import InvariantEngine
+from severi import InvariantEngine, InvariantKind
 from severi import cli
 from severi.exact import format_exact, parse_exact
+from severi.tables import build_records, render_csv, render_json
 
 
 def _one_error_line(err: str) -> bool:
@@ -128,6 +129,19 @@ class TestTable:
         assert code == 0
         assert header == ["d", "N0", "M", "N0_flag", "M_flag"]
 
+    def test_library_renders_a_column_subset_as_the_cli_does(self, run_cli):
+        # The renderers take their columns from the records alone.
+        records = build_records(InvariantEngine(), 3, (InvariantKind.N0,))
+        for fmt, render in (("csv", render_csv), ("json", render_json)):
+            code, out, _ = run_cli(
+                "table", "--d-max", "3", "--invariants", "N0", "--format", fmt
+            )
+            assert code == 0 and render(records) == out
+
+    def test_no_records_render_the_bare_header_and_an_empty_array(self):
+        assert render_csv([]) == "d\n"
+        assert render_json([]) == "[]\n"
+
     def test_unknown_selection_is_a_usage_error(self, run_cli):
         code, _, err = run_cli("table", "--d-max", "2", "--invariants", "N0,BOGUS")
         assert code == 2 and "unknown invariant" in err
@@ -209,6 +223,13 @@ D100_DIGESTS = {
     ("audit", "json"): "777e5d6366bbfd1ea77465c842d759c1a693b545fb2749dc3d8b30541f61ad46",
 }
 
+# The same for the column subset ``--invariants k0,N1,G1`` at d = 12,
+# recorded at commit 931f1b7.
+SUBSET_DIGESTS = {
+    "csv": "27fdbc281c52097b0cfbd8e2bdb66dde22e20aec1db3294964406c341c20d3fb",
+    "json": "3863c7a9ae0749f3ce069608babeeb54b9f27c8a49956581d4ed060ffa7e8349",
+}
+
 
 # stdout sha256 of ``eval N1 200`` and ``eval N0 572``, recorded at
 # commit 2332325.
@@ -233,6 +254,14 @@ class TestDeterminism:
         code, out, _ = run_cli(command, "--d-max", "100", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == D100_DIGESTS[command, fmt]
+
+    @pytest.mark.parametrize("fmt", sorted(SUBSET_DIGESTS))
+    def test_column_subset_output_matches_recorded_digest(self, run_cli, fmt):
+        code, out, _ = run_cli(
+            "table", "--d-max", "12", "--invariants", "k0,N1,G1", "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUBSET_DIGESTS[fmt]
 
     def test_repeated_runs_are_byte_identical_in_process(self, run_cli):
         outputs = set()

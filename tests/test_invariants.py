@@ -282,12 +282,16 @@ class TestDomainStatus:
         for kind in KIND_ORDER:
             for d in range(1, 5):
                 assert engine.evaluate(kind.value, d) == engine.evaluate(kind, d)
+                assert engine.value(kind.value, d) == engine.value(kind, d)
 
     def test_an_unknown_kind_is_a_value_error(self, engine):
         with pytest.raises(ValueError):
             domain_status("BOGUS", 3)
         with pytest.raises(ValueError):
             engine.evaluate("BOGUS", 3)
+        for name in ("BOGUS", "g1"):
+            with pytest.raises(ValueError):
+                engine.value(name, 3)
 
     def test_out_of_domain_queries_still_evaluate(self, engine):
         value, status = engine.evaluate(InvariantKind.G1, 3)

@@ -1,7 +1,7 @@
 """The engine's binomial row window and the audit's independent rows.
 
-The window serves the Pascal rows C(3d-4, .) and C(3d-1, .) for one
-degree at a time; ``exact.pascal_row`` seeds it after a non-sequential
+The window serves the four Pascal rows C(3d-4, .) .. C(3d-1, .) for
+one degree at a time; ``exact.pascal_row`` seeds it after a non-sequential
 query and builds the rows of ``t_op_direct``.  Every row is compared
 with ``math.comb``.
 """
@@ -19,6 +19,7 @@ from severi import InvariantEngine, InvariantKind
 from severi import engine as engine_module
 from severi.audit import run_full_audit
 from severi.exact import pascal_row, pascal_step
+from severi.tables import build_records
 
 
 @lru_cache(maxsize=8)
@@ -29,10 +30,11 @@ def _comb_row(n):
 
 
 def _assert_window_rows(engine, d):
-    low, high = engine._rows(d)
-    assert engine._window[0] == d
-    for row, n in ((low, 3 * d - 4), (high, 3 * d - 1)):
-        assert row == _comb_row(n), n
+    rows = engine._rows(d)
+    assert engine._window == (d, rows)
+    assert len(rows) == 4
+    for k, row in enumerate(rows):
+        assert row == _comb_row(3 * d - 4 + k), 3 * d - 4 + k
 
 
 class TestPascalRows:
@@ -64,9 +66,9 @@ class TestRowWindow:
         engine.n1(200)
         # No other attribute may hold binomial rows.
         assert set(vars(engine)) == {"_n0", "_n1", "_t", "_memo", "_window"}
-        d, low, high = engine._window
+        d, rows = engine._window
         assert d == 200
-        assert len(low) <= 3 * 200 and len(high) <= 3 * 200
+        assert [len(row) for row in rows] == [597, 598, 599, 600]
         assert len(engine._n0) == len(engine._n1) == len(engine._t) == 201
 
     @pytest.mark.slow
@@ -104,14 +106,7 @@ class TestRowBuilds:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
-
-        def counting(*args):
-            count[0] += 1
-            return pascal_row(*args)
-
-        monkeypatch.setattr(engine_module, "pascal_row", counting)
-        return count
+        return _count_calls(monkeypatch, "pascal_row", pascal_row)
 
     def test_full_audit_builds_one_row_per_direct_t_pass(self, calls):
         # 98 direct T passes (d = 3..100) and 3 window seeds (d = 1, 2, 3).
@@ -121,3 +116,21 @@ class TestRowBuilds:
     def test_the_recursions_build_none(self, calls):
         InvariantEngine().n1(200)
         assert calls[0] == 0
+
+    def test_a_table_takes_three_steps_per_degree(self, monkeypatch):
+        # The splitting sums read the window's rows and step none of their own.
+        steps = _count_calls(monkeypatch, "pascal_step", pascal_step)
+        build_records(InvariantEngine(), 100)
+        assert steps[0] == 3 * 100
+
+
+def _count_calls(monkeypatch, name, function):
+    """Patch ``engine.<name>`` to count its calls; returns the counter."""
+    count = [0]
+
+    def counting(*args):
+        count[0] += 1
+        return function(*args)
+
+    monkeypatch.setattr(engine_module, name, counting)
+    return count

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from severi.audit import AuditCheck, CheckKind, CheckStatus
-from severi.engine import IN_DOMAIN, DomainStatus
-from severi.tables import CellFlags, InvariantRecord
+from severi.engine import DomainStatus
+from severi.tables import InvariantRecord
 
 # Each value type with one instance and the defaults its fields declare.
 VALUES = {
     "DomainStatus": (DomainStatus(True), {"reason": None}),
-    "CellFlags": (CellFlags(status=IN_DOMAIN, integral=True), {}),
     "InvariantRecord": (InvariantRecord(d=1, values={}, flags={}), {}),
     "AuditCheck": (
         AuditCheck(id="x", degree=3, kind=CheckKind.ANCHOR, actual=Fraction(1)),

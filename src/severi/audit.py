@@ -212,7 +212,10 @@ def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
     T from a multiplicative ``exact.pascal_row`` built at every degree, so
     both checks also compare the two binomial constructions.  The window
     is seeded by ``pascal_row`` only after a non-sequential query (at
-    d = 1, 2 and 3 in a full audit)."""
+    d = 1, 2 and 3 in a full audit).  ``g0_two_path`` compares ``g0``,
+    whose 2m takes C(3d-4, 3 d1 - 2) from the window, with
+    ``g0_from_splitting_sum``, whose 2m walks that row in strides of
+    three from C(3d-4, 1); both read the same K0."""
     _require_d_max(d_max)
     checks = []
     for d in range(3, d_max + 1):

@@ -15,9 +15,10 @@ The engine computes, for each degree d >= 1:
 All values are exact.  The recursions and every splitting sum run on
 plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
 carried as 36 N1 and reduced by exact division, T is one integer per
-degree, and the splitting statistics are one tuple per degree.
-``Fraction`` appears only in the O(1)-per-degree assembly steps where a
-value can be fractional; public methods return ``Fraction``.
+degree, and the splitting statistics are one tuple of ints per degree.
+The O(1)-per-degree assembly steps work on an ``int`` numerator over
+their formula's own denominator and build one ``Fraction`` per value
+returned; public methods return ``Fraction``.
 Integrality is asserted only at final invariant boundaries and is
 reported, never silently enforced.
 
@@ -27,14 +28,14 @@ one degree d, stepped by additions and seeded by ``exact.pascal_row``
 only after a non-sequential query.  The audit's second paths build their
 binomials apart: ``t_op_direct`` takes a multiplicative
 ``exact.pascal_row`` of its own at every degree, and
-``g0_from_splitting_sum`` per-term ``math.comb``.
+``g0_from_splitting_sum`` walks C(3d-4, .) in strides of three.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import wraps
-from math import comb
+from math import comb, lcm, perm
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple
 
@@ -53,6 +54,14 @@ def _pair_products(n0: list[int], d: int) -> Iterable[int]:
     h = d // 2
     pairs = map(mul, range(1, h + 1), range(d - 1, d - h - 1, -1))
     return map(mul, pairs, map(mul, n0[1:h + 1], n0[d - 1:d - h - 1:-1]))
+
+
+def _assemble(den: int, *terms: tuple[int, ExactScalar | int]) -> ExactScalar:
+    """sum(c x for (c, x) in terms) / den as one ExactScalar: the terms go
+    over the least common denominator of the x, reduced once at the end."""
+    q = lcm(*(x.denominator for _, x in terms))
+    numerator = sum(c * (q // x.denominator) * x.numerator for c, x in terms)
+    return ExactScalar(numerator, den * q)
 
 
 def _paired_sum(row: list[int], d: int, products: Iterable[int]) -> int:
@@ -282,8 +291,8 @@ class InvariantEngine:
     # -- derived invariants ----------------------------------------------
 
     @_memoized
-    def _splitting_values(self, d: int) -> tuple[ExactScalar, ...]:
-        """(M, NODES, RCOUNT, LR, K0_PRINTED) at degree d, memoized per degree.
+    def _splitting_values(self, d: int) -> tuple[int, ...]:
+        """(2m, 2 NODES, RCOUNT, LR, 2 K0_PRINTED) at degree d, memoized.
 
         They are assembled from five splitting sums, each
 
@@ -308,9 +317,7 @@ class InvariantEngine:
         two_m, two_nodes, rcount, s, lr = [
             _paired_sum(row, d, products) for row in rows
         ]
-        k0_printed = 3 * self._n0[d] - (s - ExactScalar(3, 2) * two_m)
-        return (ExactScalar(two_m, 2), ExactScalar(two_nodes, 2),
-                ExactScalar(rcount), ExactScalar(lr), k0_printed)
+        return two_m, two_nodes, rcount, lr, 6 * self._n0[d] - 2 * s + 3 * two_m
 
     def omega(self, d: int) -> ExactScalar:
         """One-twelfth of the irreducible nodal fibre count:
@@ -321,7 +328,7 @@ class InvariantEngine:
         one-parameter elliptic family (equivalently, the Euler number of
         the relatively minimal elliptic surface).
         """
-        return self.n0(d) * ExactScalar((d - 1) * (d - 2), 24)
+        return ExactScalar((d - 1) * (d - 2) * self.n0(d).numerator, 24)
 
     def m_invariant(self, d: int) -> ExactScalar:
         """Negative self-intersection of a marked-point section:
@@ -330,7 +337,7 @@ class InvariantEngine:
 
         Empty sum (hence 0) at d = 1.
         """
-        return self._splitting_values(d)[0]
+        return ExactScalar(self._splitting_values(d)[0], 2)
 
     def reducible_fibre_count(self, d: int) -> ExactScalar:
         """Number of reducible (nodal) fibres of the rational family.
@@ -340,7 +347,7 @@ class InvariantEngine:
         halving converts it to an actual fibre count (the convention is
         pinned by the degree-3 cuspidal anchor).
         """
-        return self._splitting_values(d)[1]
+        return ExactScalar(self._splitting_values(d)[1], 2)
 
     def r_component_count(self, d: int) -> ExactScalar:
         """Reducible fibres counted by the degree d1 of the component
@@ -352,7 +359,7 @@ class InvariantEngine:
         fibre has exactly one component missing the marked point); the
         audit suite re-checks this at every degree.
         """
-        return self._splitting_values(d)[2]
+        return ExactScalar(self._splitting_values(d)[2])
 
     def lr(self, d: int) -> ExactScalar:
         """Total plane degree of the blown-down fibre components:
@@ -362,7 +369,7 @@ class InvariantEngine:
         i.e. the r-component sum weighted by the degree of the blown-down
         (unmarked) component.
         """
-        return self._splitting_values(d)[3]
+        return ExactScalar(self._splitting_values(d)[3])
 
     @_memoized
     def k0(self, d: int) -> ExactScalar:
@@ -376,12 +383,9 @@ class InvariantEngine:
         second Chern class assembly leaves the cusp count.  Anchored by
         the classical K0(3) = 24.
         """
-        return (
-            3 * self.n0(d)
-            - 3 * d * self.m_invariant(d)
-            + 3 * self.lr(d)
-            - self.r_component_count(d)
-            - self.reducible_fibre_count(d)
+        two_m, two_nodes, rcount, lr, _ = self._splitting_values(d)
+        return ExactScalar(
+            6 * self._n0[d] - 3 * d * two_m + 6 * lr - 2 * rcount - two_nodes, 2
         )
 
     def k0_printed(self, d: int) -> ExactScalar:
@@ -393,7 +397,7 @@ class InvariantEngine:
         Audit-only evaluator: it yields -60 at d = 3 against the anchor
         24 and is kept verbatim so the discrepancy stays reproducible.
         """
-        return self._splitting_values(d)[4]
+        return ExactScalar(self._splitting_values(d)[4], 2)
 
     @_memoized
     def k1(self, d: int) -> ExactScalar:
@@ -404,11 +408,8 @@ class InvariantEngine:
         K1(1) = K1(2) = 0 (no elliptic curves of degree < 3); the
         formula itself already evaluates to 0 there.
         """
-        return (
-            3 * self.n1(d)
-            + ExactScalar((d - 1) * (d - 2) * (d - 4), 8) * self.n0(d)
-            + self.t_op(d)
-        )
+        q, t = (d - 1) * (d - 2) * (d - 4), self.t_op(d).numerator
+        return ExactScalar(24 * self._n1[d] + q * self._n0[d] + 8 * t, 8)
 
     def k1_via_c2(self, d: int) -> ExactScalar:
         """Second evaluation path for ``k1``, from the Chern-class identity
@@ -426,11 +427,8 @@ class InvariantEngine:
         adds the omega closed form to what ``t_linearity`` checks, and
         nothing more.  Not memoized.
         """
-        return (
-            3 * self.n1(d)
-            + (3 * d - 12) * self.omega(d)
-            + self.t_op_direct(d)
-        )
+        t = self.t_op_direct(d)
+        return _assemble(1, (3, self.n1(d)), (3 * d - 12, self.omega(d)), (1, t))
 
     @_memoized
     def g0(self, d: int) -> ExactScalar:
@@ -440,23 +438,28 @@ class InvariantEngine:
 
         from the section relation m + 2g - 2 = -m + K0.
         """
-        return (self.k0(d) - 2 * self.m_invariant(d) + 2) / 2
+        return _assemble(2, (1, self.k0(d)), (-1, self._splitting_values(d)[0]), (2, 1))
 
     def g0_from_splitting_sum(self, d: int) -> ExactScalar:
         """Second path for ``g0``: 2g - 2 = K0 - sum N0 N0 d1 d2 C(3d-4, 3d1-2).
 
-        The sum is 2m retyped term by term with ``math.comb``, against the
-        fused pass's 2m built from the row window, so the two-path check
-        guards that pass and the m assembly against drift; both sides read
-        the same K0, so it is not an independent derivation of the genus.
+        The sum is 2m retyped term by term, its binomials walked along the
+        row from C(3d-4, 1) = 3d-4 in strides of three,
+
+            C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) / ((k+1)(k+2)(k+3)),
+
+        against the fused pass's 2m built from the row window, so the
+        two-path check guards that pass, the window and the m assembly
+        against drift; both sides read the same K0, so it is not an
+        independent derivation of the genus.
         """
         self.n0(d)
-        n0 = self._n0
-        two_m = 0
-        for d1 in range(1, d):
-            d2 = d - d1
-            two_m += n0[d1] * n0[d2] * d1 * d2 * comb(3 * d - 4, 3 * d1 - 2)
-        return (self.k0(d) - two_m + 2) / 2
+        n0, n = self._n0, 3 * d - 4
+        two_m, c = 0, n
+        for d1, k in zip(range(1, d), range(1, n, 3)):
+            two_m += n0[d1] * n0[d - d1] * d1 * (d - d1) * c
+            c = c * perm(n - k, 3) // perm(k + 3, 3)
+        return _assemble(2, (1, self.k0(d)), (-1, two_m), (2, 1))
 
     @_memoized
     def g1(self, d: int) -> ExactScalar:
@@ -470,13 +473,10 @@ class InvariantEngine:
         analysis degenerates); the value is computed and flagged, never
         silently corrected.
         """
-        rhs = (
-            self.k1(d)
-            - ExactScalar(9, 2) * self.n1(d)
-            + ExactScalar((d - 1) * (d - 2) * (3 * d - 4), 24) * self.n0(d)
-            + self.t_op(d) / 2
+        k1, t, p = self.k1(d), self.t_op(d), (d - 1) * (d - 2) * (3 * d - 4)
+        return _assemble(
+            48, (24, k1), (-108, self._n1[d]), (p, self._n0[d]), (12, t), (48, 1)
         )
-        return (rhs + 2) / 2
 
     def ramification_residual(self, d: int) -> ExactScalar:
         """Residual of the candidate ramification identity
@@ -487,13 +487,10 @@ class InvariantEngine:
         residual does not vanish (2015/2 at d = 4); the discrepancy
         probe records it as a regression artifact.
         """
-        lhs = 2 * self.g1(d) - 2 - self.k1(d)
-        rhs = ExactScalar(1, 2) * (
-            (3 * d - 9) * self.omega(d)
-            - 9 * self.n1(d)
-            + self.t_op(d)
+        return _assemble(
+            2, (4, self.g1(d)), (-4, 1), (-2, self.k1(d)),
+            (9 - 3 * d, self.omega(d)), (9, self.n1(d)), (-1, self.t_op(d)),
         )
-        return lhs - rhs
 
     # -- kind-indexed access ---------------------------------------------
 

@@ -144,6 +144,19 @@ class TestCorruptedEngine:
         assert report.has_blocking_failure
         assert "[FAIL] IDENTITY" in report.to_text()
 
+    def test_a_wrong_omega_fails_k1_two_path_and_the_residual_probe(self):
+        # k1_via_c2 and the residual read omega through engine.omega; k1
+        # has its N0 term inline.  Of the exit-1 checks only k1_two_path
+        # sees the change, and not at d = 4, where 3d - 12 = 0.
+        engine = InvariantEngine()
+        omega = engine.omega
+        engine.omega = lambda d: omega(d) + 1
+        report = run_full_audit(engine, 8)
+        failed = {(c.id, c.degree) for c in report.checks if c.status is CheckStatus.FAIL}
+        assert failed == {("k1_two_path", d) for d in (3, 5, 6, 7, 8)} | {
+            ("ramification_residual", d) for d in range(4, 9)
+        }
+
 
 class TestDiscrepancyProbes:
     def test_printed_form_probe_reproduces_minus_sixty(self, engine):

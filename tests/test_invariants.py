@@ -123,7 +123,8 @@ class TestDerivedInvariants:
         assert engine.g0(3) == Fraction(24 - 20 + 2, 2) == 3
 
     def test_g0_two_paths_agree(self, engine):
-        for d in range(3, 13):
+        # From d = 1: the stride-3 walk then starts on the rows n = -1, 2.
+        for d in range(1, 13):
             assert engine.g0(d) == engine.g0_from_splitting_sum(d)
 
     def test_g1_degree_four(self, engine):
@@ -167,9 +168,10 @@ class TestGoldenAgreement:
         assert engine.g1(13) == oracle.g1(13)
         assert engine.ramification_residual(13) == oracle.ramification_residual(13)
 
-    @pytest.mark.parametrize(
-        "name", ["n0", "n1", "m", "nodes", "rcount", "lr", "k0", "k0_printed", "k1"]
-    )
+    @pytest.mark.parametrize("name", [
+        "n0", "n1", "omega", "m", "nodes", "rcount", "lr", "k0", "k0_printed", "k1",
+        "k1_via_c2", "g0", "g1", "ramification_residual",
+    ])
     def test_live_oracle_agrees_from_degree_13_to_40(self, engine, name):
         # Both parities of d, so the paired sums' middle term d1 = d2 is hit.
         method = getattr(engine, self.NAME_TO_METHOD[name])

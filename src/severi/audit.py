@@ -9,7 +9,9 @@ those forms say and keep the disagreement reproducible -- a probe FAILs
 only if the recorded discrepancy drifts or silently vanishes, which
 would mean the evaluator no longer matches the form it is supposed to
 evaluate.  Reports are deterministic: same engine version and degree
-range, byte-identical body.
+range, byte-identical body.  ``AuditReport.to_json`` writes the JSON
+document directly from a template of its fixed schema, byte-identical to
+``json.dumps(..., indent=2)`` of the same report as nested dicts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from enum import Enum
 from typing import NamedTuple
 
 from ._version import __version__
-from .exact import ExactScalar, InexactDivision, format_exact, is_integral, parse_exact
+from .exact import (
+    ExactScalar, InexactDivision, format_exact, is_integral, json_string, parse_exact,
+)
 from .engine import KIND_SPEC, REQUIRED, InvariantEngine, InvariantKind, _check_degree
 
 
@@ -73,26 +77,26 @@ class AuditReport:
             for check in self.checks
         )
 
-    def to_json_obj(self) -> dict:
-        return {
-            "engine_version": self.engine_version,
-            "d_max": self.d_max,
-            "checks": [
-                {
-                    "id": check.id,
-                    "degree": check.degree,
-                    "kind": check.kind.value,
-                    "expected": None
-                    if check.expected is None
-                    else format_exact(check.expected),
-                    "actual": format_exact(check.actual),
-                    "status": check.status.value,
-                    "detail": check.detail,
-                }
-                for check in self.checks
-            ],
-            "summary": self.summary,
-        }
+    def to_json(self) -> str:
+        """The report as a JSON document, newline included: the bytes that
+        ``json.dumps(..., indent=2)`` writes for it as nested dicts."""
+        checks = ",\n".join(
+            f'    {{\n      "id": {json_string(check.id)},\n'
+            f'      "degree": {check.degree},\n'
+            f'      "kind": "{check.kind.value}",\n'
+            f'      "expected": {_json_exact(check.expected)},\n'
+            f'      "actual": {_json_exact(check.actual)},\n'
+            f'      "status": "{check.status.value}",\n'
+            f'      "detail": {json_string(check.detail)}\n'
+            "    }"
+            for check in self.checks
+        )
+        summary = ",\n".join(f'    "{key}": {n}' for key, n in self.summary.items())
+        return (
+            f'{{\n  "engine_version": {json_string(self.engine_version)},\n'
+            f'  "d_max": {self.d_max},\n  "checks": [\n{checks}\n  ],\n'
+            f'  "summary": {{\n{summary}\n  }}\n}}\n'
+        )
 
     def to_text(self) -> str:
         lines = [
@@ -119,6 +123,10 @@ class AuditReport:
             f"{counts['INFO']} INFO"
         )
         return "\n".join(lines) + "\n"
+
+
+def _json_exact(x: ExactScalar | None) -> str:
+    return json_string(None if x is None else format_exact(x))
 
 
 def _require_d_max(d_max: int) -> None:

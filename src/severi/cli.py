@@ -16,7 +16,6 @@ from __future__ import annotations
 
 # Module-level imports on purpose: bench/tracer.py wraps several of these names.
 import argparse
-import json
 import sys
 
 from ._version import __version__
@@ -105,7 +104,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.format == "text":
         text = report.to_text()
     else:
-        text = json.dumps(report.to_json_obj(), indent=2) + "\n"
+        text = report.to_json()
     _write_output(text, args.output)
     return EXIT_AUDIT_FAIL if report.has_blocking_failure else EXIT_OK
 

@@ -448,16 +448,19 @@ class InvariantEngine:
 
             C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) / ((k+1)(k+2)(k+3)),
 
-        against the fused pass's 2m built from the row window, so the
-        two-path check guards that pass, the window and the m assembly
-        against drift; both sides read the same K0, so it is not an
-        independent derivation of the genus.
+        up to d1 = d // 2 only: C(3d-4, 3d1-2) = C(3d-4, 3d2-2), so a pair
+        d1 < d2 counts twice.  None comes from ``exact.py`` or the window.
+        The fused pass builds its 2m from the window, so the two-path check
+        guards that pass, the window and the m assembly against drift; both
+        sides read the same K0, so it is not an independent derivation of
+        the genus.
         """
         self.n0(d)
         n0, n = self._n0, 3 * d - 4
         two_m, c = 0, n
-        for d1, k in zip(range(1, d), range(1, n, 3)):
-            two_m += n0[d1] * n0[d - d1] * d1 * (d - d1) * c
+        for d1, k in zip(range(1, d // 2 + 1), range(1, n, 3)):
+            pair = 1 if 2 * d1 == d else 2
+            two_m += pair * d1 * (d - d1) * c * n0[d1] * n0[d - d1]
             c = c * perm(n - k, 3) // perm(k + 3, 3)
         return _assemble(2, (1, self.k0(d)), (-1, two_m), (2, 1))
 

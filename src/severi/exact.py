@@ -86,6 +86,17 @@ def format_exact(x: ExactScalar) -> str:
     return _lift_digit_limit(str, x)
 
 
+def json_string(s: str | None) -> str:
+    """``json.dumps(s)``: ``null`` for None, printable ASCII without ``"`` or
+    ``\\`` quoted as it stands, anything else through a lazy ``json``."""
+    if s is None:
+        return "null"
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    import json
+    return json.dumps(s)
+
+
 def parse_exact(text: str) -> ExactScalar:
     """Parse the output of :func:`format_exact` (also accepts ``p/q``)."""
     return _lift_digit_limit(ExactScalar, text)

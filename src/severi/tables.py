@@ -7,15 +7,16 @@ every selected invariant, in column order, with its value and domain
 status; the renderers take their columns from the records themselves,
 and every cell's flag carries its domain status and integrality, so the
 schema is stable for downstream parsing.  Rendering is
-byte-deterministic.
+byte-deterministic.  The JSON is written directly from a template of
+the fixed schema, without the ``json`` module, and is byte-identical to
+``json.dumps(..., indent=2)`` of the same records as nested dicts.
 """
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
-from .exact import ExactScalar, format_exact, is_integral
+from .exact import ExactScalar, format_exact, is_integral, json_string
 from .engine import (
     DomainStatus,
     InvariantEngine,
@@ -107,26 +108,38 @@ def render_csv(records: list[InvariantRecord]) -> str:
 
 def render_json(records: list[InvariantRecord]) -> str:
     """JSON array with one object per record: its degree, its values as
-    exact strings, and per invariant the domain status and integrality."""
-    out = [
-        {
-            "d": record.d,
-            "values": {
-                kind.value: format_exact(value)
-                for kind, value in record.values.items()
-            },
-            "flags": {
-                kind.value: {
-                    "in_domain": status.in_domain,
-                    "reason": status.reason,
-                    "integral": is_integral(record.values[kind]),
-                }
-                for kind, status in record.flags.items()
-            },
-        }
-        for record in records
+    exact strings, and per invariant the domain status and integrality.
+    The bytes are those of ``json.dumps`` with ``indent=2``."""
+    if not records:
+        return "[]\n"
+    return "[\n" + ",\n".join(map(_record_json, records)) + "\n]\n"
+
+
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _json_members(lines: list[str]) -> str:
+    """A record's nested object from its member lines."""
+    return "{\n" + ",\n".join(lines) + "\n    }" if lines else "{}"
+
+
+def _record_json(record: InvariantRecord) -> str:
+    values = [
+        f'      "{kind.value}": {json_string(format_exact(value))}'
+        for kind, value in record.values.items()
     ]
-    return json.dumps(out, indent=2) + "\n"
+    flags = [
+        f'      "{kind.value}": {{\n'
+        f'        "in_domain": {_JSON_BOOL[status.in_domain]},\n'
+        f'        "reason": {json_string(status.reason)},\n'
+        f'        "integral": {_JSON_BOOL[is_integral(record.values[kind])]}\n'
+        "      }"
+        for kind, status in record.flags.items()
+    ]
+    return (
+        f'  {{\n    "d": {record.d},\n    "values": {_json_members(values)},\n'
+        f'    "flags": {_json_members(flags)}\n  }}'
+    )
 
 
 __all__ = [

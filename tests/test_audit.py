@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from severi import InvariantEngine, __version__
+from severi.exact import format_exact
 from severi.audit import (
     AuditCheck,
     AuditReport,
@@ -223,10 +224,9 @@ class TestReport:
         assert first.endswith("\n")
 
     def test_json_shape_and_exact_strings(self, engine):
-        obj = run_full_audit(engine, 4).to_json_obj()
+        obj = json.loads(run_full_audit(engine, 4).to_json())
         assert set(obj) == {"engine_version", "d_max", "checks", "summary"}
-        payload = json.dumps(obj)  # must be JSON-serializable as-is
-        assert json.loads(payload)["summary"]["FAIL"] == 0
+        assert obj["summary"]["FAIL"] == 0
         g1_rows = [
             c
             for c in obj["checks"]
@@ -237,6 +237,45 @@ class TestReport:
             c for c in obj["checks"] if c["id"] == "k0_printed_vs_anchor"
         )
         assert probe["actual"] == "-60" and probe["status"] == "INFO"
+
+    @pytest.mark.parametrize(
+        "make_report",
+        [
+            lambda: AuditReport(d_max=3, checks=[
+                AuditCheck("no_expected", 3, CheckKind.ANCHOR, Fraction(24)),
+                AuditCheck(
+                    "escaped_detail", 4, CheckKind.DISCREPANCY_PROBE,
+                    Fraction(-7, 2), Fraction(2015, 2), CheckStatus.FAIL,
+                    'quote " backslash \\ newline \n \u00e9 \u2028',
+                ),
+            ]),
+            lambda: run_full_audit(_engine_with_corrupted_n0(), 12),
+            lambda: run_full_audit(InvariantEngine(), 6),
+        ],
+        ids=["hand-built", "exact-division-fail", "full-audit"],
+    )
+    def test_json_is_what_json_dumps_writes(self, make_report):
+        report = make_report()
+        tree = {
+            "engine_version": report.engine_version,
+            "d_max": report.d_max,
+            "checks": [
+                {
+                    "id": check.id,
+                    "degree": check.degree,
+                    "kind": check.kind.value,
+                    "expected": None
+                    if check.expected is None
+                    else format_exact(check.expected),
+                    "actual": format_exact(check.actual),
+                    "status": check.status.value,
+                    "detail": check.detail,
+                }
+                for check in report.checks
+            ],
+            "summary": report.summary,
+        }
+        assert report.to_json() == json.dumps(tree, indent=2) + "\n"
 
     def test_full_audit_is_clean_and_non_blocking(self, engine):
         report = run_full_audit(engine, 12)

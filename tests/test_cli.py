@@ -16,6 +16,30 @@ from severi.exact import format_exact, parse_exact
 from severi.tables import build_records, render_csv, render_json
 
 
+def _json_dumps_of_records(records) -> str:
+    """The reference for ``render_json``: the table as nested dicts, dumped
+    by the ``json`` module."""
+    tree = [
+        {
+            "d": record.d,
+            "values": {
+                kind.value: format_exact(value)
+                for kind, value in record.values.items()
+            },
+            "flags": {
+                kind.value: {
+                    "in_domain": status.in_domain,
+                    "reason": status.reason,
+                    "integral": record.values[kind].denominator == 1,
+                }
+                for kind, status in record.flags.items()
+            },
+        }
+        for record in records
+    ]
+    return json.dumps(tree, indent=2) + "\n"
+
+
 def _one_error_line(err: str) -> bool:
     """True if stderr is exactly one ``severi: error:`` line."""
     return err.startswith("severi: error: ") and err.count("\n") == 1
@@ -141,6 +165,32 @@ class TestTable:
     def test_no_records_render_the_bare_header_and_an_empty_array(self):
         assert render_csv([]) == "d\n"
         assert render_json([]) == "[]\n"
+
+    def test_json_carries_every_flag_variant_as_json_dumps_writes_it(self):
+        records = build_records(InvariantEngine(), 4)
+        variants = {
+            (status.in_domain, status.reason, record.values[kind].denominator == 1)
+            for record in records
+            for kind, status in record.flags.items()
+        }
+        assert {
+            (True, None, True),
+            (False, "BELOW_MIN_DEGREE", True),
+            (False, "DEGENERATE_GEOMETRY", True),
+            (False, "DEGENERATE_GEOMETRY", False),
+        } <= variants
+        assert render_json(records) == _json_dumps_of_records(records)
+
+    @pytest.mark.parametrize(
+        "make_records",
+        [lambda: [], lambda: build_records(InvariantEngine(), 3, ())],
+        ids=["no-records", "no-columns"],
+    )
+    def test_json_without_records_or_columns_is_what_json_dumps_writes(
+        self, make_records
+    ):
+        records = make_records()
+        assert render_json(records) == _json_dumps_of_records(records)
 
     def test_unknown_selection_is_a_usage_error(self, run_cli):
         code, _, err = run_cli("table", "--d-max", "2", "--invariants", "N0,BOGUS")
@@ -325,14 +375,15 @@ class TestUsage:
 
 
 class TestStartup:
-    def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(self):
-        # dataclasses imports inspect, ast, dis and tokenize, and pathlib
-        # imports fnmatch, ntpath and urllib.parse, a cost every command
-        # pays at start-up.  -S keeps site hooks out of the child.
+    def test_importing_the_cli_loads_no_json_dataclasses_inspect_or_pathlib(self):
+        # dataclasses imports inspect, ast, dis and tokenize, pathlib
+        # imports fnmatch, ntpath and urllib.parse, and json imports its
+        # decoder, encoder and scanner, a cost every command pays at
+        # start-up.  -S keeps site hooks out of the child.
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
-            "import sys, severi.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
+            "import sys, severi.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'json', 'pathlib'} & set(sys.modules)))"
         )
         result = subprocess.run(
             [sys.executable, "-S", "-c", code],

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from severi.exact import (
@@ -13,6 +14,7 @@ from severi.exact import (
     InexactDivision,
     exact_div,
     format_exact,
+    json_string,
     parse_exact,
 )
 
@@ -94,3 +96,14 @@ def test_round_trip_beyond_the_int_str_digit_limit():
         assert len(text.split("/")[0].lstrip("-")) == 5001
         assert parse_exact(text) == value
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@given(st.none() | st.text())
+@example("")
+@example("plain 1/2")
+@example('a "quote"')
+@example("back\\slash")
+@example("del \x7f")
+@example("newline \n \u00e9 \u2028")
+def test_json_string_writes_what_json_dumps_writes(s):
+    assert json_string(s) == json.dumps(s)

@@ -136,6 +136,14 @@ def _require_d_max(d_max: int) -> None:
         raise ValueError(f"audit requires d_max >= 3, got {d_max!r}")
 
 
+def _shared(d_max: int, checks: list[AuditCheck] | None) -> list[AuditCheck]:
+    """Reject d_max before any work, then return the list a suite appends
+    each check to as soon as it is made: ``checks``, or a new list if None.
+    A suite that raises thus leaves the checks it made in a shared list."""
+    _require_d_max(d_max)
+    return [] if checks is None else checks
+
+
 def _compared(
     check_id: str, d: int, kind: CheckKind, expected: ExactScalar, actual: ExactScalar
 ) -> AuditCheck:
@@ -183,11 +191,13 @@ RECORDED_RAMIFICATION_RESIDUALS: dict[int, ExactScalar] = {
 }
 
 
-def run_anchor_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
+def run_anchor_suite(
+    engine: InvariantEngine, d_max: int, checks: list[AuditCheck] | None = None
+) -> AuditReport:
     """Compare engine outputs against the anchor table, filtered to
-    anchors of degree <= d_max.  Any mismatch is a FAIL."""
-    _require_d_max(d_max)
-    checks = []
+    anchors of degree <= d_max.  Any mismatch is a FAIL.  Like every
+    suite, it appends to ``checks`` if given, and reports that list."""
+    checks = _shared(d_max, checks)
     for kind, d, expected in _ANCHORS:
         if d <= d_max:
             checks.append(_compared(
@@ -205,7 +215,9 @@ _INTEGRALITY_SCAN = tuple(
 )
 
 
-def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
+def run_identity_suite(
+    engine: InvariantEngine, d_max: int, checks: list[AuditCheck] | None = None
+) -> AuditReport:
     """Two-path equalities, the component-count identity, the stored T
     against a direct sum, and integrality scans, for 3 <= d <= d_max.
 
@@ -224,21 +236,16 @@ def run_identity_suite(engine: InvariantEngine, d_max: int) -> AuditReport:
     whose 2m takes C(3d-4, 3 d1 - 2) from the window, with
     ``g0_from_splitting_sum``, whose 2m walks that row in strides of
     three from C(3d-4, 1); both read the same K0."""
-    _require_d_max(d_max)
-    checks = []
+    checks = _shared(d_max, checks)
+    pairs = (
+        ("k1_two_path", engine.k1, engine.k1_via_c2),
+        ("rcount_equals_nodes", engine.r_component_count, engine.reducible_fibre_count),
+        ("g0_two_path", engine.g0, engine.g0_from_splitting_sum),
+        ("t_linearity", engine.t_op, engine.t_op_direct),
+    )
     for d in range(3, d_max + 1):
-        pairs = (
-            ("k1_two_path", engine.k1(d), engine.k1_via_c2(d)),
-            (
-                "rcount_equals_nodes",
-                engine.r_component_count(d),
-                engine.reducible_fibre_count(d),
-            ),
-            ("g0_two_path", engine.g0(d), engine.g0_from_splitting_sum(d)),
-            ("t_linearity", engine.t_op(d), engine.t_op_direct(d)),
-        )
-        for check_id, first, second in pairs:
-            checks.append(_compared(check_id, d, CheckKind.IDENTITY, first, second))
+        for check_id, one, other in pairs:
+            checks.append(_compared(check_id, d, CheckKind.IDENTITY, one(d), other(d)))
         for kind in _INTEGRALITY_SCAN:
             value = engine.value(kind, d)
             integral = is_integral(value)
@@ -271,18 +278,20 @@ def _probe(
     )
 
 
-def run_discrepancy_probes(engine: InvariantEngine, d_max: int) -> AuditReport:
+def run_discrepancy_probes(
+    engine: InvariantEngine, d_max: int, checks: list[AuditCheck] | None = None
+) -> AuditReport:
     """Reproduce the two documented inconsistencies.
 
     Probes report INFO while the discrepancy reproduces exactly; they
     FAIL only on evaluator drift (a changed or vanished value), never
     because the inconsistency itself is present.
     """
-    _require_d_max(d_max)
-    checks = [_probe(
+    checks = _shared(d_max, checks)
+    checks.append(_probe(
         "k0_printed_vs_anchor", 3, engine.k0_printed(3), RECORDED_K0_PRINTED_D3,
         "closed form disagrees with assembly anchor 24",
-    )]
+    ))
     for d in range(4, d_max + 1):
         recorded = RECORDED_RAMIFICATION_RESIDUALS.get(d)
         if recorded is not None:
@@ -299,12 +308,13 @@ def run_discrepancy_probes(engine: InvariantEngine, d_max: int) -> AuditReport:
 def run_full_audit(engine: InvariantEngine, d_max: int) -> AuditReport:
     """All three suites in canonical order as a single report.  An exact
     division with a remainder (a corrupted engine) ends it: the suites
-    completed so far are kept, then one IDENTITY FAIL at that degree."""
+    share one check list, so every check made before the raise is kept,
+    then one IDENTITY FAIL at that degree."""
     _require_d_max(d_max)
     checks: list[AuditCheck] = []
     try:
         for suite in (run_anchor_suite, run_identity_suite, run_discrepancy_probes):
-            checks += suite(engine, d_max).checks
+            suite(engine, d_max, checks)
     except InexactDivision as exc:
         checks.append(AuditCheck(
             id="exact_division", degree=exc.degree, kind=CheckKind.IDENTITY,

@@ -16,6 +16,13 @@ All values are exact.  The recursions and every splitting sum run on
 plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
 carried as 36 N1 and reduced by exact division, T is one integer per
 degree, and the splitting statistics are one tuple of ints per degree.
+The loops also keep the scaled counts a = d N0, u = (3d-2) d N0 and
+v = d N1, so a degree costs only big products: T is a bare binomial row
+dotted with u v, and N0 is (3d-3)^-1 times one weight per unordered pair
+dotted with a a, the two binomials of Kontsevich's bracket folded into
+one row (see ``n0``).  The splitting sums read ``a`` too; the audit's
+second paths ``t_op_direct`` and ``g0_from_splitting_sum`` read only the
+unscaled N0 and N1.
 The O(1)-per-degree assembly steps work on an ``int`` numerator over
 their formula's own denominator and build one ``Fraction`` per value
 returned; public methods return ``Fraction``.
@@ -49,11 +56,11 @@ from .exact import ExactScalar, exact_div, is_integral, pascal_row, pascal_step
 MAX_DEGREE = 600
 
 
-def _pair_products(n0: list[int], d: int) -> Iterable[int]:
-    """d1 d2 N0(d1) N0(d2) for the pairs d1 + d2 = d, d1 <= d2, lazily."""
+def _pair_products(a: list[int], d: int) -> Iterable[int]:
+    """a(d1) a(d2) = d1 d2 N0(d1) N0(d2) for the pairs d1 + d2 = d,
+    d1 <= d2, lazily."""
     h = d // 2
-    pairs = map(mul, range(1, h + 1), range(d - 1, d - h - 1, -1))
-    return map(mul, pairs, map(mul, n0[1:h + 1], n0[d - 1:d - h - 1:-1]))
+    return map(mul, a[1:h + 1], a[d - 1:d - h - 1:-1])
 
 
 def _assemble(den: int, *terms: tuple[int, ExactScalar | int]) -> ExactScalar:
@@ -184,7 +191,8 @@ class InvariantEngine:
     ``n0``/``n1`` at degree d use only degrees below d, and every
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so memo correctness is by construction.
-    N0, N1 and T are integer lists indexed by degree (entry 0 unused);
+    N0, N1, T and the scaled counts a, u, v are integer lists indexed
+    by degree (entry 0 unused);
     the splitting statistics and K0, K1, G0, G1 are stored per degree.
     The binomial row window holds the rows of one degree only (at
     degree 0, C(-4, .) .. C(-1, .), all empty).
@@ -194,6 +202,10 @@ class InvariantEngine:
         self._n0: list[int] = [0, 1]
         self._n1: list[int] = [0]
         self._t: list[int] = [0]
+        # Scaled counts: a = d N0, u = (3d-2) d N0, v = d N1.
+        self._a: list[int] = [0, 1]
+        self._u: list[int] = [0, 1]
+        self._v: list[int] = [0]
         self._memo: dict[str, dict[int, ExactScalar]] = {}
         self._window: tuple[int, list[list[int]]] = (0, [[]] * 4)
 
@@ -218,16 +230,30 @@ class InvariantEngine:
 
             N(d) = sum N(d1) N(d2) [d1^2 d2^2 C(3d-4, 3d1-2)
                                     - d1^3 d2 C(3d-4, 3d1-1)].
+
+        With a(k) = k N(k), a term is d1 a(d1) a(d2) times
+        d2 C(n, 3d1-2) - d1 C(n, 3d1-1) = (2d1-d2) C(n+1, 3d1-1) / (n+1),
+        n = 3d-4; folding d1 <-> d2 by C(3d-3, 3d2-1) = C(3d-3, 3d1-2),
+
+            (3d-3) N(d) = sum over d1 < d2 of a(d1) a(d2)
+                [d1 (3d1-d) C(3d-3, 3d1-1) + d2 (2d-3d1) C(3d-3, 3d1-2)],
+
+        plus (d/2)^2 C(3d-3, 3d/2-1) a(d/2)^2 for even d.
         """
         _check_degree(d)
-        n0 = self._n0
+        n0, a, u = self._n0, self._a, self._u
         for dd in range(len(n0), d + 1):
-            low = self._rows(dd)[0]
-            row = [
-                d1 * ((dd - d1) * c2 - d1 * c1)
-                for d1, c2, c1 in zip(range(1, dd), low[1::3], low[2::3])
+            row = self._rows(dd)[1]
+            weights = [
+                d1 * (3 * d1 - dd) * c1 + (dd - d1) * (2 * dd - 3 * d1) * c2
+                for d1, c1, c2 in zip(range(1, (dd + 1) // 2), row[2::3], row[1::3])
             ]
-            n0.append(_paired_sum(row, dd, _pair_products(n0, dd)))
+            if dd % 2 == 0:
+                weights.append(dd * dd // 4 * row[3 * dd // 2 - 1])
+            s = sum(map(mul, weights, _pair_products(a, dd)))
+            n0.append(exact_div(s, 3 * dd - 3, dd))
+            a.append(dd * n0[dd])
+            u.append((3 * dd - 2) * a[dd])
         return ExactScalar(n0[d])
 
     def n1(self, d: int) -> ExactScalar:
@@ -239,21 +265,23 @@ class InvariantEngine:
         The sum is T(d) / 9, so one loop per degree fills both N1 and T,
         and 36 N1 = 3 C(d,3) N0 + 4 T(d) is reduced by exact division
         (an ``ArithmeticError`` naming the degree if N1 is not integral).
-        N0 advances with it, so both read the same row window.
-        The sum needs N1 only below d, so no base value is required; it
-        evaluates to 0 for d = 1, 2 (no elliptic curves of degree < 3).
+        With u(k) = (3k-2) k N0(k) and v(k) = k N1(k),
+
+            T(d) = sum_{d1 = 1}^{d-3} C(3d-1, 3 d1 - 1) u(d1) v(d - d1),
+
+        since N1(1) = N1(2) = 0: the sum needs N1 only below d, so no base
+        value is required, and it is empty for d <= 3.  N0 advances with
+        it, so both read the same row window.
         """
         _check_degree(d)
-        n0, n1, t = self._n0, self._n1, self._t
+        n0, n1, t, u, v = self._n0, self._n1, self._t, self._u, self._v
         for dd in range(len(n1), d + 1):
             self.n0(dd)
-            high = self._rows(dd)[3]
-            weights = [
-                (3 * d1 - 2) * d1 * (dd - d1) * c
-                for d1, c in zip(range(1, dd), high[2::3])
-            ]
-            s = sum(map(mul, weights, map(mul, n0[1:dd], n1[dd - 1:0:-1])))
+            m = max(dd - 3, 0)  # d1 = 1 .. m, d2 = d - 1 .. 3
+            high = self._rows(dd)[3][2:3 * m:3]
+            s = sum(map(mul, high, map(mul, u[1:m + 1], v[dd - 1:2:-1])))
             n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * s, 36, dd))
+            v.append(dd * n1[dd])
             t.append(s)
         return ExactScalar(n1[d])
 
@@ -313,7 +341,7 @@ class InvariantEngine:
             # LR: (3d-3, 2, d2)
             [(d - d1) * c for d1, c in zip(range(1, d), c3[1::3])],
         ]
-        products = list(_pair_products(self._n0, d))
+        products = list(_pair_products(self._a, d))
         two_m, two_nodes, rcount, s, lr = [
             _paired_sum(row, d, products) for row in rows
         ]

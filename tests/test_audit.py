@@ -134,10 +134,18 @@ def _engine_with_corrupted_n0():
 
 class TestCorruptedEngine:
     def test_full_audit_reports_the_failed_exact_division(self):
+        # The checks made before the raise stay in the report: the N0
+        # anchors name the culprit, and anchor_n1_d3 passes.
         report = run_full_audit(_engine_with_corrupted_n0(), 12)
+        assert [c.id for c in report.checks] == [
+            *(f"anchor_n0_d{d}" for d in range(1, 6)), "anchor_n1_d3", "exact_division",
+        ]
         failed = [c for c in report.checks if c.status is CheckStatus.FAIL]
-        assert len(failed) == 1
-        check = failed[0]
+        assert len(failed) == 2
+        anchor, check = failed
+        assert (anchor.id, anchor.degree) == ("anchor_n0_d4", 4)
+        assert anchor.kind is CheckKind.ANCHOR
+        assert (anchor.actual, anchor.expected) == (621, 620)
         assert (check.id, check.degree) == ("exact_division", 4)
         assert check.kind is CheckKind.IDENTITY
         assert check.actual.denominator != 1
@@ -276,6 +284,15 @@ class TestReport:
             "summary": report.summary,
         }
         assert report.to_json() == json.dumps(tree, indent=2) + "\n"
+
+    def test_the_suites_append_to_a_shared_list(self, engine):
+        checks = []
+        report = run_anchor_suite(engine, 3, checks)
+        run_discrepancy_probes(engine, 4, checks)
+        assert report.checks is checks
+        assert [c.id for c in checks][-3:] == [
+            "anchor_g0_d3", "k0_printed_vs_anchor", "ramification_residual",
+        ]
 
     def test_full_audit_is_clean_and_non_blocking(self, engine):
         report = run_full_audit(engine, 12)

@@ -362,6 +362,10 @@ class TestCorruptedEngine:
         code, out, _ = run_cli("audit", "--d-max", "12")
         assert code == 1
         assert "[FAIL] IDENTITY          d=4   exact_division" in out
+        assert (
+            "[FAIL] ANCHOR            d=4   anchor_n0_d4                 "
+            "actual=621 expected=620\n"
+        ) in out
 
 
 class TestUsage:

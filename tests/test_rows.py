@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from severi import InvariantEngine, InvariantKind
@@ -65,11 +65,12 @@ class TestRowWindow:
         engine = InvariantEngine()
         engine.n1(200)
         # No other attribute may hold binomial rows.
-        assert set(vars(engine)) == {"_n0", "_n1", "_t", "_memo", "_window"}
+        lists = {"_n0", "_n1", "_t", "_a", "_u", "_v"}
+        assert set(vars(engine)) == lists | {"_memo", "_window"}
         d, rows = engine._window
         assert d == 200
         assert [len(row) for row in rows] == [597, 598, 599, 600]
-        assert len(engine._n0) == len(engine._n1) == len(engine._t) == 201
+        assert {len(getattr(engine, name)) for name in lists} == {201}
 
     @pytest.mark.slow
     def test_every_row_up_to_the_ceiling(self):
@@ -98,6 +99,27 @@ def test_any_query_order_gives_the_values_of_fresh_engines(queries):
     engine = InvariantEngine()
     for kind, d in queries:
         assert engine.value(kind, d) == _fresh_value(kind, d), (kind, d)
+
+
+_COUNT_QUERY = st.tuples(
+    st.sampled_from(["n0", "n1", "N0", "N1", "K1", "G0"]), st.integers(1, 40)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_COUNT_QUERY, min_size=1, max_size=8))
+@example([("n0", 30), ("n1", 5), ("N1", 40), ("n0", 12), ("G0", 33)])
+def test_scaled_lists_follow_the_counts_in_any_query_order(queries):
+    # n0 ahead of n1 and a jump back both reseed the window; the scaled
+    # lists must still be the counts times their factors.
+    engine = InvariantEngine()
+    for name, d in queries:
+        value = getattr(engine, name)(d) if name.islower() else engine.value(name, d)
+        assert value == _fresh_value(InvariantKind(name.upper()), d), (name, d)
+    n0, n1 = engine._n0, engine._n1
+    assert engine._a == [k * x for k, x in enumerate(n0)]
+    assert engine._u == [(3 * k - 2) * k * x for k, x in enumerate(n0)]
+    assert engine._v == [k * x for k, x in enumerate(n1)]
 
 
 class TestRowBuilds:

@@ -23,7 +23,7 @@ from ._version import __version__
 from .exact import (
     ExactScalar, InexactDivision, format_exact, is_integral, json_string, parse_exact,
 )
-from .engine import KIND_SPEC, REQUIRED, InvariantEngine, InvariantKind, _check_degree
+from .engine import InvariantEngine, InvariantKind, _check_degree
 
 
 class CheckKind(str, Enum):
@@ -129,18 +129,14 @@ def _json_exact(x: ExactScalar | None) -> str:
     return json_string(None if x is None else format_exact(x))
 
 
-def _require_d_max(d_max: int) -> None:
-    """Reject d_max below 3 or above the ceiling, before any work."""
+def _shared(d_max: int, checks: list[AuditCheck] | None) -> list[AuditCheck]:
+    """Reject d_max below 3 or above the ceiling before any work, then
+    return the list a suite appends each check to as soon as it is made:
+    ``checks``, or a new list if None.  A suite that raises thus leaves
+    the checks it made in a shared list."""
     _check_degree(d_max)
     if d_max < 3:
         raise ValueError(f"audit requires d_max >= 3, got {d_max!r}")
-
-
-def _shared(d_max: int, checks: list[AuditCheck] | None) -> list[AuditCheck]:
-    """Reject d_max before any work, then return the list a suite appends
-    each check to as soon as it is made: ``checks``, or a new list if None.
-    A suite that raises thus leaves the checks it made in a shared list."""
-    _require_d_max(d_max)
     return [] if checks is None else checks
 
 
@@ -207,12 +203,14 @@ def run_anchor_suite(
     return AuditReport(d_max=d_max, checks=checks)
 
 
-# The kinds scanned for integrality, in declaration order: the REQUIRED
-# ones (a non-integral value FAILs) come before the REPORTED ones (G1,
-# OMEGA, M), whose integrality is surfaced as INFO.
-_INTEGRALITY_SCAN = tuple(
-    kind for kind in InvariantKind if KIND_SPEC[kind].integrality is not None
+# The kinds scanned for integrality, in this order: the final counts,
+# where a non-integral value FAILs, then the kinds whose integrality is
+# only reported, as INFO.
+_MUST_BE_INTEGRAL = (
+    InvariantKind.N0, InvariantKind.N1, InvariantKind.K0, InvariantKind.K1,
+    InvariantKind.G0,
 )
+_INTEGRALITY_REPORTED = (InvariantKind.G1, InvariantKind.OMEGA, InvariantKind.M)
 
 
 def run_identity_suite(
@@ -246,10 +244,10 @@ def run_identity_suite(
     for d in range(3, d_max + 1):
         for check_id, one, other in pairs:
             checks.append(_compared(check_id, d, CheckKind.IDENTITY, one(d), other(d)))
-        for kind in _INTEGRALITY_SCAN:
+        for kind in _MUST_BE_INTEGRAL + _INTEGRALITY_REPORTED:
             value = engine.value(kind, d)
             integral = is_integral(value)
-            if KIND_SPEC[kind].integrality == REQUIRED:
+            if kind in _MUST_BE_INTEGRAL:
                 status = CheckStatus.PASS if integral else CheckStatus.FAIL
                 detail = None
             else:
@@ -310,8 +308,7 @@ def run_full_audit(engine: InvariantEngine, d_max: int) -> AuditReport:
     division with a remainder (a corrupted engine) ends it: the suites
     share one check list, so every check made before the raise is kept,
     then one IDENTITY FAIL at that degree."""
-    _require_d_max(d_max)
-    checks: list[AuditCheck] = []
+    checks = _shared(d_max, None)
     try:
         for suite in (run_anchor_suite, run_identity_suite, run_discrepancy_probes):
             suite(engine, d_max, checks)

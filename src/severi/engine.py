@@ -1,4 +1,4 @@
-"""Memoized exact computation of the plane-curve invariants.
+"""Exact computation of the plane-curve invariants.
 
 The engine computes, for each degree d >= 1:
 
@@ -25,9 +25,11 @@ second paths ``t_op_direct`` and ``g0_from_splitting_sum`` read only the
 unscaled N0 and N1.
 The O(1)-per-degree assembly steps work on an ``int`` numerator over
 their formula's own denominator and build one ``Fraction`` per value
-returned; public methods return ``Fraction``.
-Integrality is asserted only at final invariant boundaries and is
-reported, never silently enforced.
+returned; public methods return ``Fraction``, and none is stored: the
+state is six ``int`` lists, two ``int`` caches and the row window (see
+``InvariantEngine``).  Every public per-degree method checks its degree
+before any arithmetic on it, so a bad degree is a ``ValueError`` that
+leaves the state untouched.
 
 ``n0``, ``n1`` (which advances N0 in lockstep) and the splitting sums
 read a window of the four full Pascal rows C(3d-4, .) .. C(3d-1, .) of
@@ -41,12 +43,11 @@ binomials apart: ``t_op_direct`` takes a multiplicative
 from __future__ import annotations
 
 from enum import Enum
-from functools import wraps
 from math import comb, lcm, perm
 from operator import add, mul
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .exact import ExactScalar, exact_div, is_integral, pascal_row, pascal_step
+from .exact import ExactScalar, exact_div, pascal_row, pascal_step
 
 # Largest degree any query may ask for, checked before any work starts.
 # It lies just past d = 572, where N0 first passes 4300 decimal digits
@@ -103,33 +104,27 @@ KIND_ORDER: tuple[InvariantKind, ...] = tuple(InvariantKind)
 BELOW_MIN_DEGREE = "BELOW_MIN_DEGREE"
 DEGENERATE_GEOMETRY = "DEGENERATE_GEOMETRY"
 
-# Integrality classes of KindSpec.integrality.
-REQUIRED = "required"  # a non-integral value is an audit FAIL
-REPORTED = "reported"  # integrality is reported as INFO only
-
 
 class KindSpec(NamedTuple):
-    """How one invariant is evaluated, where it is meaningful, and how
-    the audit treats its integrality (None: not scanned)."""
+    """How one invariant is evaluated and where it is meaningful."""
 
     method: str
     min_degree: int
-    integrality: str | None
 
 
 KIND_SPEC: dict[InvariantKind, KindSpec] = {
-    InvariantKind.N0: KindSpec("n0", 1, REQUIRED),
-    InvariantKind.N1: KindSpec("n1", 1, REQUIRED),
-    InvariantKind.K0: KindSpec("k0", 3, REQUIRED),
-    InvariantKind.K0_PRINTED: KindSpec("k0_printed", 2, None),
-    InvariantKind.K1: KindSpec("k1", 3, REQUIRED),
-    InvariantKind.G0: KindSpec("g0", 3, REQUIRED),
-    InvariantKind.G1: KindSpec("g1", 4, REPORTED),
-    InvariantKind.OMEGA: KindSpec("omega", 1, REPORTED),
-    InvariantKind.M: KindSpec("m_invariant", 2, REPORTED),
-    InvariantKind.NODES: KindSpec("reducible_fibre_count", 2, None),
-    InvariantKind.RCOUNT: KindSpec("r_component_count", 2, None),
-    InvariantKind.LR: KindSpec("lr", 2, None),
+    InvariantKind.N0: KindSpec("n0", 1),
+    InvariantKind.N1: KindSpec("n1", 1),
+    InvariantKind.K0: KindSpec("k0", 3),
+    InvariantKind.K0_PRINTED: KindSpec("k0_printed", 2),
+    InvariantKind.K1: KindSpec("k1", 3),
+    InvariantKind.G0: KindSpec("g0", 3),
+    InvariantKind.G1: KindSpec("g1", 4),
+    InvariantKind.OMEGA: KindSpec("omega", 1),
+    InvariantKind.M: KindSpec("m_invariant", 2),
+    InvariantKind.NODES: KindSpec("reducible_fibre_count", 2),
+    InvariantKind.RCOUNT: KindSpec("r_component_count", 2),
+    InvariantKind.LR: KindSpec("lr", 2),
 }
 
 
@@ -171,31 +166,19 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"degree {d} is above the ceiling {MAX_DEGREE}")
 
 
-def _memoized(method: Callable[..., ExactScalar]) -> Callable[..., ExactScalar]:
-    """Check the degree, then evaluate ``method`` once per engine and degree."""
-    @wraps(method)
-    def memoized(self: InvariantEngine, d: int) -> ExactScalar:
-        _check_degree(d)
-        table = self._memo.setdefault(method.__name__, {})
-        if d not in table:
-            table[d] = method(self, d)
-        return table[d]
-
-    return memoized
-
-
 class InvariantEngine:
     """Exact invariant calculator.
 
     Values are computed bottom-up in the degree: the recursive counts
     ``n0``/``n1`` at degree d use only degrees below d, and every
     derived invariant at degree d uses only same-degree values of
-    already-defined quantities, so memo correctness is by construction.
-    N0, N1, T and the scaled counts a, u, v are integer lists indexed
-    by degree (entry 0 unused);
-    the splitting statistics and K0, K1, G0, G1 are stored per degree.
-    The binomial row window holds the rows of one degree only (at
-    degree 0, C(-4, .) .. C(-1, .), all empty).
+    already-defined quantities, so no stored entry is ever overwritten.
+    The state is all ``int``: N0, N1, T and the scaled counts a, u, v
+    are lists indexed by degree (entry 0 unused); the two O(d) sums that
+    are not recursions, the splitting-sum tuple and the audit's direct
+    T, are dicts keyed by degree; the binomial row window holds the rows
+    of one degree only (at degree 0, C(-4, .) .. C(-1, .), all empty).
+    Every other value is an O(1) assembly over these, rebuilt per call.
     """
 
     def __init__(self) -> None:
@@ -206,7 +189,8 @@ class InvariantEngine:
         self._a: list[int] = [0, 1]
         self._u: list[int] = [0, 1]
         self._v: list[int] = [0]
-        self._memo: dict[str, dict[int, ExactScalar]] = {}
+        self._split: dict[int, tuple[int, ...]] = {}
+        self._t_direct: dict[int, int] = {}
         self._window: tuple[int, list[list[int]]] = (0, [[]] * 4)
 
     def _rows(self, d: int) -> list[list[int]]:
@@ -298,29 +282,30 @@ class InvariantEngine:
         self.n1(d)
         return ExactScalar(self._t[d])
 
-    @_memoized
     def t_op_direct(self, d: int) -> ExactScalar:
         """T(d) summed term by term, without reading the stored list.
 
-        Audit-only: the second path of the two T checks.  It is memoized
-        under its own key, so ``k1_via_c2`` and ``t_linearity`` share one
-        pass per degree.  Its row C(3d-1, .) is a multiplicative
-        ``exact.pascal_row`` built here at every degree; the stored T's is
-        the window's, stepped by additions, so the paths share no row.
+        Audit-only: the second path of the two T checks.  Its sum is kept
+        per degree, so ``k1_via_c2`` and ``t_linearity`` share one pass.
+        Its row C(3d-1, .) is a multiplicative ``exact.pascal_row`` built
+        here at every degree; the stored T's is the window's, stepped by
+        additions, so the paths share no row.
         """
-        if d >= 2:
-            self.n1(d - 1)
-        n0, n1, row = self._n0, self._n1, pascal_row(3 * d - 1)[2::3]
-        return ExactScalar(sum(
-            (3 * d1 - 2) * d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
-            for d1 in range(1, d)
-        ))
+        _check_degree(d)  # before the lookup: True and 3.0 hash like 1 and 3
+        if d not in self._t_direct:
+            if d >= 2:
+                self.n1(d - 1)
+            n0, n1, row = self._n0, self._n1, pascal_row(3 * d - 1)[2::3]
+            self._t_direct[d] = sum(
+                (3 * d1 - 2) * d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
+                for d1 in range(1, d)
+            )
+        return ExactScalar(self._t_direct[d])
 
     # -- derived invariants ----------------------------------------------
 
-    @_memoized
     def _splitting_values(self, d: int) -> tuple[int, ...]:
-        """(2m, 2 NODES, RCOUNT, LR, 2 K0_PRINTED) at degree d, memoized.
+        """(2m, 2 NODES, RCOUNT, LR, 2 K0_PRINTED) at degree d, computed once.
 
         They are assembled from five splitting sums, each
 
@@ -330,22 +315,27 @@ class InvariantEngine:
         by each row.  The rows C(3d-4, .) .. C(3d-2, .) are the window's.
         The five share the pair products.
         """
-        self.n0(d)
-        c4, c3, c2 = self._rows(d)[:3]
-        rows = [
-            c4[1::3],  # 2m: (3d-4, 2, 1)
-            c2[2::3],  # 2 NODES: (3d-2, 1, 1)
-            c3[1::3],  # RCOUNT: (3d-3, 2, 1)
-            # first sum of the K0_PRINTED bracket: (3d-2, 2, 3 d2 - 2)
-            [(3 * (d - d1) - 2) * c for d1, c in zip(range(1, d), c2[1::3])],
-            # LR: (3d-3, 2, d2)
-            [(d - d1) * c for d1, c in zip(range(1, d), c3[1::3])],
-        ]
-        products = list(_pair_products(self._a, d))
-        two_m, two_nodes, rcount, s, lr = [
-            _paired_sum(row, d, products) for row in rows
-        ]
-        return two_m, two_nodes, rcount, lr, 6 * self._n0[d] - 2 * s + 3 * two_m
+        _check_degree(d)  # before the lookup: True and 3.0 hash like 1 and 3
+        if d not in self._split:
+            self.n0(d)
+            c4, c3, c2 = self._rows(d)[:3]
+            rows = [
+                c4[1::3],  # 2m: (3d-4, 2, 1)
+                c2[2::3],  # 2 NODES: (3d-2, 1, 1)
+                c3[1::3],  # RCOUNT: (3d-3, 2, 1)
+                # first sum of the K0_PRINTED bracket: (3d-2, 2, 3 d2 - 2)
+                [(3 * (d - d1) - 2) * c for d1, c in zip(range(1, d), c2[1::3])],
+                # LR: (3d-3, 2, d2)
+                [(d - d1) * c for d1, c in zip(range(1, d), c3[1::3])],
+            ]
+            products = list(_pair_products(self._a, d))
+            two_m, two_nodes, rcount, s, lr = [
+                _paired_sum(row, d, products) for row in rows
+            ]
+            self._split[d] = (
+                two_m, two_nodes, rcount, lr, 6 * self._n0[d] - 2 * s + 3 * two_m
+            )
+        return self._split[d]
 
     def omega(self, d: int) -> ExactScalar:
         """One-twelfth of the irreducible nodal fibre count:
@@ -356,7 +346,8 @@ class InvariantEngine:
         one-parameter elliptic family (equivalently, the Euler number of
         the relatively minimal elliptic surface).
         """
-        return ExactScalar((d - 1) * (d - 2) * self.n0(d).numerator, 24)
+        n0 = self.n0(d).numerator
+        return ExactScalar((d - 1) * (d - 2) * n0, 24)
 
     def m_invariant(self, d: int) -> ExactScalar:
         """Negative self-intersection of a marked-point section:
@@ -399,7 +390,6 @@ class InvariantEngine:
         """
         return ExactScalar(self._splitting_values(d)[3])
 
-    @_memoized
     def k0(self, d: int) -> ExactScalar:
         """One-cuspidal rational curves through 3d-2 points (authoritative
         assembly path):
@@ -427,7 +417,6 @@ class InvariantEngine:
         """
         return ExactScalar(self._splitting_values(d)[4], 2)
 
-    @_memoized
     def k1(self, d: int) -> ExactScalar:
         """One-cuspidal elliptic curves through 3d-1 points:
 
@@ -436,7 +425,8 @@ class InvariantEngine:
         K1(1) = K1(2) = 0 (no elliptic curves of degree < 3); the
         formula itself already evaluates to 0 there.
         """
-        q, t = (d - 1) * (d - 2) * (d - 4), self.t_op(d).numerator
+        t = self.t_op(d).numerator
+        q = (d - 1) * (d - 2) * (d - 4)
         return ExactScalar(24 * self._n1[d] + q * self._n0[d] + 8 * t, 8)
 
     def k1_via_c2(self, d: int) -> ExactScalar:
@@ -453,12 +443,11 @@ class InvariantEngine:
         ``exact.pascal_row``) and :meth:`k1` from the stored list (from
         the row window, stepped by additions): the ``k1_two_path`` check
         adds the omega closed form to what ``t_linearity`` checks, and
-        nothing more.  Not memoized.
+        nothing more.
         """
         t = self.t_op_direct(d)
         return _assemble(1, (3, self.n1(d)), (3 * d - 12, self.omega(d)), (1, t))
 
-    @_memoized
     def g0(self, d: int) -> ExactScalar:
         """Linear genus of the rational-curve family:
 
@@ -492,7 +481,6 @@ class InvariantEngine:
             c = c * perm(n - k, 3) // perm(k + 3, 3)
         return _assemble(2, (1, self.k0(d)), (-1, two_m), (2, 1))
 
-    @_memoized
     def g1(self, d: int) -> ExactScalar:
         """Linear genus of the elliptic-curve family:
 
@@ -549,8 +537,5 @@ __all__ = [
     "KIND_SPEC",
     "KindSpec",
     "MAX_DEGREE",
-    "REPORTED",
-    "REQUIRED",
     "domain_status",
-    "is_integral",
 ]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -181,9 +182,24 @@ class TestGoldenAgreement:
 
 
 def _assert_untouched(engine):
-    """No count, scaled count or T entry was computed."""
+    """No count, scaled count, T entry or cached sum was computed."""
     lists = (engine._n0, engine._a, engine._u, engine._n1, engine._v, engine._t)
     assert lists == ([0, 1], [0, 1], [0, 1], [0], [0], [0])
+    assert (engine._split, engine._t_direct) == ({}, {})
+
+
+_PER_DEGREE_METHODS = (
+    "n0", "n1", "t_op", "t_op_direct", "omega", "m_invariant",
+    "reducible_fibre_count", "r_component_count", "lr", "k0", "k0_printed",
+    "k1", "k1_via_c2", "g0", "g0_from_splitting_sum", "g1",
+    "ramification_residual",
+)
+_PER_DEGREE_CALLS = [
+    *((name, lambda engine, d, name=name: getattr(engine, name)(d))
+      for name in _PER_DEGREE_METHODS),
+    *((f"value({kind.value})", lambda engine, d, kind=kind: engine.value(kind, d))
+      for kind in KIND_ORDER),
+]
 
 
 class TestInvariantProperties:
@@ -252,6 +268,28 @@ class TestInvariantProperties:
             engine.n0(3.0)
         with pytest.raises(ValueError):
             engine.n0(True)
+
+    @pytest.mark.parametrize("bad", [0, -1, 3.0, True, "3", None, MAX_DEGREE + 1])
+    @pytest.mark.parametrize(
+        "call", [call for _, call in _PER_DEGREE_CALLS],
+        ids=[name for name, _ in _PER_DEGREE_CALLS],
+    )
+    def test_every_per_degree_entry_refuses_a_bad_degree_before_any_work(
+        self, call, bad
+    ):
+        engine = InvariantEngine()
+        with pytest.raises(ValueError):
+            call(engine, bad)
+        _assert_untouched(engine)
+        # Once degrees 1 and 3 are cached, True and 3.0 (which hash like
+        # 1 and 3) must still be refused, and nothing stored may change.
+        for _, warm_up in _PER_DEGREE_CALLS:
+            warm_up(engine, 3)
+            warm_up(engine, 1)
+        state = copy.deepcopy(vars(engine))
+        with pytest.raises(ValueError):
+            call(engine, bad)
+        assert vars(engine) == state
 
 
 class TestDomainStatus:

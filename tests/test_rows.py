@@ -66,7 +66,8 @@ class TestRowWindow:
         engine.n1(200)
         # No other attribute may hold binomial rows.
         lists = {"_n0", "_n1", "_t", "_a", "_u", "_v"}
-        assert set(vars(engine)) == lists | {"_memo", "_window"}
+        assert set(vars(engine)) == lists | {"_split", "_t_direct", "_window"}
+        assert (engine._split, engine._t_direct) == ({}, {})
         d, rows = engine._window
         assert d == 200
         assert [len(row) for row in rows] == [597, 598, 599, 600]
@@ -144,6 +145,25 @@ class TestRowBuilds:
         steps = _count_calls(monkeypatch, "pascal_step", pascal_step)
         build_records(InvariantEngine(), 100)
         assert steps[0] == 3 * 100
+
+
+def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
+    engine = InvariantEngine()
+    run_full_audit(engine, 30)
+    build_records(engine, 30)
+    for name, state in vars(engine).items():
+        if name != "_window":
+            assert state, name
+            for entry in state.values() if isinstance(state, dict) else state:
+                parts = entry if isinstance(entry, tuple) else (entry,)
+                assert {type(x) for x in parts} == {int}, (name, entry)
+    # Five splitting sums per degree: d = 3..100 in the audit, 1..100 in
+    # a table.
+    calls = _count_calls(monkeypatch, "_paired_sum", engine_module._paired_sum)
+    for entry_point, expected in ((run_full_audit, 490), (build_records, 500)):
+        calls[0] = 0
+        entry_point(InvariantEngine(), 100)
+        assert calls[0] == expected, entry_point.__name__
 
 
 def _count_calls(monkeypatch, name, function):

@@ -91,20 +91,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     kinds = select_kinds(args.invariants)
     records = build_records(InvariantEngine(), args.d_max, kinds)
-    if args.format == "csv":
-        text = render_csv(records)
-    else:
-        text = render_json(records)
+    text = render_csv(records) if args.format == "csv" else render_json(records)
     _write_output(text, args.output)
     return EXIT_OK
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     report = run_full_audit(InvariantEngine(), args.d_max)
-    if args.format == "text":
-        text = report.to_text()
-    else:
-        text = report.to_json()
+    text = report.to_text() if args.format == "text" else report.to_json()
     _write_output(text, args.output)
     return EXIT_AUDIT_FAIL if report.has_blocking_failure else EXIT_OK
 

@@ -23,13 +23,15 @@ dotted with a a, the two binomials of Kontsevich's bracket folded into
 one row (see ``n0``).  The splitting sums read ``a`` too; the audit's
 second paths ``t_op_direct`` and ``g0_from_splitting_sum`` read only the
 unscaled N0 and N1.
-The O(1)-per-degree assembly steps work on an ``int`` numerator over
-their formula's own denominator and build one ``Fraction`` per value
-returned; public methods return ``Fraction``, and none is stored: the
-state is six ``int`` lists, two ``int`` caches and the row window (see
-``InvariantEngine``).  Every public per-degree method checks its degree
-before any arithmetic on it, so a bad degree is a ``ValueError`` that
-leaves the state untouched.
+Every derived value is one ``Fraction``: an ``int`` numerator over its
+formula's own denominator, with no ``Fraction`` arithmetic and none
+stored.  ``k1``, ``g1`` and the ramification residual share the
+numerators 8 K1 and 48 g1.  Both ``g0`` paths read ``k0``, and
+``k1_via_c2`` and the residual read ``omega``, as numerator and
+denominator: a wrong K0 then reaches G0, and a wrong omega
+``k1_two_path`` (``k1`` has its N0 term inline).  Every public
+per-degree method checks its degree before any arithmetic on it, so a
+bad degree is a ``ValueError`` that leaves the state untouched.
 
 ``n0``, ``n1`` (which advances N0 in lockstep) and the splitting sums
 read a window of the four full Pascal rows C(3d-4, .) .. C(3d-1, .) of
@@ -43,7 +45,7 @@ binomials apart: ``t_op_direct`` takes a multiplicative
 from __future__ import annotations
 
 from enum import Enum
-from math import comb, lcm, perm
+from math import comb, perm
 from operator import add, mul
 from typing import Iterable, NamedTuple
 
@@ -64,20 +66,12 @@ def _pair_products(a: list[int], d: int) -> Iterable[int]:
     return map(mul, a[1:h + 1], a[d - 1:d - h - 1:-1])
 
 
-def _assemble(den: int, *terms: tuple[int, ExactScalar | int]) -> ExactScalar:
-    """sum(c x for (c, x) in terms) / den as one ExactScalar: the terms go
-    over the least common denominator of the x, reduced once at the end."""
-    q = lcm(*(x.denominator for _, x in terms))
-    numerator = sum(c * (q // x.denominator) * x.numerator for c, x in terms)
-    return ExactScalar(numerator, den * q)
-
-
 def _paired_sum(row: list[int], d: int, products: Iterable[int]) -> int:
     """Sum row[d1 - 1] d1 d2 N0(d1) N0(d2) over ordered pairs d1 + d2 = d:
-    the row (entries past d - 1 ignored) is folded onto unordered pairs,
-    middle term once, and dotted with :func:`_pair_products`."""
+    the row, which has exactly d - 1 entries, is folded onto unordered
+    pairs, middle term once, and dotted with :func:`_pair_products`."""
     m, h = (d - 1) // 2, d // 2
-    return sum(map(mul, [*map(add, row[:m], row[d - 2::-1]), *row[m:h]], products))
+    return sum(map(mul, [*map(add, row[:m], row[::-1]), *row[m:h]], products))
 
 
 class InvariantKind(str, Enum):
@@ -425,9 +419,12 @@ class InvariantEngine:
         K1(1) = K1(2) = 0 (no elliptic curves of degree < 3); the
         formula itself already evaluates to 0 there.
         """
-        t = self.t_op(d).numerator
-        q = (d - 1) * (d - 2) * (d - 4)
-        return ExactScalar(24 * self._n1[d] + q * self._n0[d] + 8 * t, 8)
+        return ExactScalar(self._k1_numerator(d), 8)
+
+    def _k1_numerator(self, d: int) -> int:
+        """8 K1, with T read through :meth:`t_op`."""
+        t, q = self.t_op(d).numerator, (d - 1) * (d - 2) * (d - 4)
+        return 24 * self._n1[d] + q * self._n0[d] + 8 * t
 
     def k1_via_c2(self, d: int) -> ExactScalar:
         """Second evaluation path for ``k1``, from the Chern-class identity
@@ -443,10 +440,12 @@ class InvariantEngine:
         ``exact.pascal_row``) and :meth:`k1` from the stored list (from
         the row window, stepped by additions): the ``k1_two_path`` check
         adds the omega closed form to what ``t_linearity`` checks, and
-        nothing more.
+        nothing more.  It reads :meth:`omega` itself, not a private 24
+        omega: otherwise a wrong omega would reach no exit-1 check.
         """
-        t = self.t_op_direct(d)
-        return _assemble(1, (3, self.n1(d)), (3 * d - 12, self.omega(d)), (1, t))
+        t, n1 = self.t_op_direct(d).numerator, self.n1(d).numerator
+        a, b = self.omega(d).as_integer_ratio()
+        return ExactScalar((3 * n1 + t) * b + (3 * d - 12) * a, b)
 
     def g0(self, d: int) -> ExactScalar:
         """Linear genus of the rational-curve family:
@@ -455,7 +454,8 @@ class InvariantEngine:
 
         from the section relation m + 2g - 2 = -m + K0.
         """
-        return _assemble(2, (1, self.k0(d)), (-1, self._splitting_values(d)[0]), (2, 1))
+        (a, b), two_m = self.k0(d).as_integer_ratio(), self._splitting_values(d)[0]
+        return ExactScalar(a - (two_m - 2) * b, 2 * b)
 
     def g0_from_splitting_sum(self, d: int) -> ExactScalar:
         """Second path for ``g0``: 2g - 2 = K0 - sum N0 N0 d1 d2 C(3d-4, 3d1-2).
@@ -479,7 +479,8 @@ class InvariantEngine:
             pair = 1 if 2 * d1 == d else 2
             two_m += pair * d1 * (d - d1) * c * n0[d1] * n0[d - d1]
             c = c * perm(n - k, 3) // perm(k + 3, 3)
-        return _assemble(2, (1, self.k0(d)), (-1, two_m), (2, 1))
+        a, b = self.k0(d).as_integer_ratio()
+        return ExactScalar(a - (two_m - 2) * b, 2 * b)
 
     def g1(self, d: int) -> ExactScalar:
         """Linear genus of the elliptic-curve family:
@@ -492,10 +493,12 @@ class InvariantEngine:
         analysis degenerates); the value is computed and flagged, never
         silently corrected.
         """
-        k1, t, p = self.k1(d), self.t_op(d), (d - 1) * (d - 2) * (3 * d - 4)
-        return _assemble(
-            48, (24, k1), (-108, self._n1[d]), (p, self._n0[d]), (12, t), (48, 1)
-        )
+        return ExactScalar(self._g1_numerator(d), 48)
+
+    def _g1_numerator(self, d: int) -> int:
+        """48 g1, from :meth:`_k1_numerator` and the stored lists."""
+        k1, p = self._k1_numerator(d), (d - 1) * (d - 2) * (3 * d - 4)
+        return 3 * k1 - 108 * self._n1[d] + p * self._n0[d] + 12 * self._t[d] + 48
 
     def ramification_residual(self, d: int) -> ExactScalar:
         """Residual of the candidate ramification identity
@@ -506,10 +509,10 @@ class InvariantEngine:
         residual does not vanish (2015/2 at d = 4); the discrepancy
         probe records it as a regression artifact.
         """
-        return _assemble(
-            2, (4, self.g1(d)), (-4, 1), (-2, self.k1(d)),
-            (9 - 3 * d, self.omega(d)), (9, self.n1(d)), (-1, self.t_op(d)),
-        )
+        g1, k1 = self._g1_numerator(d), self._k1_numerator(d)
+        a, b = self.omega(d).as_integer_ratio()
+        s = g1 - 48 - 3 * k1 + 108 * self._n1[d] - 12 * self._t[d]
+        return ExactScalar(s * b + 12 * (9 - 3 * d) * a, 24 * b)
 
     # -- kind-indexed access ---------------------------------------------
 

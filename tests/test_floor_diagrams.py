@@ -38,7 +38,6 @@ def test_floor_diagrams_reproduce_classical_counts(d, g, expected):
     assert floor_count(d, g) == expected
 
 
-@pytest.mark.slow
 def test_degree_six_matches_the_floor_diagrams():
     _assert_engine_matches_floors(6)
 

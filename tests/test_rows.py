@@ -158,20 +158,29 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
                 parts = entry if isinstance(entry, tuple) else (entry,)
                 assert {type(x) for x in parts} == {int}, (name, entry)
     # Five splitting sums per degree: d = 3..100 in the audit, 1..100 in
-    # a table.
-    calls = _count_calls(monkeypatch, "_paired_sum", engine_module._paired_sum)
+    # a table, each over a row of exactly d - 1 entries, which is what
+    # lets _paired_sum fold the row with row[::-1].
+    def check_row(row, d, products):
+        assert len(row) == d - 1, (d, len(row))
+
+    calls = _count_calls(
+        monkeypatch, "_paired_sum", engine_module._paired_sum, check_row
+    )
     for entry_point, expected in ((run_full_audit, 490), (build_records, 500)):
         calls[0] = 0
         entry_point(InvariantEngine(), 100)
         assert calls[0] == expected, entry_point.__name__
 
 
-def _count_calls(monkeypatch, name, function):
-    """Patch ``engine.<name>`` to count its calls; returns the counter."""
+def _count_calls(monkeypatch, name, function, check=None):
+    """Patch ``engine.<name>`` to count its calls, handing each call's
+    arguments to ``check`` first if given; returns the counter."""
     count = [0]
 
     def counting(*args):
         count[0] += 1
+        if check is not None:
+            check(*args)
         return function(*args)
 
     monkeypatch.setattr(engine_module, name, counting)

@@ -7,59 +7,42 @@ linear genera of the corresponding families (``g0``, ``g1``) -- plus
 the splitting statistics they are assembled from, and an audit suite
 that pins the implementation to hand-derived anchors and keeps two
 documented formula discrepancies reproducible.
+
+Importing the package loads only its version: each public name (and
+each submodule) is imported on first access, so a command that never
+touches the audit never loads ``severi.audit``.
 """
 
 from ._version import __version__
-from .audit import (
-    AuditCheck,
-    AuditReport,
-    CheckKind,
-    CheckStatus,
-    run_anchor_suite,
-    run_discrepancy_probes,
-    run_full_audit,
-    run_identity_suite,
-)
-from .engine import (
-    BELOW_MIN_DEGREE,
-    DEGENERATE_GEOMETRY,
-    DomainStatus,
-    InvariantEngine,
-    InvariantKind,
-    KIND_ORDER,
-    domain_status,
-)
-from .exact import (
-    ExactScalar,
-    format_exact,
-    is_integral,
-    parse_exact,
-)
-from .tables import InvariantRecord, build_records, render_csv, render_json
 
-__all__ = [
-    "AuditCheck",
-    "AuditReport",
-    "BELOW_MIN_DEGREE",
-    "CheckKind",
-    "CheckStatus",
-    "DEGENERATE_GEOMETRY",
-    "DomainStatus",
-    "ExactScalar",
-    "InvariantEngine",
-    "InvariantKind",
-    "InvariantRecord",
-    "KIND_ORDER",
-    "__version__",
-    "build_records",
-    "domain_status",
-    "format_exact",
-    "is_integral",
-    "parse_exact",
-    "render_csv",
-    "render_json",
-    "run_anchor_suite",
-    "run_discrepancy_probes",
-    "run_full_audit",
-    "run_identity_suite",
-]
+# Home module of each public name.
+_PUBLIC = {
+    "audit": (
+        "AuditCheck", "AuditReport", "CheckKind", "CheckStatus", "run_anchor_suite",
+        "run_discrepancy_probes", "run_full_audit", "run_identity_suite",
+    ),
+    "engine": (
+        "BELOW_MIN_DEGREE", "DEGENERATE_GEOMETRY", "DomainStatus", "InvariantEngine",
+        "InvariantKind", "KIND_ORDER", "domain_status",
+    ),
+    "exact": ("ExactScalar", "format_exact", "is_integral", "parse_exact"),
+    "tables": ("InvariantRecord", "build_records", "render_csv", "render_json"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(["__version__", *_HOME])
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _PUBLIC:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

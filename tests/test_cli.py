@@ -378,22 +378,49 @@ class TestUsage:
         assert code == 0 and out.startswith("severi ")
 
 
+def _child(code: str, *args: str) -> str:
+    """stdout of ``code`` run by a ``python -S`` child (no site hooks)
+    that imports severi from this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 class TestStartup:
     def test_importing_the_cli_loads_no_json_dataclasses_inspect_or_pathlib(self):
         # dataclasses imports inspect, ast, dis and tokenize, pathlib
         # imports fnmatch, ntpath and urllib.parse, and json imports its
         # decoder, encoder and scanner, a cost every command pays at
-        # start-up.  -S keeps site hooks out of the child.
-        src = Path(__file__).resolve().parents[1] / "src"
+        # start-up.
         code = (
             "import sys, severi.cli; print(sorted("
             "{'dataclasses', 'inspect', 'json', 'pathlib'} & set(sys.modules)))"
         )
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", code],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
+        assert _child(code) == "[]\n"
+
+    def test_importing_the_package_loads_only_its_version(self):
+        code = "import sys, severi; print(sorted(m for m in sys.modules if 'severi' in m))"
+        assert _child(code) == "['severi', 'severi._version']\n"
+
+    @pytest.mark.parametrize(
+        "argv, loads_audit",
+        [
+            (["eval", "K0", "3"], False),
+            (["table", "--d-max", "3"], False),
+            (["--version"], False),
+            (["audit", "--d-max", "3"], True),
+        ],
+        ids=["eval", "table", "version", "audit"],
+    )
+    def test_only_the_audit_verb_loads_the_audit_module(self, argv, loads_audit):
+        code = (
+            "import sys; from severi.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'severi.audit' in sys.modules)"
         )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n"
+        assert _child(code, *argv).splitlines()[-1] == f"0 {loads_audit}"

@@ -1,28 +1,41 @@
-"""A mutation gate on the audit: one-token faults in ``severi/engine.py``.
+"""A mutation gate on the audit: one-token faults in ``severi/engine.py``
+and ``severi/exact.py``.
 
-Each mutant is the engine's source with one token changed inside one
+Each mutant is a module's source with one token changed inside one
 function, executed as a fresh module of the ``severi`` package.  An
-engine built from it goes through the real ``run_full_audit`` at
-d_max 12 and, if no FAIL counts there, at 30.  A mutant must end in a
-blocking FAIL (the audit exits 1), or, where it sits in code that only a
-discrepancy probe runs, in a probe FAIL.  Equivalent mutants are listed
-with the reason the audit cannot tell them apart, and their audit bytes
-are asserted unchanged, so neither list can go stale.
+``exact`` mutant is bound to the engine by standing in for
+``severi.exact`` in ``sys.modules`` while the engine's source is
+executed.  An engine built from it goes through the real
+``run_full_audit`` at d_max 12 and, if no FAIL counts there, at 30.  A
+mutant must end in a blocking FAIL (the audit exits 1), or, where it
+sits in code that only a discrepancy probe runs, in a probe FAIL.
+Equivalent mutants are listed with the reason the audit cannot tell them
+apart, and their audit bytes are asserted unchanged, so neither list can
+go stale.  Audit-blind mutants change a public accessor that no audit
+check reads: their audit bytes are asserted unchanged too, and the
+retyped oracle is asserted to tell them apart.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
+import oracle
 from severi import InvariantEngine
 from severi import engine as engine_module
+from severi import exact as exact_module
 from severi.audit import CheckKind, CheckStatus, run_full_audit
 
-SOURCE = Path(engine_module.__file__).read_text(encoding="utf-8")
+MODULES = {"engine": engine_module, "exact": exact_module}
+SOURCES = {
+    name: Path(module.__file__).read_text(encoding="utf-8")
+    for name, module in MODULES.items()
+}
 BLOCKING, PROBE = "blocking", "probe"
 
 # (id, function, token, replacement, outcome, first d_max that catches it)
@@ -80,29 +93,84 @@ MUTANTS = [
     ("res_den", "ramification_residual", "24 * b", "12 * b", PROBE, 12),
 ]
 
+# The same, in severi/exact.py: the binomial rows and the exact division.
+EXACT_MUTANTS = [
+    ("row_seed", "pascal_row", "[1] if n >= 0", "[2] if n >= 0", BLOCKING, 12),
+    ("row_numerator", "pascal_row", "(n - k)", "(n - k + 1)", BLOCKING, 12),
+    ("row_denominator", "pascal_row", "(k + 1))", "(k + 2))", BLOCKING, 12),
+    ("row_mirror", "pascal_row", "[1 - n % 2:]", "[n % 2:]", BLOCKING, 12),
+    ("step_seed", "pascal_step", "[1, *map", "[2, *map", BLOCKING, 12),
+    ("step_add", "pascal_step", "map(add,", "map(max,", BLOCKING, 12),
+    ("step_shift", "pascal_step", "row[1:", "row[0:", BLOCKING, 12),
+    ("step_mirror", "pascal_step", "[1 - len(row) % 2:]", "[len(row) % 2:]",
+     BLOCKING, 12),
+    # A fault first made at d = 14, in the step from C(39, .) to C(40, .).
+    ("step_len40", "pascal_step", "[1, *map", "[1 + (len(row) == 40), *map",
+     BLOCKING, 30),
+    ("div_guard", "exact_div", "if remainder:", "if not remainder:", BLOCKING, 12),
+    ("div_quotient", "exact_div", "return quotient", "return quotient + 1",
+     BLOCKING, 12),
+    ("div_numerator", "exact_div", "divmod(n, m)", "divmod(n + 1, m)", BLOCKING, 12),
+]
+
 # (id, function, token, replacement, why the audit cannot see it)
 EQUIVALENT = [
     ("rcount_row", "_splitting_values", "c3[1::3],  # RCOUNT", "c3[2::3],  # RCOUNT",
      "C(3d-3, 3 d1 - 1) = C(3d-3, 3 d2 - 2), and the sum over ordered pairs "
      "is symmetric in d1 <-> d2"),
 ]
+EXACT_EQUIVALENT = [
+    ("div_guard_one", "exact_div", "if remainder:", "if remainder > 1:",
+     "on a correct engine every division is exact, so a guard that lets a "
+     "remainder of 1 through changes nothing"),
+]
+
+# (id, function, token, replacement, ids of the checks whose rows change):
+# public accessors that no audit check compares with anything, so no
+# audit check can fail on them; only INFO rows may change.  The golden
+# and live-oracle tests in tests/test_invariants.py pin their values.
+AUDIT_BLIND = [
+    ("lr_read", "lr", "_splitting_values(d)[3]", "_splitting_values(d)[2]", ()),
+    ("m_den", "m_invariant", "[0], 2)", "[0], 1)", ("integrality_m",)),
+]
 
 _FUNCTION = re.compile(r"^ *def (\w+)\(", re.MULTILINE)
 
 
-def _mutant_engine(function: str, token: str, replacement: str) -> InvariantEngine:
-    """An engine built from the source with ``token`` replaced in
-    ``function``'s span, which must hold it exactly once."""
-    starts = {m.group(1): m.start() for m in _FUNCTION.finditer(SOURCE)}
-    start = starts[function]
-    end = min([s for s in starts.values() if s > start] + [len(SOURCE)])
-    span = SOURCE[start:end]
-    assert span.count(token) == 1, (function, token)
-    source = SOURCE[:start] + span.replace(token, replacement) + SOURCE[end:]
-    module = types.ModuleType("severi._mutant_engine")
+def _module(name: str, mutation: tuple[str, str, str] | None = None):
+    """A fresh module from ``name``'s source, with ``token`` replaced in
+    ``function``'s span (which must hold it exactly once) if a mutation
+    ``(function, token, replacement)`` is given."""
+    source = SOURCES[name]
+    if mutation is not None:
+        function, token, replacement = mutation
+        starts = {m.group(1): m.start() for m in _FUNCTION.finditer(source)}
+        start = starts[function]
+        end = min([s for s in starts.values() if s > start] + [len(source)])
+        span = source[start:end]
+        assert span.count(token) == 1, (function, token)
+        source = source[:start] + span.replace(token, replacement) + source[end:]
+    module = types.ModuleType(f"severi._mutant_{name}")
     module.__package__ = "severi"
-    exec(compile(source, engine_module.__file__, "exec"), module.__dict__)
-    return module.InvariantEngine()
+    exec(compile(source, MODULES[name].__file__, "exec"), module.__dict__)
+    return module
+
+
+def _mutant_engine(function: str, token: str, replacement: str,
+                   name: str = "engine") -> InvariantEngine:
+    """An engine with one mutation in module ``name`` (engine or exact)."""
+    if name == "engine":
+        return _module("engine", (function, token, replacement)).InvariantEngine()
+    exact = _module("exact", (function, token, replacement))
+    # One exception class, so that the audit still catches a failed
+    # division that the mutant raises.
+    exact.InexactDivision = exact_module.InexactDivision
+    saved = sys.modules["severi.exact"]
+    sys.modules["severi.exact"] = exact
+    try:
+        return _module("engine").InvariantEngine()
+    finally:
+        sys.modules["severi.exact"] = saved
 
 
 def _outcome(report) -> str | None:
@@ -124,13 +192,29 @@ def test_the_unmutated_source_passes_the_audit():
     assert report.summary["FAIL"] == 0
 
 
+def test_the_unmutated_exact_source_passes_the_audit():
+    engine = _mutant_engine("exact_div", "return quotient", "return quotient", "exact")
+    report = run_full_audit(engine, 30)
+    assert report.to_text() == run_full_audit(InvariantEngine(), 30).to_text()
+    assert report.summary["FAIL"] == 0
+
+
+def test_an_exact_mutant_reaches_the_engine_and_nothing_else():
+    engine = _mutant_engine("exact_div", "return quotient", "return quotient + 1", "exact")
+    assert engine.n0(3) != InvariantEngine().n0(3)
+    assert sys.modules["severi.exact"] is exact_module
+
+
 @pytest.mark.parametrize(
-    "function, token, replacement, expected, caught_at",
-    [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS],
+    "name, function, token, replacement, expected, caught_at",
+    [("engine", *m[1:]) for m in MUTANTS] + [("exact", *m[1:]) for m in EXACT_MUTANTS],
+    ids=[m[0] for m in MUTANTS + EXACT_MUTANTS],
 )
-def test_the_audit_catches_the_mutant(function, token, replacement, expected, caught_at):
+def test_the_audit_catches_the_mutant(
+    name, function, token, replacement, expected, caught_at
+):
     for d_max in (12, 30):
-        engine = _mutant_engine(function, token, replacement)
+        engine = _mutant_engine(function, token, replacement, name)
         outcome = _outcome(run_full_audit(engine, d_max))
         if outcome is not None:
             break
@@ -138,14 +222,38 @@ def test_the_audit_catches_the_mutant(function, token, replacement, expected, ca
 
 
 @pytest.mark.parametrize(
-    "function, token, replacement, reason",
-    [m[1:] for m in EQUIVALENT], ids=[m[0] for m in EQUIVALENT],
+    "name, function, token, replacement, reason",
+    [("engine", *m[1:]) for m in EQUIVALENT]
+    + [("exact", *m[1:]) for m in EXACT_EQUIVALENT],
+    ids=[m[0] for m in EQUIVALENT + EXACT_EQUIVALENT],
 )
 def test_an_equivalent_mutant_leaves_the_audit_bytes_unchanged(
-    function, token, replacement, reason
+    name, function, token, replacement, reason
 ):
     for d_max in (12, 30):
-        mutant = run_full_audit(_mutant_engine(function, token, replacement), d_max)
+        engine = _mutant_engine(function, token, replacement, name)
+        mutant = run_full_audit(engine, d_max)
         original = run_full_audit(InvariantEngine(), d_max)
         assert mutant.to_text() == original.to_text(), reason
         assert mutant.to_json() == original.to_json(), reason
+
+
+@pytest.mark.parametrize(
+    "function, token, replacement, changed", [m[1:] for m in AUDIT_BLIND],
+    ids=[m[0] for m in AUDIT_BLIND],
+)
+def test_an_audit_blind_mutant_is_caught_by_the_oracle_only(
+    function, token, replacement, changed
+):
+    engine = _mutant_engine(function, token, replacement)
+    mutant = run_full_audit(engine, 30)
+    original = run_full_audit(InvariantEngine(), 30)
+    assert mutant.summary["FAIL"] == 0
+    assert len(mutant.checks) == len(original.checks)
+    rows = [(m, o) for m, o in zip(mutant.checks, original.checks) if m != o]
+    assert sorted({m.id for m, _ in rows}) == sorted(changed)
+    assert all(m.status is o.status is CheckStatus.INFO for m, o in rows)
+    if not changed:
+        assert (mutant.to_text(), mutant.to_json()) == (original.to_text(), original.to_json())
+    accessor, reference = getattr(engine, function), getattr(oracle, function)
+    assert any(accessor(d) != reference(d) for d in range(1, 13))

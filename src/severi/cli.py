@@ -18,9 +18,9 @@ from __future__ import annotations
 # benchmark's tracer wraps build_records, render_csv and render_json here,
 # and its self-tests pin severi.cli.build_records.  The audit layer is
 # imported per verb, in _cmd_audit, so eval, table and --version never
-# load severi.audit.
-import argparse
+# load severi.audit; argparse is imported only by build_parser.
 import sys
+from types import SimpleNamespace
 
 from ._version import __version__
 from .engine import InvariantEngine
@@ -38,8 +38,30 @@ EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
 EXIT_USAGE = 2
 
+_VERSION = f"severi {__version__}"
 
-def build_parser() -> argparse.ArgumentParser:
+# Each verb's help line and arguments, as argparse's add_argument keywords:
+# the one declaration that both _parse_fast and build_parser read.
+_GRAMMAR = {
+    "eval": ("print one invariant value", {"invariant": {}, "d": {"type": int}}),
+    "table": ("emit an invariant table", {
+        "--d-max": {"type": int, "required": True},
+        "--format": {"choices": ("csv", "json"), "default": "csv"},
+        "--invariants": {"help": "comma-separated invariant names (default: all)"},
+        "--output": {},
+    }),
+    "audit": ("run anchor/identity/probe suites", {
+        "--d-max": {"type": int, "required": True},
+        "--format": {"choices": ("text", "json"), "default": "text"},
+        "--output": {},
+    }),
+}
+
+
+def build_parser():
+    """argparse's parser for ``_GRAMMAR``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="severi",
         description=(
@@ -47,31 +69,47 @@ def build_parser() -> argparse.ArgumentParser:
             "one-cuspidal counts, linear genera, and formula audits."
         ),
     )
-    parser.add_argument(
-        "--version", action="version", version=f"severi {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="print one invariant value")
-    p_eval.add_argument("invariant")
-    p_eval.add_argument("d", type=int)
-
-    p_table = sub.add_parser("table", help="emit an invariant table")
-    p_table.add_argument("--d-max", type=int, required=True)
-    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.add_argument(
-        "--invariants",
-        default=None,
-        help="comma-separated invariant names (default: all)",
-    )
-    p_table.add_argument("--output", default=None)
-
-    p_audit = sub.add_parser("audit", help="run anchor/identity/probe suites")
-    p_audit.add_argument("--d-max", type=int, required=True)
-    p_audit.add_argument("--format", choices=("text", "json"), default="text")
-    p_audit.add_argument("--output", default=None)
-
+    for verb, (help_line, arguments) in _GRAMMAR.items():
+        verb_parser = sub.add_parser(verb, help=help_line)
+        for name, spec in arguments.items():
+            verb_parser.add_argument(name, **spec)
     return parser
+
+
+def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for ``--version`` alone, or for a
+    verb with exact option names, each followed by a value, and exactly its
+    positionals, no value or positional starting with ``-``; else None."""
+    if argv == ["--version"]:
+        return SimpleNamespace(command="--version")
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    arguments = _GRAMMAR[argv[0]][1]
+    positionals = iter([name for name in arguments if name[0] != "-"])
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            name, token = token, next(tokens, "-")
+        else:
+            name = next(positionals, None)
+        spec = arguments.get(name)
+        if spec is None or token.startswith("-"):
+            return None
+        try:
+            given[name] = value = spec.get("type", str)(token)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+    parsed = {"command": argv[0]}
+    for name, spec in arguments.items():
+        if name not in given and spec.get("required", name[0] != "-"):
+            return None
+        parsed[name.lstrip("-").replace("-", "_")] = given.get(name, spec.get("default"))
+    return SimpleNamespace(**parsed)
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -83,7 +121,7 @@ def _write_output(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: SimpleNamespace) -> int:
     kind = kind_named(args.invariant)
     value, status = InvariantEngine().evaluate(kind, args.d)
     line = " ".join([format_exact(value)] + flag_tokens(status, value))
@@ -91,7 +129,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     kinds = select_kinds(args.invariants)
     records = build_records(InvariantEngine(), args.d_max, kinds)
     text = render_csv(records) if args.format == "csv" else render_json(records)
@@ -99,7 +137,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_audit(args: SimpleNamespace) -> int:
     from .audit import run_full_audit
 
     report = run_full_audit(InvariantEngine(), args.d_max)
@@ -109,12 +147,18 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage/help; keep its code.
-        return int(exc.code) if exc.code is not None else EXIT_OK
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_fast(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv, SimpleNamespace())
+        except SystemExit as exc:
+            # argparse printed the help, the version or a usage error;
+            # keep its exit code.
+            return int(exc.code) if exc.code is not None else EXIT_OK
+    if args.command == "--version":
+        sys.stdout.write(_VERSION + "\n")
+        return EXIT_OK
     try:
         if args.command == "eval":
             return _cmd_eval(args)

@@ -393,14 +393,17 @@ def _child(code: str, *args: str) -> str:
 
 
 class TestStartup:
-    def test_importing_the_cli_loads_no_json_dataclasses_inspect_or_pathlib(self):
+    def test_importing_the_cli_loads_no_json_dataclasses_inspect_pathlib_or_argparse(
+        self,
+    ):
         # dataclasses imports inspect, ast, dis and tokenize, pathlib
-        # imports fnmatch, ntpath and urllib.parse, and json imports its
-        # decoder, encoder and scanner, a cost every command pays at
+        # imports fnmatch, ntpath and urllib.parse, json imports its
+        # decoder, encoder and scanner, and argparse imports gettext, whose
+        # first lookup imports locale: a cost every command would pay at
         # start-up.
         code = (
-            "import sys, severi.cli; print(sorted("
-            "{'dataclasses', 'inspect', 'json', 'pathlib'} & set(sys.modules)))"
+            "import sys, severi.cli; print(sorted({'argparse', 'dataclasses', "
+            "'gettext', 'inspect', 'json', 'locale', 'pathlib'} & set(sys.modules)))"
         )
         assert _child(code) == "[]\n"
 
@@ -409,18 +412,22 @@ class TestStartup:
         assert _child(code) == "['severi', 'severi._version']\n"
 
     @pytest.mark.parametrize(
-        "argv, loads_audit",
+        "argv, loads_audit, loads_argparse",
         [
-            (["eval", "K0", "3"], False),
-            (["table", "--d-max", "3"], False),
-            (["--version"], False),
-            (["audit", "--d-max", "3"], True),
+            (["eval", "K0", "3"], False, False),
+            (["table", "--d-max", "3"], False, False),
+            (["--version"], False, False),
+            (["audit", "--d-max", "3"], True, False),
+            (["-h"], False, True),
         ],
-        ids=["eval", "table", "version", "audit"],
+        ids=["eval", "table", "version", "audit", "help"],
     )
-    def test_only_the_audit_verb_loads_the_audit_module(self, argv, loads_audit):
+    def test_only_audit_loads_the_audit_module_and_only_help_loads_argparse(
+        self, argv, loads_audit, loads_argparse
+    ):
         code = (
             "import sys; from severi.cli import main; code = main(sys.argv[1:]); "
-            "print(code, 'severi.audit' in sys.modules)"
+            "print(code, 'severi.audit' in sys.modules, 'argparse' in sys.modules)"
         )
-        assert _child(code, *argv).splitlines()[-1] == f"0 {loads_audit}"
+        last = _child(code, *argv).splitlines()[-1]
+        assert last == f"0 {loads_audit} {loads_argparse}"

@@ -17,11 +17,12 @@ document directly from a template of its fixed schema, byte-identical to
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, TextIO
 
 from ._version import __version__
 from .exact import (
-    ExactScalar, InexactDivision, format_exact, is_integral, json_string, parse_exact,
+    ExactScalar, InexactDivision, emit, format_exact, is_integral, json_string,
+    parse_exact,
 )
 from .engine import InvariantEngine, InvariantKind, _check_degree
 
@@ -77,32 +78,42 @@ class AuditReport:
             for check in self.checks
         )
 
-    def to_json(self) -> str:
+    def to_json(self, out: TextIO | None = None) -> str | None:
         """The report as a JSON document, newline included: the bytes that
-        ``json.dumps(..., indent=2)`` writes for it as nested dicts."""
-        checks = ",\n".join(
-            f'    {{\n      "id": {json_string(check.id)},\n'
-            f'      "degree": {check.degree},\n'
-            f'      "kind": "{check.kind.value}",\n'
-            f'      "expected": {_json_exact(check.expected)},\n'
-            f'      "actual": {_json_exact(check.actual)},\n'
-            f'      "status": "{check.status.value}",\n'
-            f'      "detail": {json_string(check.detail)}\n'
-            "    }"
-            for check in self.checks
-        )
-        summary = ",\n".join(f'    "{key}": {n}' for key, n in self.summary.items())
-        return (
-            f'{{\n  "engine_version": {json_string(self.engine_version)},\n'
-            f'  "d_max": {self.d_max},\n  "checks": [\n{checks}\n  ],\n'
-            f'  "summary": {{\n{summary}\n  }}\n}}\n'
-        )
+        ``json.dumps(..., indent=2)`` writes for it as nested dicts.  Returned
+        if ``out`` is None, else written to the text stream ``out`` in
+        batches of about 64 KiB (``exact.emit``)."""
+        return emit(self._json_pieces(), out)
 
-    def to_text(self) -> str:
-        lines = [
-            f"severi audit (engine {self.engine_version}, degrees up to {self.d_max})",
-            "",
-        ]
+    def _json_pieces(self) -> Iterator[str]:
+        yield (
+            f'{{\n  "engine_version": {json_string(self.engine_version)},\n'
+            f'  "d_max": {self.d_max},\n  "checks": [\n'
+        )
+        separator = ""
+        for check in self.checks:
+            yield (
+                f'{separator}    {{\n      "id": {json_string(check.id)},\n'
+                f'      "degree": {check.degree},\n'
+                f'      "kind": "{check.kind.value}",\n'
+                f'      "expected": {_json_exact(check.expected)},\n'
+                f'      "actual": {_json_exact(check.actual)},\n'
+                f'      "status": "{check.status.value}",\n'
+                f'      "detail": {json_string(check.detail)}\n'
+                "    }"
+            )
+            separator = ",\n"
+        summary = ",\n".join(f'    "{key}": {n}' for key, n in self.summary.items())
+        yield f'\n  ],\n  "summary": {{\n{summary}\n  }}\n}}\n'
+
+    def to_text(self, out: TextIO | None = None) -> str | None:
+        """The report as text, a line per check; returned or written as by
+        ``to_json``."""
+        return emit(self._text_lines(), out)
+
+    def _text_lines(self) -> Iterator[str]:
+        yield f"severi audit (engine {self.engine_version}, degrees up to {self.d_max})"
+        yield "\n\n"
         for check in self.checks:
             parts = [
                 f"[{check.status.value}]",
@@ -115,14 +126,12 @@ class AuditReport:
                 parts.append(f"expected={format_exact(check.expected)}")
             if check.detail:
                 parts.append(f"({check.detail})")
-            lines.append(" ".join(parts))
+            yield " ".join(parts) + "\n"
         counts = self.summary
-        lines.append("")
-        lines.append(
-            f"summary: {counts['PASS']} PASS, {counts['FAIL']} FAIL, "
-            f"{counts['INFO']} INFO"
+        yield (
+            f"\nsummary: {counts['PASS']} PASS, {counts['FAIL']} FAIL, "
+            f"{counts['INFO']} INFO\n"
         )
-        return "\n".join(lines) + "\n"
 
 
 def _json_exact(x: ExactScalar | None) -> str:

@@ -112,13 +112,15 @@ def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**parsed)
 
 
-def _write_output(text: str, output: str | None) -> None:
+def _write_output(output: str | None, render, *args) -> None:
+    """``render(*args, out)`` into the ``--output`` file, opened only now that
+    every value is computed, or else into ``sys.stdout`` as it is now."""
     if output is None:
-        sys.stdout.write(text)
+        render(*args, sys.stdout)
         sys.stdout.flush()
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            render(*args, handle)
 
 
 def _cmd_eval(args: SimpleNamespace) -> int:
@@ -132,8 +134,8 @@ def _cmd_eval(args: SimpleNamespace) -> int:
 def _cmd_table(args: SimpleNamespace) -> int:
     kinds = select_kinds(args.invariants)
     records = build_records(InvariantEngine(), args.d_max, kinds)
-    text = render_csv(records) if args.format == "csv" else render_json(records)
-    _write_output(text, args.output)
+    render = render_csv if args.format == "csv" else render_json
+    _write_output(args.output, render, records)
     return EXIT_OK
 
 
@@ -141,8 +143,8 @@ def _cmd_audit(args: SimpleNamespace) -> int:
     from .audit import run_full_audit
 
     report = run_full_audit(InvariantEngine(), args.d_max)
-    text = report.to_text() if args.format == "text" else report.to_json()
-    _write_output(text, args.output)
+    render = report.to_text if args.format == "text" else report.to_json
+    _write_output(args.output, render)
     return EXIT_AUDIT_FAIL if report.has_blocking_failure else EXIT_OK
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from operator import add
+from typing import Iterable, TextIO
 
 ExactScalar = Fraction
 
@@ -95,6 +96,26 @@ def json_string(s: str | None) -> str:
         return '"' + s + '"'
     import json
     return json.dumps(s)
+
+
+BATCH_CHARS = 1 << 16
+
+
+def emit(pieces: Iterable[str], out: TextIO | None) -> str | None:
+    """The joined ``pieces`` if ``out`` is None, else written to the text
+    stream ``out`` in batches of at least BATCH_CHARS characters (the last
+    may be shorter): neither the whole text nor a write per piece."""
+    if out is None:
+        return "".join(pieces)
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= BATCH_CHARS:
+            out.write("".join(batch))
+            batch, size = [], 0
+    if batch:
+        out.write("".join(batch))
 
 
 def parse_exact(text: str) -> ExactScalar:

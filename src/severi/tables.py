@@ -14,9 +14,9 @@ the fixed schema, without the ``json`` module, and is byte-identical to
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, TextIO
 
-from .exact import ExactScalar, format_exact, is_integral, json_string
+from .exact import ExactScalar, emit, format_exact, is_integral, json_string
 from .engine import (
     DomainStatus,
     InvariantEngine,
@@ -84,17 +84,23 @@ def build_records(
     return records
 
 
-def render_csv(records: list[InvariantRecord]) -> str:
+def render_csv(records: list[InvariantRecord], out: TextIO | None = None) -> str | None:
     """Comma-separated table: one value column per invariant of the
     records, in their order, then one flag column per invariant (no
-    records: the bare ``d`` header).  UTF-8, LF line endings, header row."""
+    records: the bare ``d`` header).  UTF-8, LF line endings, header row.
+    Returned as a string if ``out`` is None, else written to the text
+    stream ``out`` in batches of about 64 KiB (see ``exact.emit``)."""
+    return emit(_csv_lines(records), out)
+
+
+def _csv_lines(records: list[InvariantRecord]) -> Iterator[str]:
     kinds = list(records[0].values) if records else []
     header = (
         ["d"]
         + [kind.value for kind in kinds]
         + [f"{kind.value}_flag" for kind in kinds]
     )
-    lines = [",".join(header)]
+    yield ",".join(header) + "\n"
     for record in records:
         row = [str(record.d)]
         row += [format_exact(record.values[kind]) for kind in kinds]
@@ -102,17 +108,23 @@ def render_csv(records: list[InvariantRecord]) -> str:
             " ".join(flag_tokens(record.flags[kind], record.values[kind]))
             for kind in kinds
         ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(row) + "\n"
 
 
-def render_json(records: list[InvariantRecord]) -> str:
+def render_json(records: list[InvariantRecord], out: TextIO | None = None) -> str | None:
     """JSON array with one object per record: its degree, its values as
     exact strings, and per invariant the domain status and integrality.
-    The bytes are those of ``json.dumps`` with ``indent=2``."""
-    if not records:
-        return "[]\n"
-    return "[\n" + ",\n".join(map(_record_json, records)) + "\n]\n"
+    The bytes are those of ``json.dumps`` with ``indent=2``, returned or
+    written to ``out`` as ``render_csv`` does."""
+    return emit(_json_records(records), out)
+
+
+def _json_records(records: list[InvariantRecord]) -> Iterator[str]:
+    separator = "[\n"
+    for record in records:
+        yield separator + _record_json(record)
+        separator = ",\n"
+    yield "\n]\n" if records else "[]\n"
 
 
 _JSON_BOOL = {False: "false", True: "true"}

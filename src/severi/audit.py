@@ -17,12 +17,13 @@ document directly from a template of its fixed schema, byte-identical to
 from __future__ import annotations
 
 from enum import Enum
+from math import perm
 from typing import Iterator, NamedTuple, TextIO
 
 from ._version import __version__
 from .exact import (
     ExactScalar, InexactDivision, emit, format_exact, is_integral, json_string,
-    parse_exact,
+    parse_exact, pascal_row,
 )
 from .engine import InvariantEngine, InvariantKind, _check_degree
 
@@ -224,37 +225,96 @@ _MUST_BE_INTEGRAL = (
 _INTEGRALITY_REPORTED = (InvariantKind.G1, InvariantKind.OMEGA, InvariantKind.M)
 
 
+def _t_direct(n0: list[int], n1: list[int], d: int) -> int:
+    """T(d) = sum (3 d1 - 2) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2), summed
+    term by term from N0 and N1 below d.  Its row is a multiplicative
+    ``exact.pascal_row`` built here at every degree; the engine's stored
+    T takes its row from the window, stepped by additions, so the two
+    paths share no row."""
+    row = pascal_row(3 * d - 1)[2::3]
+    return sum(
+        (3 * d1 - 2) * d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
+        for d1 in range(1, d)
+    )
+
+
+def _k1_via_c2(engine: InvariantEngine, t: int, d: int) -> ExactScalar:
+    """Second path for ``k1``, from the Chern-class identity
+    K1 + 12 omega + T(1) = 3 N1 + 3 d omega + 3 T(d1) - T(1), where T(u)
+    is the splitting convolution weighted by u:
+
+        K1 = 3 N1 + (3d - 12) omega + T(3 d1 - 2),
+
+    with ``t`` the direct T(d).  With omega = (d-1)(d-2)/24 N0, the omega
+    term is the same polynomial in d times N0 as the ((d-1)(d-2)(d-4)/8) N0
+    that ``engine.k1`` has inline.  So the two paths differ only in their
+    T and in that this one reads ``engine.omega``: the ``k1_two_path``
+    check adds the omega closed form to what ``t_linearity`` checks, and
+    a wrong omega reaches an exit-1 check."""
+    a, b = engine.omega(d).as_integer_ratio()
+    return ExactScalar((3 * engine.n1(d).numerator + t) * b + (3 * d - 12) * a, b)
+
+
+def _g0_from_splitting_sum(
+    engine: InvariantEngine, n0: list[int], d: int
+) -> ExactScalar:
+    """Second path for ``g0``: 2g - 2 = K0 - sum N0 N0 d1 d2 C(3d-4, 3d1-2).
+
+    The sum is 2m retyped term by term from N0 below d, its binomials
+    walked along the row from C(3d-4, 1) = 3d-4 in strides of three,
+
+        C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) / ((k+1)(k+2)(k+3)),
+
+    up to d1 = d // 2 only: C(3d-4, 3d1-2) = C(3d-4, 3d2-2), so a pair
+    d1 < d2 counts twice.  None comes from ``exact.py`` or the engine's
+    row window, whose rows ``engine.g0`` reads, so the ``g0_two_path``
+    check guards the engine's fused splitting pass, the window and the m
+    assembly against drift.  Both sides read ``engine.k0``, so it is not
+    an independent derivation of the genus."""
+    a, b = engine.k0(d).as_integer_ratio()
+    n = 3 * d - 4
+    two_m, c = 0, n
+    for d1, k in zip(range(1, d // 2 + 1), range(1, n, 3)):
+        pair = 1 if 2 * d1 == d else 2
+        two_m += pair * d1 * (d - d1) * c * n0[d1] * n0[d - d1]
+        c = c * perm(n - k, 3) // perm(k + 3, 3)
+    return ExactScalar(a - (two_m - 2) * b, 2 * b)
+
+
 def run_identity_suite(
     engine: InvariantEngine, d_max: int, checks: list[AuditCheck] | None = None
 ) -> AuditReport:
     """Two-path equalities, the component-count identity, the stored T
     against a direct sum, and integrality scans, for 3 <= d <= d_max.
 
-    ``t_linearity`` compares T stored by the N1 loop (``t_op``) with T
-    summed term by term (``t_op_direct``).  ``k1_two_path`` compares
-    ``k1`` with ``k1_via_c2``, which differ only in those two T paths and
-    in two terms that are the same polynomial times N0:
-    ((d-1)(d-2)(d-4)/8) N0 and (3d-12) omega, with omega =
-    (d-1)(d-2)/24 N0.  So it adds only the omega closed form to what
-    ``t_linearity`` checks.  The stored T takes C(3d-1, 3 d1 - 1) from
-    the engine's Pascal row window, stepped by additions, and the direct
-    T from a multiplicative ``exact.pascal_row`` built at every degree, so
-    both checks also compare the two binomial constructions.  The window
-    is seeded by ``pascal_row`` only after a non-sequential query (at
-    d = 1, 2 and 3 in a full audit).  ``g0_two_path`` compares ``g0``,
-    whose 2m takes C(3d-4, 3 d1 - 2) from the window, with
-    ``g0_from_splitting_sum``, whose 2m walks that row in strides of
-    three from C(3d-4, 1); both read the same K0."""
+    The second paths (``_t_direct``, ``_k1_via_c2`` and
+    ``_g0_from_splitting_sum``) read only the engine's public methods.
+    N0 and N1 below d come from lists the suite keeps, one entry per
+    degree read through ``engine.n0`` and ``engine.n1`` once ``engine.k1``
+    has filled the engine to d.  The direct T is summed once per degree
+    and feeds both ``t_linearity``, against T as the N1 loop stores it
+    (``engine.t_op``), and ``k1_two_path``.  ``g0_two_path`` compares
+    ``engine.g0``, whose 2m takes C(3d-4, 3 d1 - 2) from the window, with
+    the strided walk of ``_g0_from_splitting_sum``.  The window is seeded
+    by ``pascal_row`` only after a non-sequential query (at d = 1, 2 and
+    3 in a full audit)."""
     checks = _shared(d_max, checks)
-    pairs = (
-        ("k1_two_path", engine.k1, engine.k1_via_c2),
-        ("rcount_equals_nodes", engine.r_component_count, engine.reducible_fibre_count),
-        ("g0_two_path", engine.g0, engine.g0_from_splitting_sum),
-        ("t_linearity", engine.t_op, engine.t_op_direct),
-    )
+    n0, n1 = [0], [0]
     for d in range(3, d_max + 1):
+        k1 = engine.k1(d)  # fills the engine to d
+        for k in range(len(n0), d):
+            n0.append(engine.n0(k).numerator)
+            n1.append(engine.n1(k).numerator)
+        t = _t_direct(n0, n1, d)
+        pairs = (
+            ("k1_two_path", k1, _k1_via_c2(engine, t, d)),
+            ("rcount_equals_nodes", engine.r_component_count(d),
+             engine.reducible_fibre_count(d)),
+            ("g0_two_path", engine.g0(d), _g0_from_splitting_sum(engine, n0, d)),
+            ("t_linearity", engine.t_op(d), ExactScalar(t)),
+        )
         for check_id, one, other in pairs:
-            checks.append(_compared(check_id, d, CheckKind.IDENTITY, one(d), other(d)))
+            checks.append(_compared(check_id, d, CheckKind.IDENTITY, one, other))
         for kind in _MUST_BE_INTEGRAL + _INTEGRALITY_REPORTED:
             value = engine.value(kind, d)
             integral = is_integral(value)

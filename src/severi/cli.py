@@ -19,6 +19,7 @@ from __future__ import annotations
 # and its self-tests pin severi.cli.build_records.  The audit layer is
 # imported per verb, in _cmd_audit, so eval, table and --version never
 # load severi.audit; argparse is imported only by build_parser.
+import os
 import sys
 from types import SimpleNamespace
 
@@ -114,10 +115,18 @@ def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
 
 def _write_output(output: str | None, render, *args) -> None:
     """``render(*args, out)`` into the ``--output`` file, opened only now that
-    every value is computed, or else into ``sys.stdout`` as it is now."""
+    every value is computed, or else into ``sys.stdout`` as it is now.  A
+    reader that closes stdout early (``| head``) is not an error: the rest
+    of the output goes to ``os.devnull``, so that the flush at exit cannot
+    fail again, and the verb returns its own exit code."""
     if output is None:
-        render(*args, sys.stdout)
-        sys.stdout.flush()
+        try:
+            render(*args, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as handle:
             render(*args, handle)

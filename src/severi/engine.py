@@ -9,8 +9,7 @@ The engine computes, for each degree d >= 1:
 * the T-operator (the splitting convolution weighted by 3 d1 - 2) and
   the derived quantities ``omega``, ``m``, the splitting-fibre
   statistics, the one-cuspidal counts ``k0``/``k1``, and the linear
-  genera ``g0``/``g1``; ``k1_via_c2``, ``t_op_direct`` and
-  ``g0_from_splitting_sum`` are second paths that only the audit reads.
+  genera ``g0``/``g1``.
 
 All values are exact.  The recursions and every splitting sum run on
 plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
@@ -20,32 +19,26 @@ The loops also keep the scaled counts a = d N0, u = (3d-2) d N0 and
 v = d N1, so a degree costs only big products: T is a bare binomial row
 dotted with u v, and N0 is (3d-3)^-1 times one weight per unordered pair
 dotted with a a, the two binomials of Kontsevich's bracket folded into
-one row (see ``n0``).  The splitting sums read ``a`` too; the audit's
-second paths ``t_op_direct`` and ``g0_from_splitting_sum`` read only the
-unscaled N0 and N1.
+one row (see ``n0``).  The splitting sums read ``a`` too.
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
 stored.  ``k1``, ``g1`` and the ramification residual share the
-numerators 8 K1 and 48 g1.  Both ``g0`` paths read ``k0``, and
-``k1_via_c2`` and the residual read ``omega``, as numerator and
-denominator: a wrong K0 then reaches G0, and a wrong omega
-``k1_two_path`` (``k1`` has its N0 term inline).  Every public
-per-degree method checks its degree before any arithmetic on it, so a
-bad degree is a ``ValueError`` that leaves the state untouched.
+numerators 8 K1 and 48 g1.  ``g0`` reads ``k0``, and the residual reads
+``omega``, as numerator and denominator, so a wrong K0 reaches G0;
+``k1`` has its N0 term inline.  Every public per-degree method checks
+its degree before any arithmetic on it, so a bad degree is a
+``ValueError`` that leaves the state untouched.
 
 ``n0``, ``n1`` (which advances N0 in lockstep) and the splitting sums
 read a window of the four full Pascal rows C(3d-4, .) .. C(3d-1, .) of
 one degree d, stepped by additions and seeded by ``exact.pascal_row``
-only after a non-sequential query.  The audit's second paths build their
-binomials apart: ``t_op_direct`` takes a multiplicative
-``exact.pascal_row`` of its own at every degree, and
-``g0_from_splitting_sum`` walks C(3d-4, .) in strides of three.
+only after a non-sequential query.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import comb, perm
+from math import comb
 from operator import add, mul
 from typing import Iterable, NamedTuple
 
@@ -168,10 +161,10 @@ class InvariantEngine:
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so no stored entry is ever overwritten.
     The state is all ``int``: N0, N1, T and the scaled counts a, u, v
-    are lists indexed by degree (entry 0 unused); the two O(d) sums that
-    are not recursions, the splitting-sum tuple and the audit's direct
-    T, are dicts keyed by degree; the binomial row window holds the rows
-    of one degree only (at degree 0, C(-4, .) .. C(-1, .), all empty).
+    are lists indexed by degree (entry 0 unused); the splitting-sum
+    tuples, the one O(d) sum that is not a recursion, are a dict keyed
+    by degree; the binomial row window holds the rows of one degree
+    only (at degree 0, C(-4, .) .. C(-1, .), all empty).
     Every other value is an O(1) assembly over these, rebuilt per call.
     """
 
@@ -184,7 +177,6 @@ class InvariantEngine:
         self._u: list[int] = [0, 1]
         self._v: list[int] = [0]
         self._split: dict[int, tuple[int, ...]] = {}
-        self._t_direct: dict[int, int] = {}
         self._window: tuple[int, list[list[int]]] = (0, [[]] * 4)
 
     def _rows(self, d: int) -> list[list[int]]:
@@ -275,26 +267,6 @@ class InvariantEngine:
         """
         self.n1(d)
         return ExactScalar(self._t[d])
-
-    def t_op_direct(self, d: int) -> ExactScalar:
-        """T(d) summed term by term, without reading the stored list.
-
-        Audit-only: the second path of the two T checks.  Its sum is kept
-        per degree, so ``k1_via_c2`` and ``t_linearity`` share one pass.
-        Its row C(3d-1, .) is a multiplicative ``exact.pascal_row`` built
-        here at every degree; the stored T's is the window's, stepped by
-        additions, so the paths share no row.
-        """
-        _check_degree(d)  # before the lookup: True and 3.0 hash like 1 and 3
-        if d not in self._t_direct:
-            if d >= 2:
-                self.n1(d - 1)
-            n0, n1, row = self._n0, self._n1, pascal_row(3 * d - 1)[2::3]
-            self._t_direct[d] = sum(
-                (3 * d1 - 2) * d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
-                for d1 in range(1, d)
-            )
-        return ExactScalar(self._t_direct[d])
 
     # -- derived invariants ----------------------------------------------
 
@@ -426,27 +398,6 @@ class InvariantEngine:
         t, q = self.t_op(d).numerator, (d - 1) * (d - 2) * (d - 4)
         return 24 * self._n1[d] + q * self._n0[d] + 8 * t
 
-    def k1_via_c2(self, d: int) -> ExactScalar:
-        """Second evaluation path for ``k1``, from the Chern-class identity
-        K1 + 12 omega + T(1) = 3 N1 + 3 d omega + 3 T(d1) - T(1), where
-        T(u) is the splitting convolution weighted by u:
-
-            K1 = 3 N1 + (3d - 12) omega + T(3 d1 - 2).
-
-        With omega = (d-1)(d-2)/24 N0, the term (3d - 12) omega is the
-        same polynomial in d times N0 as the ((d-1)(d-2)(d-4)/8) N0 of
-        :meth:`k1`.  So the two paths differ only in that this one takes
-        T from :meth:`t_op_direct` (binomials from a multiplicative
-        ``exact.pascal_row``) and :meth:`k1` from the stored list (from
-        the row window, stepped by additions): the ``k1_two_path`` check
-        adds the omega closed form to what ``t_linearity`` checks, and
-        nothing more.  It reads :meth:`omega` itself, not a private 24
-        omega: otherwise a wrong omega would reach no exit-1 check.
-        """
-        t, n1 = self.t_op_direct(d).numerator, self.n1(d).numerator
-        a, b = self.omega(d).as_integer_ratio()
-        return ExactScalar((3 * n1 + t) * b + (3 * d - 12) * a, b)
-
     def g0(self, d: int) -> ExactScalar:
         """Linear genus of the rational-curve family:
 
@@ -455,31 +406,6 @@ class InvariantEngine:
         from the section relation m + 2g - 2 = -m + K0.
         """
         (a, b), two_m = self.k0(d).as_integer_ratio(), self._splitting_values(d)[0]
-        return ExactScalar(a - (two_m - 2) * b, 2 * b)
-
-    def g0_from_splitting_sum(self, d: int) -> ExactScalar:
-        """Second path for ``g0``: 2g - 2 = K0 - sum N0 N0 d1 d2 C(3d-4, 3d1-2).
-
-        The sum is 2m retyped term by term, its binomials walked along the
-        row from C(3d-4, 1) = 3d-4 in strides of three,
-
-            C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) / ((k+1)(k+2)(k+3)),
-
-        up to d1 = d // 2 only: C(3d-4, 3d1-2) = C(3d-4, 3d2-2), so a pair
-        d1 < d2 counts twice.  None comes from ``exact.py`` or the window.
-        The fused pass builds its 2m from the window, so the two-path check
-        guards that pass, the window and the m assembly against drift; both
-        sides read the same K0, so it is not an independent derivation of
-        the genus.
-        """
-        self.n0(d)
-        n0, n = self._n0, 3 * d - 4
-        two_m, c = 0, n
-        for d1, k in zip(range(1, d // 2 + 1), range(1, n, 3)):
-            pair = 1 if 2 * d1 == d else 2
-            two_m += pair * d1 * (d - d1) * c * n0[d1] * n0[d - d1]
-            c = c * perm(n - k, 3) // perm(k + 3, 3)
-        a, b = self.k0(d).as_integer_ratio()
         return ExactScalar(a - (two_m - 2) * b, 2 * b)
 
     def g1(self, d: int) -> ExactScalar:

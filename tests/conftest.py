@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from severi import InvariantEngine
+from severi import audit
 from severi.cli import main as cli_main
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "invariants_d12.json"
@@ -19,6 +20,19 @@ def golden() -> dict[str, dict[str, str]]:
 
 def golden_value(golden: dict, name: str, d: int) -> Fraction:
     return Fraction(golden[name][str(d)])
+
+
+def audit_second_paths(engine: InvariantEngine, d: int) -> tuple[Fraction, ...]:
+    """T(d), K1(d) and G0(d) from the audit's second paths, with N0 and N1
+    below d read through the public methods, as ``run_identity_suite``
+    reads them."""
+    n0 = [0, *(engine.n0(k).numerator for k in range(1, d))]
+    n1 = [0, *(engine.n1(k).numerator for k in range(1, d))]
+    t = audit._t_direct(n0, n1, d)
+    return (
+        Fraction(t), audit._k1_via_c2(engine, t, d),
+        audit._g0_from_splitting_sum(engine, n0, d),
+    )
 
 
 @pytest.fixture

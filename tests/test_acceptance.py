@@ -14,6 +14,7 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import audit_second_paths
 from severi import InvariantEngine, InvariantKind, KIND_ORDER
 from severi.audit import CheckKind, CheckStatus, run_full_audit
 
@@ -81,7 +82,7 @@ def test_criterion_4_cuspidal_elliptic(engine):
     # 3*225 + 0 + 1*1*3*C(11,2) = 675 + 165 = 840.
     assert engine.k1(4) == 840
     for d in range(3, 13):
-        assert engine.k1(d) == engine.k1_via_c2(d)
+        assert engine.k1(d) == audit_second_paths(engine, d)[1]
 
 
 @criterion(5, "linear genus g0(3)=3, cross-derived two independent ways")

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from severi import InvariantEngine, __version__
+from severi import audit as audit_module
 from severi.exact import format_exact
 from severi.audit import (
     AuditCheck,
@@ -122,6 +124,14 @@ class TestIdentitySuite:
         report = run_identity_suite(engine, 6)
         failed = {(c.id, c.degree) for c in report.checks if c.status is CheckStatus.FAIL}
         assert failed == {("k1_two_path", 6), ("t_linearity", 6)}
+
+
+def test_the_audit_reads_no_private_engine_attribute():
+    # A two-path check is only as independent as its second path: the
+    # audit reads the engine through its public methods, never its lists,
+    # its splitting-sum cache or its row window.
+    source = Path(audit_module.__file__).read_text(encoding="utf-8")
+    assert "engine._" not in source
 
 
 def _engine_with_corrupted_n0():

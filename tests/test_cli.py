@@ -368,6 +368,33 @@ class TestCorruptedEngine:
         ) in out
 
 
+class TestBrokenPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [("table", "--d-max", "100"), ("audit", "--d-max", "60", "--format", "json")],
+        ids=["table", "audit"],
+    )
+    def test_a_reader_that_stops_after_one_line_is_not_an_error(self, argv):
+        # As in `severi table --d-max 100 | head -1`.  The document is far
+        # larger than a pipe buffer, so the child is still writing when
+        # the reader closes its end.
+        src = Path(__file__).resolve().parents[1] / "src"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "severi", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait() == 0
+        assert first == b"{\n" or first.startswith(b"d,N0,N1,")
+        assert b"Exception ignored" not in err
+        assert err == b""
+
+
 class TestUsage:
     def test_no_command_is_a_usage_error(self, run_cli):
         code, _, err = run_cli()

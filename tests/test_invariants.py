@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from conftest import golden_value
+from conftest import audit_second_paths, golden_value
 from severi import (
     BELOW_MIN_DEGREE,
     DEGENERATE_GEOMETRY,
@@ -16,8 +16,9 @@ from severi import (
     KIND_ORDER,
     domain_status,
 )
+from severi import audit
 from severi import engine as engine_module
-from severi.audit import run_full_audit
+from severi.audit import run_full_audit, run_identity_suite
 from severi.engine import MAX_DEGREE
 from severi.tables import build_records, kind_named, select_kinds
 
@@ -66,8 +67,10 @@ class TestTOperator:
         assert engine.t_op(4) == 165
 
     def test_stored_and_direct_sums_match_the_oracle(self, engine):
+        # The direct sum is the audit's, from its own lists and rows.
         for d in range(1, 41):
-            assert engine.t_op(d) == engine.t_op_direct(d) == oracle.t_weighted(3, -2, d)
+            direct = audit_second_paths(engine, d)[0]
+            assert engine.t_op(d) == direct == oracle.t_weighted(3, -2, d)
 
 
 class TestDerivedInvariants:
@@ -117,8 +120,8 @@ class TestDerivedInvariants:
         assert engine.k1(d) == expected
 
     def test_k1_via_c2_matches_hand_values(self, engine):
-        assert engine.k1_via_c2(3) == 0  # 3 + (-3)*1 + 0 - 0
-        assert engine.k1_via_c2(4) == 840  # 675 + 0*155 + 3*165 - 2*165
+        assert audit_second_paths(engine, 3)[1] == 0  # 3 + (-3)*1 + 0 - 0
+        assert audit_second_paths(engine, 4)[1] == 840  # 675 + 0*155 + 3*165 - 2*165
 
     def test_g0_degree_three(self, engine):
         assert engine.g0(3) == Fraction(24 - 20 + 2, 2) == 3
@@ -126,7 +129,7 @@ class TestDerivedInvariants:
     def test_g0_two_paths_agree(self, engine):
         # From d = 1: the stride-3 walk then starts on the rows n = -1, 2.
         for d in range(1, 13):
-            assert engine.g0(d) == engine.g0_from_splitting_sum(d)
+            assert engine.g0(d) == audit_second_paths(engine, d)[2]
 
     def test_g1_degree_four(self, engine):
         # (840 - 1012.5 + 1240 + 82.5 + 2)/2 = 1152/2 = 576.
@@ -152,16 +155,24 @@ class TestGoldenAgreement:
         "k0": "k0",
         "k0_printed": "k0_printed",
         "k1": "k1",
-        "k1_via_c2": "k1_via_c2",
         "g0": "g0",
         "g1": "g1",
         "ramification_residual": "ramification_residual",
     }
 
+    @classmethod
+    def accessor(cls, name):
+        """(engine, d) -> the value that ``name`` denotes in the golden file:
+        an engine method, or for k1_via_c2 the audit's second path."""
+        if name == "k1_via_c2":
+            return lambda engine, d: audit_second_paths(engine, d)[1]
+        return lambda engine, d: getattr(engine, cls.NAME_TO_METHOD[name])(d)
+
     def test_every_golden_entry(self, engine, golden):
-        for name, method in self.NAME_TO_METHOD.items():
+        for name in [*self.NAME_TO_METHOD, "k1_via_c2"]:
+            accessor = self.accessor(name)
             for d_str, expected in golden[name].items():
-                actual = getattr(engine, method)(int(d_str))
+                actual = accessor(engine, int(d_str))
                 assert actual == Fraction(expected), (name, d_str)
 
     def test_live_oracle_spot_checks_beyond_golden_range(self, engine):
@@ -175,23 +186,22 @@ class TestGoldenAgreement:
     ])
     def test_live_oracle_agrees_from_degree_13_to_40(self, engine, name):
         # Both parities of d, so the paired sums' middle term d1 = d2 is hit.
-        method = getattr(engine, self.NAME_TO_METHOD[name])
+        accessor = self.accessor(name)
         reference = getattr(oracle, "m_invariant" if name == "m" else name)
         for d in range(13, 41):
-            assert method(d) == reference(d), (name, d)
+            assert accessor(engine, d) == reference(d), (name, d)
 
 
 def _assert_untouched(engine):
     """No count, scaled count, T entry or cached sum was computed."""
     lists = (engine._n0, engine._a, engine._u, engine._n1, engine._v, engine._t)
     assert lists == ([0, 1], [0, 1], [0, 1], [0], [0], [0])
-    assert (engine._split, engine._t_direct) == ({}, {})
+    assert engine._split == {}
 
 
 _PER_DEGREE_METHODS = (
-    "n0", "n1", "t_op", "t_op_direct", "omega", "m_invariant",
-    "reducible_fibre_count", "r_component_count", "lr", "k0", "k0_printed",
-    "k1", "k1_via_c2", "g0", "g0_from_splitting_sum", "g1",
+    "n0", "n1", "t_op", "omega", "m_invariant", "reducible_fibre_count",
+    "r_component_count", "lr", "k0", "k0_printed", "k1", "g0", "g1",
     "ramification_residual",
 )
 _PER_DEGREE_CALLS = [
@@ -199,6 +209,12 @@ _PER_DEGREE_CALLS = [
       for name in _PER_DEGREE_METHODS),
     *((f"value({kind.value})", lambda engine, d, kind=kind: engine.value(kind, d))
       for kind in KIND_ORDER),
+    # The audit's second paths that read the engine at d; the direct T
+    # reads only lists below d, and its degree comes from
+    # run_identity_suite's range, whose d_max is checked first.
+    ("audit._k1_via_c2", lambda engine, d: audit._k1_via_c2(engine, 0, d)),
+    ("audit._g0_from_splitting_sum",
+     lambda engine, d: audit._g0_from_splitting_sum(engine, [0, 1, 1], d)),
 ]
 
 
@@ -222,7 +238,7 @@ class TestInvariantProperties:
 
     def test_k1_two_path_equality(self, engine):
         for d in range(3, 13):
-            assert engine.k1(d) == engine.k1_via_c2(d)
+            assert engine.k1(d) == audit_second_paths(engine, d)[1]
 
     def test_strict_growth_from_degree_three(self, engine):
         for d in range(4, 13):
@@ -261,6 +277,12 @@ class TestInvariantProperties:
         monkeypatch.setattr(engine_module, "MAX_DEGREE", 8)
         with pytest.raises(ValueError, match="ceiling 8"):
             entry_point(engine, 9)
+        _assert_untouched(engine)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2, 3.0, True, "3", None, MAX_DEGREE + 1])
+    def test_the_identity_suite_refuses_a_bad_d_max_before_any_work(self, engine, bad):
+        with pytest.raises(ValueError):
+            run_identity_suite(engine, bad)
         _assert_untouched(engine)
 
     def test_degree_must_be_an_integer(self, engine):

@@ -1,14 +1,17 @@
-"""A mutation gate on the audit: one-token faults in ``severi/engine.py``
-and ``severi/exact.py``.
+"""A mutation gate on the audit: one-token faults in ``severi/engine.py``,
+``severi/exact.py`` and ``severi/audit.py``.
 
 Each mutant is a module's source with one token changed inside one
 function, executed as a fresh module of the ``severi`` package.  An
 ``exact`` mutant is bound to the engine by standing in for
 ``severi.exact`` in ``sys.modules`` while the engine's source is
-executed.  An engine built from it goes through the real
-``run_full_audit`` at d_max 12 and, if no FAIL counts there, at 30.  A
-mutant must end in a blocking FAIL (the audit exits 1), or, where it
-sits in code that only a discrepancy probe runs, in a probe FAIL.
+executed, so it reaches the engine's row window and divisions but not
+the audit's own rows.  An engine built from an ``engine`` or ``exact``
+mutant goes through the real ``run_full_audit``; an ``audit`` mutant's
+own ``run_full_audit`` audits a real engine.  Each runs at d_max 12
+and, if no FAIL counts there, at 30.  A mutant must end in a blocking
+FAIL (the audit exits 1), or, where it sits in code that only a
+discrepancy probe runs, in a probe FAIL.
 Equivalent mutants are listed with the reason the audit cannot tell them
 apart, and their audit bytes are asserted unchanged, so neither list can
 go stale.  Audit-blind mutants change a public accessor that no audit
@@ -27,11 +30,12 @@ import pytest
 
 import oracle
 from severi import InvariantEngine
+from severi import audit as audit_module
 from severi import engine as engine_module
 from severi import exact as exact_module
-from severi.audit import CheckKind, CheckStatus, run_full_audit
+from severi.audit import CheckStatus, run_full_audit
 
-MODULES = {"engine": engine_module, "exact": exact_module}
+MODULES = {"engine": engine_module, "exact": exact_module, "audit": audit_module}
 SOURCES = {
     name: Path(module.__file__).read_text(encoding="utf-8")
     for name, module in MODULES.items()
@@ -47,7 +51,6 @@ MUTANTS = [
      BLOCKING, 30),
     ("n1_t_weight", "n1", "4 * s", "5 * s", BLOCKING, 12),
     ("n1_t_row", "n1", "[2:3 * m:3]", "[1:3 * m:3]", BLOCKING, 12),
-    ("t_direct_weight", "t_op_direct", "(3 * d1 - 2)", "(3 * d1 - 1)", BLOCKING, 12),
     # The splitting sums.
     ("paired_fold", "_paired_sum", "row[::-1]", "row[::1]", BLOCKING, 12),
     ("nodes_row", "_splitting_values", "c2[2::3],", "c2[1::3],", BLOCKING, 12),
@@ -55,26 +58,16 @@ MUTANTS = [
     ("k0_lr", "k0", "6 * lr", "4 * lr", BLOCKING, 12),
     ("k0_printed_den", "k0_printed", "[4], 2)", "[4], 1)", PROBE, 12),
     ("omega_den", "omega", "24)", "12)", BLOCKING, 12),
-    # K1 and its second path.
+    # K1.
     ("k1num_poly", "_k1_numerator", "(d - 4)", "(d - 3)", BLOCKING, 12),
     ("k1num_n1", "_k1_numerator", "24 * self._n1[d]", "25 * self._n1[d]", BLOCKING, 12),
     ("k1num_t", "_k1_numerator", "8 * t", "7 * t", BLOCKING, 12),
     ("k1_den", "k1", ", 8)", ", 4)", BLOCKING, 12),
-    ("k1c2_n1", "k1_via_c2", "self.n1(d)", "self.n0(d)", BLOCKING, 12),
-    ("k1c2_omega_read", "k1_via_c2", "a, b = self.omega", "b, a = self.omega",
-     BLOCKING, 12),
-    ("k1c2_omega_coeff", "k1_via_c2", "(3 * d - 12) * a", "(3 * d - 13) * a",
-     BLOCKING, 12),
-    ("k1c2_t_sign", "k1_via_c2", "+ t)", "- t)", BLOCKING, 12),
-    ("k1c2_den", "k1_via_c2", "* a, b)", "* a, 2 * b)", BLOCKING, 12),
     # The genera.
     ("g0_two_m", "g0", "_splitting_values(d)[0]", "_splitting_values(d)[2]",
      BLOCKING, 12),
     ("g0_const", "g0", "(two_m - 2)", "(two_m - 1)", BLOCKING, 12),
     ("g0_den", "g0", "2 * b)", "b)", BLOCKING, 12),
-    ("g0s_const", "g0_from_splitting_sum", "(two_m - 2)", "(two_m + 2)", BLOCKING, 12),
-    ("g0s_k0_read", "g0_from_splitting_sum", "a, b = self.k0", "b, a = self.k0",
-     BLOCKING, 12),
     ("g1_den", "g1", ", 48)", ", 24)", BLOCKING, 12),
     ("g1num_k1", "_g1_numerator", "3 * k1", "2 * k1", BLOCKING, 12),
     ("g1num_n1", "_g1_numerator", "108 *", "107 *", BLOCKING, 12),
@@ -113,6 +106,28 @@ EXACT_MUTANTS = [
     ("div_numerator", "exact_div", "divmod(n, m)", "divmod(n + 1, m)", BLOCKING, 12),
 ]
 
+# The same, in severi/audit.py: the second paths of the two-path checks,
+# and the lists of N0 and N1 that run_identity_suite reads through the
+# engine's public methods.
+AUDIT_MUTANTS = [
+    ("t_direct_weight", "_t_direct", "(3 * d1 - 2)", "(3 * d1 - 1)", BLOCKING, 12),
+    ("k1c2_n1", "_k1_via_c2", "engine.n1(d)", "engine.n0(d)", BLOCKING, 12),
+    ("k1c2_omega_read", "_k1_via_c2", "a, b = engine.omega", "b, a = engine.omega",
+     BLOCKING, 12),
+    ("k1c2_omega_coeff", "_k1_via_c2", "(3 * d - 12) * a", "(3 * d - 13) * a",
+     BLOCKING, 12),
+    ("k1c2_t_sign", "_k1_via_c2", "+ t)", "- t)", BLOCKING, 12),
+    ("k1c2_den", "_k1_via_c2", "* a, b)", "* a, 2 * b)", BLOCKING, 12),
+    ("g0s_const", "_g0_from_splitting_sum", "(two_m - 2)", "(two_m + 2)",
+     BLOCKING, 12),
+    ("g0s_k0_read", "_g0_from_splitting_sum", "a, b = engine.k0", "b, a = engine.k0",
+     BLOCKING, 12),
+    ("lists_start", "run_identity_suite", "n0, n1 = [0], [0]", "n0, n1 = [0], [0, 0]",
+     BLOCKING, 12),
+    ("lists_n0", "run_identity_suite", "engine.n0(k)", "engine.n1(k)", BLOCKING, 12),
+    ("lists_n1", "run_identity_suite", "engine.n1(k)", "engine.n0(k)", BLOCKING, 12),
+]
+
 # (id, function, token, replacement, why the audit cannot see it)
 EQUIVALENT = [
     ("rcount_row", "_splitting_values", "c3[1::3],  # RCOUNT", "c3[2::3],  # RCOUNT",
@@ -123,6 +138,11 @@ EXACT_EQUIVALENT = [
     ("div_guard_one", "exact_div", "if remainder:", "if remainder > 1:",
      "on a correct engine every division is exact, so a guard that lets a "
      "remainder of 1 through changes nothing"),
+]
+AUDIT_EQUIVALENT = [
+    ("lists_ahead", "run_identity_suite", "range(len(n0), d)", "range(len(n0), d + 1)",
+     "the lists then also hold N0(d) and N1(d), which no second path reads, "
+     "read after engine.k1(d) has filled the engine to d"),
 ]
 
 # (id, function, token, replacement, ids of the checks whose rows change):
@@ -173,11 +193,27 @@ def _mutant_engine(function: str, token: str, replacement: str,
         sys.modules["severi.exact"] = saved
 
 
-def _outcome(report) -> str | None:
+def _mutant_audit(function: str, token: str, replacement: str, name: str,
+                  d_max: int):
+    """A full audit at ``d_max`` with one mutation in module ``name``, and
+    the audit module that made it: the real ``run_full_audit`` on an engine
+    built from an engine or exact mutant, or an audit mutant's own
+    ``run_full_audit`` on a real engine."""
+    if name == "audit":
+        audit = _module("audit", (function, token, replacement))
+        return audit.run_full_audit(InvariantEngine(), d_max), audit
+    engine = _mutant_engine(function, token, replacement, name)
+    return run_full_audit(engine, d_max), audit_module
+
+
+def _outcome(report, audit) -> str | None:
+    """BLOCKING, PROBE or None, read with ``audit``'s own enums: a mutated
+    audit module has classes of its own."""
     if report.has_blocking_failure:
         return BLOCKING
     if any(
-        check.status is CheckStatus.FAIL and check.kind is CheckKind.DISCREPANCY_PROBE
+        check.status is audit.CheckStatus.FAIL
+        and check.kind is audit.CheckKind.DISCREPANCY_PROBE
         for check in report.checks
     ):
         return PROBE
@@ -199,23 +235,41 @@ def test_the_unmutated_exact_source_passes_the_audit():
     assert report.summary["FAIL"] == 0
 
 
+def test_the_unmutated_audit_source_audits_like_the_module():
+    report, audit = _mutant_audit(
+        "_t_direct", "(3 * d1 - 2)", "(3 * d1 - 2)", "audit", 30
+    )
+    original = run_full_audit(InvariantEngine(), 30)
+    assert audit is not audit_module and sys.modules["severi.audit"] is audit_module
+    assert (report.to_text(), report.to_json()) == (original.to_text(), original.to_json())
+    assert report.summary["FAIL"] == 0 and _outcome(report, audit) is None
+
+
 def test_an_exact_mutant_reaches_the_engine_and_nothing_else():
     engine = _mutant_engine("exact_div", "return quotient", "return quotient + 1", "exact")
     assert engine.n0(3) != InvariantEngine().n0(3)
     assert sys.modules["severi.exact"] is exact_module
+    assert audit_module.pascal_row is exact_module.pascal_row
+
+
+_MUTANT_CASES = [
+    (name, *m[1:])
+    for name, mutants in (
+        ("engine", MUTANTS), ("exact", EXACT_MUTANTS), ("audit", AUDIT_MUTANTS)
+    )
+    for m in mutants
+]
 
 
 @pytest.mark.parametrize(
-    "name, function, token, replacement, expected, caught_at",
-    [("engine", *m[1:]) for m in MUTANTS] + [("exact", *m[1:]) for m in EXACT_MUTANTS],
-    ids=[m[0] for m in MUTANTS + EXACT_MUTANTS],
+    "name, function, token, replacement, expected, caught_at", _MUTANT_CASES,
+    ids=[m[0] for m in MUTANTS + EXACT_MUTANTS + AUDIT_MUTANTS],
 )
 def test_the_audit_catches_the_mutant(
     name, function, token, replacement, expected, caught_at
 ):
     for d_max in (12, 30):
-        engine = _mutant_engine(function, token, replacement, name)
-        outcome = _outcome(run_full_audit(engine, d_max))
+        outcome = _outcome(*_mutant_audit(function, token, replacement, name, d_max))
         if outcome is not None:
             break
     assert (outcome, d_max) == (expected, caught_at)
@@ -224,15 +278,15 @@ def test_the_audit_catches_the_mutant(
 @pytest.mark.parametrize(
     "name, function, token, replacement, reason",
     [("engine", *m[1:]) for m in EQUIVALENT]
-    + [("exact", *m[1:]) for m in EXACT_EQUIVALENT],
-    ids=[m[0] for m in EQUIVALENT + EXACT_EQUIVALENT],
+    + [("exact", *m[1:]) for m in EXACT_EQUIVALENT]
+    + [("audit", *m[1:]) for m in AUDIT_EQUIVALENT],
+    ids=[m[0] for m in EQUIVALENT + EXACT_EQUIVALENT + AUDIT_EQUIVALENT],
 )
 def test_an_equivalent_mutant_leaves_the_audit_bytes_unchanged(
     name, function, token, replacement, reason
 ):
     for d_max in (12, 30):
-        engine = _mutant_engine(function, token, replacement, name)
-        mutant = run_full_audit(engine, d_max)
+        mutant, _ = _mutant_audit(function, token, replacement, name, d_max)
         original = run_full_audit(InvariantEngine(), d_max)
         assert mutant.to_text() == original.to_text(), reason
         assert mutant.to_json() == original.to_json(), reason

@@ -2,8 +2,8 @@
 
 The window serves the four Pascal rows C(3d-4, .) .. C(3d-1, .) for
 one degree at a time; ``exact.pascal_row`` seeds it after a non-sequential
-query and builds the rows of ``t_op_direct``.  Every row is compared
-with ``math.comb``.
+query and builds the rows of the audit's direct T sum.  Every row is
+compared with ``math.comb``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from severi import InvariantEngine, InvariantKind
+from severi import audit as audit_module
 from severi import engine as engine_module
 from severi.audit import run_full_audit
 from severi.exact import pascal_row, pascal_step
@@ -66,8 +67,8 @@ class TestRowWindow:
         engine.n1(200)
         # No other attribute may hold binomial rows.
         lists = {"_n0", "_n1", "_t", "_a", "_u", "_v"}
-        assert set(vars(engine)) == lists | {"_split", "_t_direct", "_window"}
-        assert (engine._split, engine._t_direct) == ({}, {})
+        assert set(vars(engine)) == lists | {"_split", "_window"}
+        assert engine._split == {}
         d, rows = engine._window
         assert d == 200
         assert [len(row) for row in rows] == [597, 598, 599, 600]
@@ -129,16 +130,20 @@ class TestRowBuilds:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        return _count_calls(monkeypatch, "pascal_row", pascal_row)
+        """Counters of the engine's and the audit's ``pascal_row`` calls."""
+        return [
+            _count_calls(monkeypatch, "pascal_row", pascal_row, module=module)
+            for module in (engine_module, audit_module)
+        ]
 
     def test_full_audit_builds_one_row_per_direct_t_pass(self, calls):
-        # 98 direct T passes (d = 3..100) and 3 window seeds (d = 1, 2, 3).
+        # 3 window seeds (d = 1, 2, 3) and 98 direct T passes (d = 3..100).
         run_full_audit(InvariantEngine(), 100)
-        assert calls[0] == 101
+        assert [count[0] for count in calls] == [3, 98]
 
     def test_the_recursions_build_none(self, calls):
         InvariantEngine().n1(200)
-        assert calls[0] == 0
+        assert [count[0] for count in calls] == [0, 0]
 
     def test_a_table_takes_three_steps_per_degree(self, monkeypatch):
         # The splitting sums read the window's rows and step none of their own.
@@ -172,9 +177,10 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
         assert calls[0] == expected, entry_point.__name__
 
 
-def _count_calls(monkeypatch, name, function, check=None):
-    """Patch ``engine.<name>`` to count its calls, handing each call's
-    arguments to ``check`` first if given; returns the counter."""
+def _count_calls(monkeypatch, name, function, check=None, module=engine_module):
+    """Patch ``module.<name>`` (the engine's by default) to count its
+    calls, handing each call's arguments to ``check`` first if given;
+    returns the counter."""
     count = [0]
 
     def counting(*args):
@@ -183,5 +189,5 @@ def _count_calls(monkeypatch, name, function, check=None):
             check(*args)
         return function(*args)
 
-    monkeypatch.setattr(engine_module, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return count

@@ -17,7 +17,6 @@ document directly from a template of its fixed schema, byte-identical to
 from __future__ import annotations
 
 from enum import Enum
-from math import perm
 from typing import Iterator, NamedTuple, TextIO
 
 from ._version import __version__
@@ -255,30 +254,36 @@ def _k1_via_c2(engine: InvariantEngine, t: int, d: int) -> ExactScalar:
     return ExactScalar((3 * engine.n1(d).numerator + t) * b + (3 * d - 12) * a, b)
 
 
+def _splitting_sums(n0: list[int], d: int) -> tuple[int, int, int, int]:
+    """(2m, 2 NODES, RCOUNT, LR) at degree d: the sums over ordered pairs
+    d1 + d2 = d of w d1 d2 C(n, 3 d1 - k) N0(d1) N0(d2), with (n, k, w) =
+    (3d-4, 2, 1), (3d-2, 1, 1), (3d-3, 2, 1) and (3d-3, 2, d2), from N0
+    below d and rows ``exact.pascal_row`` builds here.  (d1, d2) and
+    (d2, d1) share one pair product, the binomial of (d2, d1) read at
+    3 d1 by C(n, j) = C(n, n - j); a middle pair d1 = d2 counts once."""
+    r4, r3, r2 = (pascal_row(3 * d - j) for j in (4, 3, 2))
+    two_m = two_nodes = rcount = lr = 0
+    for d1 in range(1, d // 2 + 1):
+        d2, k, mirror = d - d1, 3 * d1, 2 * d1 < d
+        p, twice = d1 * d2 * n0[d1] * n0[d2], 1 + mirror
+        two_m += twice * r4[k - 2] * p
+        two_nodes += twice * r2[k - 1] * p
+        rcount += (r3[k - 2] + mirror * r3[k - 1]) * p
+        lr += (d2 * r3[k - 2] + mirror * d1 * r3[k - 1]) * p
+    return two_m, two_nodes, rcount, lr
+
+
 def _g0_from_splitting_sum(
-    engine: InvariantEngine, n0: list[int], d: int
+    engine: InvariantEngine, sums: tuple[int, int, int, int], d: int
 ) -> ExactScalar:
-    """Second path for ``g0``: 2g - 2 = K0 - sum N0 N0 d1 d2 C(3d-4, 3d1-2).
-
-    The sum is 2m retyped term by term from N0 below d, its binomials
-    walked along the row from C(3d-4, 1) = 3d-4 in strides of three,
-
-        C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) / ((k+1)(k+2)(k+3)),
-
-    up to d1 = d // 2 only: C(3d-4, 3d1-2) = C(3d-4, 3d2-2), so a pair
-    d1 < d2 counts twice.  None comes from ``exact.py`` or the engine's
-    row window, whose rows ``engine.g0`` reads, so the ``g0_two_path``
-    check guards the engine's fused splitting pass, the window and the m
-    assembly against drift.  Both sides read ``engine.k0``, so it is not
-    an independent derivation of the genus."""
-    a, b = engine.k0(d).as_integer_ratio()
-    n = 3 * d - 4
-    two_m, c = 0, n
-    for d1, k in zip(range(1, d // 2 + 1), range(1, n, 3)):
-        pair = 1 if 2 * d1 == d else 2
-        two_m += pair * d1 * (d - d1) * c * n0[d1] * n0[d - d1]
-        c = c * perm(n - k, 3) // perm(k + 3, 3)
-    return ExactScalar(a - (two_m - 2) * b, 2 * b)
+    """Second path for ``g0``, (K0 - 2m + 2) / 2 with the paper's assembly
+    K0 = 3 N0 - 3 d m + 3 LR - RCOUNT - NODES over ``sums``, the direct
+    (2m, 2 NODES, RCOUNT, LR), and N0(d) from ``engine.n0``.  The engine's
+    K0 is the closed form 12 (N0 - m), so ``g0_two_path`` checks that form
+    and the engine's 2m sum against the sums as the paper writes them."""
+    n0, (two_m, two_nodes, rcount, lr) = engine.n0(d).numerator, sums
+    two_k0 = 6 * n0 - 3 * d * two_m + 6 * lr - 2 * rcount - two_nodes
+    return ExactScalar(two_k0 - 2 * two_m + 4, 4)
 
 
 def run_identity_suite(
@@ -287,17 +292,16 @@ def run_identity_suite(
     """Two-path equalities, the component-count identity, the stored T
     against a direct sum, and integrality scans, for 3 <= d <= d_max.
 
-    The second paths (``_t_direct``, ``_k1_via_c2`` and
-    ``_g0_from_splitting_sum``) read only the engine's public methods.
-    N0 and N1 below d come from lists the suite keeps, one entry per
-    degree read through ``engine.n0`` and ``engine.n1`` once ``engine.k1``
-    has filled the engine to d.  The direct T is summed once per degree
-    and feeds both ``t_linearity``, against T as the N1 loop stores it
-    (``engine.t_op``), and ``k1_two_path``.  ``g0_two_path`` compares
-    ``engine.g0``, whose 2m takes C(3d-4, 3 d1 - 2) from the window, with
-    the strided walk of ``_g0_from_splitting_sum``.  The window is seeded
-    by ``pascal_row`` only after a non-sequential query (at d = 1, 2 and
-    3 in a full audit)."""
+    The second paths read only the engine's public methods.  N0 and N1
+    below d come from lists the suite keeps, one entry per degree read
+    through ``engine.n0`` and ``engine.n1`` once ``engine.k1`` has filled
+    the engine to d.  The direct T and the four direct splitting sums are
+    computed once per degree.  The T feeds ``t_linearity``, against T as
+    the N1 loop stores it (``engine.t_op``), and ``k1_two_path``.
+    ``rcount_equals_nodes`` compares the engine's RCOUNT, a closed form in
+    N0 and m, with the direct NODES sum; ``g0_two_path`` compares
+    ``engine.g0``, from the closed form of K0 and a 2m summed over the
+    window's row, with the paper's assembly over the direct sums."""
     checks = _shared(d_max, checks)
     n0, n1 = [0], [0]
     for d in range(3, d_max + 1):
@@ -305,12 +309,12 @@ def run_identity_suite(
         for k in range(len(n0), d):
             n0.append(engine.n0(k).numerator)
             n1.append(engine.n1(k).numerator)
-        t = _t_direct(n0, n1, d)
+        t, sums = _t_direct(n0, n1, d), _splitting_sums(n0, d)
         pairs = (
             ("k1_two_path", k1, _k1_via_c2(engine, t, d)),
             ("rcount_equals_nodes", engine.r_component_count(d),
-             engine.reducible_fibre_count(d)),
-            ("g0_two_path", engine.g0(d), _g0_from_splitting_sum(engine, n0, d)),
+             ExactScalar(sums[1], 2)),
+            ("g0_two_path", engine.g0(d), _g0_from_splitting_sum(engine, sums, d)),
             ("t_linearity", engine.t_op(d), ExactScalar(t)),
         )
         for check_id, one, other in pairs:

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 from ._version import __version__
 from .engine import InvariantEngine
-from .exact import format_exact
+from .exact import emit, format_exact
 from .tables import (
     build_records,
     flag_tokens,
@@ -136,7 +136,7 @@ def _cmd_eval(args: SimpleNamespace) -> int:
     kind = kind_named(args.invariant)
     value, status = InvariantEngine().evaluate(kind, args.d)
     line = " ".join([format_exact(value)] + flag_tokens(status, value))
-    sys.stdout.write(line + "\n")
+    _write_output(None, emit, [line + "\n"])
     return EXIT_OK
 
 
@@ -168,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
             # keep its exit code.
             return int(exc.code) if exc.code is not None else EXIT_OK
     if args.command == "--version":
-        sys.stdout.write(_VERSION + "\n")
+        _write_output(None, emit, [_VERSION + "\n"])
         return EXIT_OK
     try:
         if args.command == "eval":

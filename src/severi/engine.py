@@ -11,10 +11,11 @@ The engine computes, for each degree d >= 1:
   statistics, the one-cuspidal counts ``k0``/``k1``, and the linear
   genera ``g0``/``g1``.
 
-All values are exact.  The recursions and every splitting sum run on
+All values are exact.  The recursions and both splitting sums run on
 plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
 carried as 36 N1 and reduced by exact division, T is one integer per
-degree, and the splitting statistics are one tuple of ints per degree.
+degree, and the two splitting sums are one pair of ints per degree;
+NODES, RCOUNT, LR and K0 are closed forms in N0 and m (``_forms``).
 The loops also keep the scaled counts a = d N0, u = (3d-2) d N0 and
 v = d N1, so a degree costs only big products: T is a bare binomial row
 dotted with u v, and N0 is (3d-3)^-1 times one weight per unordered pair
@@ -110,7 +111,7 @@ KIND_SPEC: dict[InvariantKind, KindSpec] = {
     InvariantKind.OMEGA: KindSpec("omega", 1),
     InvariantKind.M: KindSpec("m_invariant", 2),
     InvariantKind.NODES: KindSpec("reducible_fibre_count", 2),
-    InvariantKind.RCOUNT: KindSpec("r_component_count", 2),
+    InvariantKind.RCOUNT: KindSpec("reducible_fibre_count", 2),
     InvariantKind.LR: KindSpec("lr", 2),
 }
 
@@ -161,8 +162,8 @@ class InvariantEngine:
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so no stored entry is ever overwritten.
     The state is all ``int``: N0, N1, T and the scaled counts a, u, v
-    are lists indexed by degree (entry 0 unused); the splitting-sum
-    tuples, the one O(d) sum that is not a recursion, are a dict keyed
+    are lists indexed by degree (entry 0 unused); the pairs of splitting
+    sums, the one O(d) work that is not a recursion, are a dict keyed
     by degree; the binomial row window holds the rows of one degree
     only (at degree 0, C(-4, .) .. C(-1, .), all empty).
     Every other value is an O(1) assembly over these, rebuilt per call.
@@ -270,38 +271,43 @@ class InvariantEngine:
 
     # -- derived invariants ----------------------------------------------
 
-    def _splitting_values(self, d: int) -> tuple[int, ...]:
-        """(2m, 2 NODES, RCOUNT, LR, 2 K0_PRINTED) at degree d, computed once.
+    def _splitting_values(self, d: int) -> tuple[int, int]:
+        """(2m, 2 K0_PRINTED) at degree d, computed once.
 
-        They are assembled from five splitting sums, each
+        They are assembled from two splitting sums, each
 
             sum w d1 d2 C(n, 3 d1 - k) N0(d1) N0(d2)
 
         over ordered pairs d1 + d2 = d (0 at d = 1), with (n, k, w) noted
-        by each row.  The rows C(3d-4, .) .. C(3d-2, .) are the window's.
-        The five share the pair products.
+        by each, read from the window.  The two share the pair products.
         """
         _check_degree(d)  # before the lookup: True and 3.0 hash like 1 and 3
         if d not in self._split:
             self.n0(d)
-            c4, c3, c2 = self._rows(d)[:3]
-            rows = [
-                c4[1::3],  # 2m: (3d-4, 2, 1)
-                c2[2::3],  # 2 NODES: (3d-2, 1, 1)
-                c3[1::3],  # RCOUNT: (3d-3, 2, 1)
-                # first sum of the K0_PRINTED bracket: (3d-2, 2, 3 d2 - 2)
-                [(3 * (d - d1) - 2) * c for d1, c in zip(range(1, d), c2[1::3])],
-                # LR: (3d-3, 2, d2)
-                [(d - d1) * c for d1, c in zip(range(1, d), c3[1::3])],
-            ]
+            c4, _, c2 = self._rows(d)[:3]
             products = list(_pair_products(self._a, d))
-            two_m, two_nodes, rcount, s, lr = [
-                _paired_sum(row, d, products) for row in rows
-            ]
-            self._split[d] = (
-                two_m, two_nodes, rcount, lr, 6 * self._n0[d] - 2 * s + 3 * two_m
-            )
+            two_m = _paired_sum(c4[1::3], d, products)  # 2m: (3d-4, 2, 1)
+            # first sum of the K0_PRINTED bracket: (3d-2, 2, 3 d2 - 2)
+            row = [(3 * (d - d1) - 2) * c for d1, c in zip(range(1, d), c2[1::3])]
+            s = _paired_sum(row, d, products)
+            self._split[d] = (two_m, 6 * self._n0[d] - 2 * s + 3 * two_m)
         return self._split[d]
+
+    def _forms(self, d: int) -> tuple[int, int, int]:
+        """(2 NODES, 2 LR, K0) at degree d, from N0 and 2m alone:
+
+            NODES = RCOUNT = (3d + 6) m - 9 N0,   LR = 3 d m - 3 N0,
+            K0 = 3 N0 - 3 d m + 3 LR - RCOUNT - NODES = 12 (N0 - m).
+
+        No derivation is written down: a test checks each form against its
+        splitting sum at every degree 2 .. MAX_DEGREE, which within the
+        engine's domain is the proof.  At d = 1, where every sum is empty,
+        the forms fail; there NODES = RCOUNT = LR = 0 and K0 = 3 N0 = 3.
+        """
+        two_m, n0 = self._splitting_values(d)[0], self._n0[d]
+        if d == 1:
+            return 0, 0, 3
+        return (3 * d + 6) * two_m - 18 * n0, 3 * d * two_m - 6 * n0, 12 * n0 - 6 * two_m
 
     def omega(self, d: int) -> ExactScalar:
         """One-twelfth of the irreducible nodal fibre count:
@@ -330,21 +336,14 @@ class InvariantEngine:
         Half the ordered sum of N0(d1) N0(d2) d1 d2 C(3d-2, 3 d1 - 1):
         the ordered sum counts each split fibre once per component, so
         halving converts it to an actual fibre count (the convention is
-        pinned by the degree-3 cuspidal anchor).
+        pinned by the degree-3 cuspidal anchor).  Also ``r_component_count``:
+        RCOUNT = sum N0(d1) N0(d2) d1 d2 C(3d-3, 3 d1 - 2) counts the fibres
+        by the component through the marked point, and each reducible fibre
+        has exactly one component missing it.  Read from ``_forms``.
         """
-        return ExactScalar(self._splitting_values(d)[1], 2)
+        return ExactScalar(self._forms(d)[0], 2)
 
-    def r_component_count(self, d: int) -> ExactScalar:
-        """Reducible fibres counted by the degree d1 of the component
-        through the first marked point:
-
-            sum N0(d1) N0(d2) d1 d2 C(3d-3, 3 d1 - 2).
-
-        Equals :meth:`reducible_fibre_count` exactly (each reducible
-        fibre has exactly one component missing the marked point); the
-        audit suite re-checks this at every degree.
-        """
-        return ExactScalar(self._splitting_values(d)[2])
+    r_component_count = reducible_fibre_count
 
     def lr(self, d: int) -> ExactScalar:
         """Total plane degree of the blown-down fibre components:
@@ -352,9 +351,9 @@ class InvariantEngine:
             sum d2 N0(d1) N0(d2) d1 d2 C(3d-3, 3 d1 - 2),
 
         i.e. the r-component sum weighted by the degree of the blown-down
-        (unmarked) component.
+        (unmarked) component.  Read from ``_forms``.
         """
-        return ExactScalar(self._splitting_values(d)[3])
+        return ExactScalar(exact_div(self._forms(d)[1], 2, d))
 
     def k0(self, d: int) -> ExactScalar:
         """One-cuspidal rational curves through 3d-2 points (authoritative
@@ -364,13 +363,10 @@ class InvariantEngine:
 
         The blown-down components are disjoint (-1)-curves, so their sum
         R has R^2 = -RCOUNT; subtracting the nodal-fibre count from the
-        second Chern class assembly leaves the cusp count.  Anchored by
-        the classical K0(3) = 24.
+        second Chern class assembly leaves the cusp count.  It is
+        12 (N0 - m) (see ``_forms``).  Anchored by the classical K0(3) = 24.
         """
-        two_m, two_nodes, rcount, lr, _ = self._splitting_values(d)
-        return ExactScalar(
-            6 * self._n0[d] - 3 * d * two_m + 6 * lr - 2 * rcount - two_nodes, 2
-        )
+        return ExactScalar(self._forms(d)[2])
 
     def k0_printed(self, d: int) -> ExactScalar:
         """Literal closed form for the rational cusp count:
@@ -381,7 +377,7 @@ class InvariantEngine:
         Audit-only evaluator: it yields -60 at d = 3 against the anchor
         24 and is kept verbatim so the discrepancy stays reproducible.
         """
-        return ExactScalar(self._splitting_values(d)[4], 2)
+        return ExactScalar(self._splitting_values(d)[1], 2)
 
     def k1(self, d: int) -> ExactScalar:
         """One-cuspidal elliptic curves through 3d-1 points:
@@ -405,8 +401,8 @@ class InvariantEngine:
 
         from the section relation m + 2g - 2 = -m + K0.
         """
-        (a, b), two_m = self.k0(d).as_integer_ratio(), self._splitting_values(d)[0]
-        return ExactScalar(a - (two_m - 2) * b, 2 * b)
+        k0, two_m = self.k0(d).numerator, self._splitting_values(d)[0]
+        return ExactScalar(k0 - two_m + 2, 2)
 
     def g1(self, d: int) -> ExactScalar:
         """Linear genus of the elliptic-curve family:

@@ -23,15 +23,17 @@ def golden_value(golden: dict, name: str, d: int) -> Fraction:
 
 
 def audit_second_paths(engine: InvariantEngine, d: int) -> tuple[Fraction, ...]:
-    """T(d), K1(d) and G0(d) from the audit's second paths, with N0 and N1
-    below d read through the public methods, as ``run_identity_suite``
-    reads them."""
+    """T(d), K1(d), G0(d), NODES(d), RCOUNT(d), LR(d) and m(d) from the
+    audit's second paths, with N0 and N1 below d read through the public
+    methods, as ``run_identity_suite`` reads them."""
     n0 = [0, *(engine.n0(k).numerator for k in range(1, d))]
     n1 = [0, *(engine.n1(k).numerator for k in range(1, d))]
-    t = audit._t_direct(n0, n1, d)
+    t, sums = audit._t_direct(n0, n1, d), audit._splitting_sums(n0, d)
+    two_m, two_nodes, rcount, lr = sums
     return (
         Fraction(t), audit._k1_via_c2(engine, t, d),
-        audit._g0_from_splitting_sum(engine, n0, d),
+        audit._g0_from_splitting_sum(engine, sums, d),
+        Fraction(two_nodes, 2), Fraction(rcount), Fraction(lr), Fraction(two_m, 2),
     )
 
 

@@ -14,6 +14,7 @@ import random
 import time
 from fractions import Fraction
 
+import oracle
 from conftest import audit_second_paths
 from severi import InvariantEngine, InvariantKind, KIND_ORDER
 from severi.audit import CheckKind, CheckStatus, run_full_audit
@@ -124,7 +125,7 @@ def test_criterion_7_property_suite():
     start = time.perf_counter()
     engine = InvariantEngine()
     for d in range(2, 13):
-        assert engine.r_component_count(d) == engine.reducible_fibre_count(d)
+        assert oracle.rcount(d) == engine.reducible_fibre_count(d)
         assert engine.n0(d).denominator == 1
         assert engine.n1(d).denominator == 1
         if d >= 3:

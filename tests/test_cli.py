@@ -394,6 +394,25 @@ class TestBrokenPipe:
         assert b"Exception ignored" not in err
         assert err == b""
 
+    @pytest.mark.parametrize(
+        "argv", [("eval", "N1", "200"), ("--version",)], ids=["eval", "version"]
+    )
+    def test_a_reader_that_closes_before_any_write_is_not_an_error(self, argv):
+        # The reader closes its end at once, long before the child has
+        # started up, so the child's one write meets a closed pipe.
+        src = Path(__file__).resolve().parents[1] / "src"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "severi", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait() == 0
+        assert err == b""
+
 
 class TestUsage:
     def test_no_command_is_a_usage_error(self, run_cli):

@@ -192,6 +192,46 @@ class TestGoldenAgreement:
             assert accessor(engine, d) == reference(d), (name, d)
 
 
+class TestClosedForms:
+    """NODES = RCOUNT = (3d + 6) m - 9 N0, LR = 3 d m - 3 N0 and
+    K0 = 12 (N0 - m), the forms the engine evaluates, against sums that
+    share no code with them."""
+
+    def test_the_forms_match_the_oracle_sums_from_degree_2_to_40(self):
+        # The engine against the oracle is pinned by the golden and
+        # live-oracle tests; this pins the forms themselves.
+        for d in range(2, 41):
+            n0, m = oracle.n0(d), oracle.m_invariant(d)
+            assert oracle.nodes(d) == oracle.rcount(d) == (3 * d + 6) * m - 9 * n0, d
+            assert oracle.lr(d) == 3 * d * m - 3 * n0, d
+            assert oracle.k0(d) == 12 * (n0 - m), d
+
+    def test_the_audit_sums_match_the_engine_at_two_degrees(self, engine):
+        # Both parities of d, so the middle pair d1 = d2 is hit.
+        for d in (40, 41):
+            *_, nodes, rcount, lr, m = audit_second_paths(engine, d)
+            assert (nodes, rcount, lr, m) == (
+                engine.reducible_fibre_count(d), engine.r_component_count(d),
+                engine.lr(d), engine.m_invariant(d),
+            )
+
+    @pytest.mark.slow
+    def test_the_forms_match_the_audit_sums_up_to_the_ceiling(self, engine):
+        # The engine's forms against the audit's direct sums at every
+        # degree of the domain, and K0 against the paper's five-term
+        # assembly of those sums.
+        engine.n0(MAX_DEGREE)
+        n0 = [0, *(engine.n0(k).numerator for k in range(1, MAX_DEGREE + 1))]
+        for d in range(2, MAX_DEGREE + 1):
+            two_m, two_nodes, rcount, lr = audit._splitting_sums(n0, d)
+            two_k0 = 6 * n0[d] - 3 * d * two_m + 6 * lr - 2 * rcount - two_nodes
+            assert engine.m_invariant(d) == Fraction(two_m, 2), d
+            assert engine.reducible_fibre_count(d) == Fraction(two_nodes, 2), d
+            assert engine.r_component_count(d) == rcount, d
+            assert engine.lr(d) == lr, d
+            assert engine.k0(d) == Fraction(two_k0, 2), d
+
+
 def _assert_untouched(engine):
     """No count, scaled count, T entry or cached sum was computed."""
     lists = (engine._n0, engine._a, engine._u, engine._n1, engine._v, engine._t)
@@ -214,7 +254,7 @@ _PER_DEGREE_CALLS = [
     # run_identity_suite's range, whose d_max is checked first.
     ("audit._k1_via_c2", lambda engine, d: audit._k1_via_c2(engine, 0, d)),
     ("audit._g0_from_splitting_sum",
-     lambda engine, d: audit._g0_from_splitting_sum(engine, [0, 1, 1], d)),
+     lambda engine, d: audit._g0_from_splitting_sum(engine, (0, 0, 0, 0), d)),
 ]
 
 
@@ -232,9 +272,10 @@ class TestInvariantProperties:
 
     def test_component_count_identity(self, engine):
         # Every reducible fibre has exactly one component missing the
-        # marked point (Pascal plus symmetry at the binomial level).
+        # marked point (Pascal plus symmetry at the binomial level): the
+        # oracle's RCOUNT sum against the engine's NODES.
         for d in range(2, 13):
-            assert engine.r_component_count(d) == engine.reducible_fibre_count(d)
+            assert oracle.rcount(d) == engine.reducible_fibre_count(d)
 
     def test_k1_two_path_equality(self, engine):
         for d in range(3, 13):

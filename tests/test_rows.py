@@ -2,7 +2,7 @@
 
 The window serves the four Pascal rows C(3d-4, .) .. C(3d-1, .) for
 one degree at a time; ``exact.pascal_row`` seeds it after a non-sequential
-query and builds the rows of the audit's direct T sum.  Every row is
+query and builds the rows of the audit's direct T and splitting sums.  Every row is
 compared with ``math.comb``.
 """
 
@@ -125,8 +125,9 @@ def test_scaled_lists_follow_the_counts_in_any_query_order(queries):
 
 
 class TestRowBuilds:
-    """``pascal_row`` builds the audit's direct T rows and seeds the
-    window only after a non-sequential query; sequential queries step."""
+    """``pascal_row`` builds the rows of the audit's direct T and splitting
+    sums and seeds the window only after a non-sequential query;
+    sequential queries step."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -136,10 +137,11 @@ class TestRowBuilds:
             for module in (engine_module, audit_module)
         ]
 
-    def test_full_audit_builds_one_row_per_direct_t_pass(self, calls):
-        # 3 window seeds (d = 1, 2, 3) and 98 direct T passes (d = 3..100).
+    def test_full_audit_builds_four_rows_per_audited_degree(self, calls):
+        # 3 window seeds (d = 1, 2, 3); at each of d = 3..100 one row for
+        # the direct T and three for the direct splitting sums.
         run_full_audit(InvariantEngine(), 100)
-        assert [count[0] for count in calls] == [3, 98]
+        assert [count[0] for count in calls] == [3, 4 * 98]
 
     def test_the_recursions_build_none(self, calls):
         InvariantEngine().n1(200)
@@ -162,7 +164,7 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
             for entry in state.values() if isinstance(state, dict) else state:
                 parts = entry if isinstance(entry, tuple) else (entry,)
                 assert {type(x) for x in parts} == {int}, (name, entry)
-    # Five splitting sums per degree: d = 3..100 in the audit, 1..100 in
+    # Two splitting sums per degree: d = 3..100 in the audit, 1..100 in
     # a table, each over a row of exactly d - 1 entries, which is what
     # lets _paired_sum fold the row with row[::-1].
     def check_row(row, d, products):
@@ -171,7 +173,7 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
     calls = _count_calls(
         monkeypatch, "_paired_sum", engine_module._paired_sum, check_row
     )
-    for entry_point, expected in ((run_full_audit, 490), (build_records, 500)):
+    for entry_point, expected in ((run_full_audit, 196), (build_records, 200)):
         calls[0] = 0
         entry_point(InvariantEngine(), 100)
         assert calls[0] == expected, entry_point.__name__

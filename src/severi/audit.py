@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple, TextIO
 from ._version import __version__
 from .exact import (
     ExactScalar, InexactDivision, emit, format_exact, is_integral, json_string,
-    parse_exact, pascal_row,
+    parse_exact, pascal_row, pascal_step,
 )
 from .engine import InvariantEngine, InvariantKind, _check_degree
 
@@ -224,15 +224,14 @@ _MUST_BE_INTEGRAL = (
 _INTEGRALITY_REPORTED = (InvariantKind.G1, InvariantKind.OMEGA, InvariantKind.M)
 
 
-def _t_direct(n0: list[int], n1: list[int], d: int) -> int:
+def _t_direct(n0: list[int], n1: list[int], d: int, row: list[int]) -> int:
     """T(d) = sum (3 d1 - 2) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2), summed
-    term by term from N0 and N1 below d.  Its row is a multiplicative
-    ``exact.pascal_row`` built here at every degree; the engine's stored
-    T takes its row from the window, stepped by additions, so the two
-    paths share no row."""
-    row = pascal_row(3 * d - 1)[2::3]
+    term by term from N0 and N1 below d and ``row``, C(3d-1, .).  The
+    audit builds its rows anew at every degree and the engine's stored T
+    takes its row from the window, so the two paths share no row; both
+    step their rows with ``exact.pascal_step``."""
     return sum(
-        (3 * d1 - 2) * d1 * (d - d1) * row[d1 - 1] * n0[d1] * n1[d - d1]
+        (3 * d1 - 2) * d1 * (d - d1) * row[3 * d1 - 1] * n0[d1] * n1[d - d1]
         for d1 in range(1, d)
     )
 
@@ -254,14 +253,16 @@ def _k1_via_c2(engine: InvariantEngine, t: int, d: int) -> ExactScalar:
     return ExactScalar((3 * engine.n1(d).numerator + t) * b + (3 * d - 12) * a, b)
 
 
-def _splitting_sums(n0: list[int], d: int) -> tuple[int, int, int, int]:
+def _splitting_sums(
+    n0: list[int], d: int, rows: list[list[int]]
+) -> tuple[int, int, int, int]:
     """(2m, 2 NODES, RCOUNT, LR) at degree d: the sums over ordered pairs
     d1 + d2 = d of w d1 d2 C(n, 3 d1 - k) N0(d1) N0(d2), with (n, k, w) =
     (3d-4, 2, 1), (3d-2, 1, 1), (3d-3, 2, 1) and (3d-3, 2, d2), from N0
-    below d and rows ``exact.pascal_row`` builds here.  (d1, d2) and
+    below d and ``rows``, C(3d-4, .) .. C(3d-1, .).  (d1, d2) and
     (d2, d1) share one pair product, the binomial of (d2, d1) read at
     3 d1 by C(n, j) = C(n, n - j); a middle pair d1 = d2 counts once."""
-    r4, r3, r2 = (pascal_row(3 * d - j) for j in (4, 3, 2))
+    r4, r3, r2 = rows[:3]
     two_m = two_nodes = rcount = lr = 0
     for d1 in range(1, d // 2 + 1):
         d2, k, mirror = d - d1, 3 * d1, 2 * d1 < d
@@ -309,10 +310,13 @@ def run_identity_suite(
         for k in range(len(n0), d):
             n0.append(engine.n0(k).numerator)
             n1.append(engine.n1(k).numerator)
-        t, sums = _t_direct(n0, n1, d), _splitting_sums(n0, d)
+        rows = [pascal_row(3 * d - 4)]  # C(3d-4, .) .. C(3d-1, .)
+        for _ in range(3):
+            rows.append(pascal_step(rows[-1]))
+        t, sums = _t_direct(n0, n1, d, rows[3]), _splitting_sums(n0, d, rows)
         pairs = (
             ("k1_two_path", k1, _k1_via_c2(engine, t, d)),
-            ("rcount_equals_nodes", engine.r_component_count(d),
+            ("rcount_equals_nodes", engine.reducible_fibre_count(d),
              ExactScalar(sums[1], 2)),
             ("g0_two_path", engine.g0(d), _g0_from_splitting_sum(engine, sums, d)),
             ("t_linearity", engine.t_op(d), ExactScalar(t)),
@@ -351,6 +355,20 @@ def _probe(
     )
 
 
+def _ramification_residual(engine: InvariantEngine, d: int) -> ExactScalar:
+    """Residual of the candidate ramification identity
+
+        2 g1 - 2 - K1  =?  (1/2)((3d - 9) omega - 9 N1 + T(3 d1 - 2)),
+
+    under the "9" reading of its ambiguous middle coefficient, as printed,
+    from the engine's public values.  With omega = (d-1)(d-2)/24 N0, the
+    formula of ``engine.g1`` gives 2 (2 g1 - 2 - K1) = (6d - 8) omega -
+    9 N1 + T, so the residual is (3d + 1) omega / 2 (2015/2 at d = 4)."""
+    g1, k1 = engine.g1(d), engine.k1(d)
+    omega, n1, t = engine.omega(d), engine.n1(d), engine.t_op(d)
+    return 2 * g1 - 2 - k1 - ((3 * d - 9) * omega - 9 * n1 + t) / 2
+
+
 def run_discrepancy_probes(
     engine: InvariantEngine, d_max: int, checks: list[AuditCheck] | None = None
 ) -> AuditReport:
@@ -372,7 +390,7 @@ def run_discrepancy_probes(
         else:
             detail = "nonzero residual (no recorded value at this degree)"
         checks.append(_probe(
-            "ramification_residual", d, engine.ramification_residual(d),
+            "ramification_residual", d, _ramification_residual(engine, d),
             recorded, detail,
         ))
     return AuditReport(d_max=d_max, checks=checks)

@@ -118,8 +118,11 @@ def _write_output(output: str | None, render, *args) -> None:
     every value is computed, or else into ``sys.stdout`` as it is now.  A
     reader that closes stdout early (``| head``) is not an error: the rest
     of the output goes to ``os.devnull``, so that the flush at exit cannot
-    fail again, and the verb returns its own exit code."""
+    fail again, and the verb returns its own exit code.  A stdout closed
+    before the start (``>&-``), which Python makes None, is an ``OSError``."""
     if output is None:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         try:
             render(*args, sys.stdout)
             sys.stdout.flush()
@@ -167,10 +170,10 @@ def main(argv: list[str] | None = None) -> int:
             # argparse printed the help, the version or a usage error;
             # keep its exit code.
             return int(exc.code) if exc.code is not None else EXIT_OK
-    if args.command == "--version":
-        _write_output(None, emit, [_VERSION + "\n"])
-        return EXIT_OK
     try:
+        if args.command == "--version":
+            _write_output(None, emit, [_VERSION + "\n"])
+            return EXIT_OK
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "table":

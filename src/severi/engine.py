@@ -23,12 +23,10 @@ dotted with a a, the two binomials of Kontsevich's bracket folded into
 one row (see ``n0``).  The splitting sums read ``a`` too.
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
-stored.  ``k1``, ``g1`` and the ramification residual share the
-numerators 8 K1 and 48 g1.  ``g0`` reads ``k0``, and the residual reads
-``omega``, as numerator and denominator, so a wrong K0 reaches G0;
-``k1`` has its N0 term inline.  Every public per-degree method checks
-its degree before any arithmetic on it, so a bad degree is a
-``ValueError`` that leaves the state untouched.
+stored.  ``g1`` reads the numerator 8 K1 of ``k1``, and ``g0`` that of
+``k0``, so a wrong K0 reaches G0; ``k1`` has its N0 term inline.  Every
+public per-degree method checks its degree before any arithmetic on it,
+so a bad degree is a ``ValueError`` that leaves the state untouched.
 
 ``n0``, ``n1`` (which advances N0 in lockstep) and the splitting sums
 read a window of the four full Pascal rows C(3d-4, .) .. C(3d-1, .) of
@@ -333,17 +331,14 @@ class InvariantEngine:
     def reducible_fibre_count(self, d: int) -> ExactScalar:
         """Number of reducible (nodal) fibres of the rational family.
 
-        Half the ordered sum of N0(d1) N0(d2) d1 d2 C(3d-2, 3 d1 - 1):
-        the ordered sum counts each split fibre once per component, so
-        halving converts it to an actual fibre count (the convention is
-        pinned by the degree-3 cuspidal anchor).  Also ``r_component_count``:
-        RCOUNT = sum N0(d1) N0(d2) d1 d2 C(3d-3, 3 d1 - 2) counts the fibres
-        by the component through the marked point, and each reducible fibre
-        has exactly one component missing it.  Read from ``_forms``.
+        Half the ordered sum of N0(d1) N0(d2) d1 d2 C(3d-2, 3 d1 - 1),
+        which counts each split fibre once per component (the convention
+        is pinned by the degree-3 cuspidal anchor).  It is also RCOUNT =
+        sum N0(d1) N0(d2) d1 d2 C(3d-3, 3 d1 - 2), the fibres counted by the
+        component through the marked point: each reducible fibre has
+        exactly one component missing it.  Read from ``_forms``.
         """
         return ExactScalar(self._forms(d)[0], 2)
-
-    r_component_count = reducible_fibre_count
 
     def lr(self, d: int) -> ExactScalar:
         """Total plane degree of the blown-down fibre components:
@@ -415,26 +410,9 @@ class InvariantEngine:
         analysis degenerates); the value is computed and flagged, never
         silently corrected.
         """
-        return ExactScalar(self._g1_numerator(d), 48)
-
-    def _g1_numerator(self, d: int) -> int:
-        """48 g1, from :meth:`_k1_numerator` and the stored lists."""
         k1, p = self._k1_numerator(d), (d - 1) * (d - 2) * (3 * d - 4)
-        return 3 * k1 - 108 * self._n1[d] + p * self._n0[d] + 12 * self._t[d] + 48
-
-    def ramification_residual(self, d: int) -> ExactScalar:
-        """Residual of the candidate ramification identity
-
-            2 g1 - 2 - K1  =?  (1/2)((3d - 9) omega - 9 N1 + T(3 d1 - 2))
-
-        under the "9" reading of its ambiguous middle coefficient.  The
-        residual does not vanish (2015/2 at d = 4); the discrepancy
-        probe records it as a regression artifact.
-        """
-        g1, k1 = self._g1_numerator(d), self._k1_numerator(d)
-        a, b = self.omega(d).as_integer_ratio()
-        s = g1 - 48 - 3 * k1 + 108 * self._n1[d] - 12 * self._t[d]
-        return ExactScalar(s * b + 12 * (9 - 3 * d) * a, 24 * b)
+        g1 = 3 * k1 - 108 * self._n1[d] + p * self._n0[d] + 12 * self._t[d] + 48
+        return ExactScalar(g1, 48)
 
     # -- kind-indexed access ---------------------------------------------
 

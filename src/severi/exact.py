@@ -13,7 +13,7 @@ C(n, .) by additions only.  Both compute the first half of a row and
 mirror it, so the mirrored half shares its ints with the first; callers
 see only full rows.  The engine steps its row window with additions and
 seeds it with ``pascal_row`` only after a non-sequential query; the
-audit's direct T sum builds every row with ``pascal_row``.
+audit steps one ``pascal_row`` three times per audited degree.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,8 +13,10 @@ import pytest
 from severi import InvariantEngine
 from severi import audit
 from severi.cli import main as cli_main
+from severi.exact import pascal_row, pascal_step
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "invariants_d12.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -22,13 +28,25 @@ def golden_value(golden: dict, name: str, d: int) -> Fraction:
     return Fraction(golden[name][str(d)])
 
 
+def audit_rows(d: int) -> list[list[int]]:
+    """C(3d-4, .) .. C(3d-1, .) as ``run_identity_suite`` builds them: one
+    ``pascal_row``, stepped three times."""
+    rows = [pascal_row(3 * d - 4)]
+    for _ in range(3):
+        rows.append(pascal_step(rows[-1]))
+    return rows
+
+
 def audit_second_paths(engine: InvariantEngine, d: int) -> tuple[Fraction, ...]:
     """T(d), K1(d), G0(d), NODES(d), RCOUNT(d), LR(d) and m(d) from the
     audit's second paths, with N0 and N1 below d read through the public
-    methods, as ``run_identity_suite`` reads them."""
+    methods, and the rows of :func:`audit_rows`, as ``run_identity_suite``
+    reads them."""
     n0 = [0, *(engine.n0(k).numerator for k in range(1, d))]
     n1 = [0, *(engine.n1(k).numerator for k in range(1, d))]
-    t, sums = audit._t_direct(n0, n1, d), audit._splitting_sums(n0, d)
+    rows = audit_rows(d)
+    t = audit._t_direct(n0, n1, d, rows[3])
+    sums = audit._splitting_sums(n0, d, rows)
     two_m, two_nodes, rcount, lr = sums
     return (
         Fraction(t), audit._k1_via_c2(engine, t, d),
@@ -52,3 +70,18 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+def spawn_python(
+    *args: str, redirect: str = "", env: dict | None = None, **popen
+) -> subprocess.Popen:
+    """Start ``python -X dev -W error ARGS`` (say ``-m severi eval N0 3``) on
+    this checkout's source, so that a warning fails the child as
+    ``filterwarnings`` fails the tests; through ``sh -c`` with the shell
+    ``redirect`` (as ``>&-``) appended if one is given.  ``env`` adds
+    variables to the environment; ``popen`` goes to ``subprocess.Popen``."""
+    argv = [sys.executable, "-X", "dev", "-W", "error", *args]
+    if redirect:
+        argv = ["sh", "-c", f"{shlex.join(argv)} {redirect}"]
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}
+    return subprocess.Popen(argv, env=env, **popen)

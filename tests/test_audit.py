@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from severi import InvariantEngine, __version__
 from severi import audit as audit_module
+from severi.engine import KIND_SPEC
 from severi.exact import format_exact
 from severi.audit import (
     AuditCheck,
@@ -134,6 +136,17 @@ def test_the_audit_reads_no_private_engine_attribute():
     assert "engine._" not in source
 
 
+def test_the_engine_exposes_no_method_beyond_the_table_and_the_recursions():
+    # Every public method evaluates a table column or is a recursion or a
+    # dispatcher: the engine keeps no method that only the audit reads.
+    public = {
+        name for name in dir(InvariantEngine)
+        if not name.startswith("_") and callable(getattr(InvariantEngine, name))
+    }
+    kind_methods = {spec.method for spec in KIND_SPEC.values()}
+    assert public == kind_methods | {"n0", "n1", "t_op", "value", "evaluate"}
+
+
 def _engine_with_corrupted_n0():
     # N0(4) off by one: 36 N1(4) is no longer a multiple of 36.
     engine = InvariantEngine()
@@ -211,10 +224,25 @@ class TestDiscrepancyProbes:
         assert not report.has_blocking_failure  # probes never gate exit
 
     def test_probe_fails_on_residual_drift(self, engine):
-        engine.ramification_residual = lambda d: Fraction(0)
+        # The probe evaluates the identity from the public g1, so a g1
+        # that drifts moves the residual.
+        g1 = engine.g1
+        engine.g1 = lambda d: g1(d) + 1
         report = run_discrepancy_probes(engine, 4)
         probe = next(c for c in report.checks if c.id == "ramification_residual")
         assert probe.status is CheckStatus.FAIL
+
+    def test_the_residual_is_three_d_plus_one_halves_of_omega(self, engine):
+        # The formula of g1 has (6d - 8) omega where the identity has
+        # (3d - 9) omega; omega comes from the oracle.
+        for d in range(4, 41):
+            expected = (3 * d + 1) * oracle.omega(d) / 2
+            assert audit_module._ramification_residual(engine, d) == expected, d
+
+    def test_each_recorded_residual_is_three_d_plus_one_halves_of_omega(self):
+        assert sorted(RECORDED_RAMIFICATION_RESIDUALS) == list(range(4, 13))
+        for d, recorded in RECORDED_RAMIFICATION_RESIDUALS.items():
+            assert recorded == (3 * d + 1) * oracle.omega(d) / 2, d
 
     def test_probes_never_fail_merely_because_discrepancy_exists(self, engine):
         report = run_discrepancy_probes(engine, 8)

@@ -2,14 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
+from subprocess import PIPE
 
 import pytest
 
+from conftest import spawn_python
 from severi import InvariantEngine, InvariantKind
 from severi import cli
 from severi.exact import format_exact, parse_exact
@@ -97,13 +95,14 @@ class TestEval:
     @pytest.mark.slow
     def test_degree_572_passes_the_int_str_digit_limit(self):
         # N0(572) is the first N0 with more than 4300 digits.
-        argv = [sys.executable, "-m", "severi", "eval", "N0", "572"]
-        result = subprocess.run(argv, capture_output=True, text=True)
-        assert result.returncode == 0 and result.stderr == ""
-        assert len(result.stdout) == 4305
-        text = result.stdout.rstrip("\n")
+        argv = ("-m", "severi", "eval", "N0", "572")
+        child = spawn_python(*argv, stdout=PIPE, stderr=PIPE)
+        out, err = child.communicate()
+        assert child.returncode == 0 and err == b""
+        assert len(out) == 4305
+        text = out.decode("ascii").rstrip("\n")
         assert format_exact(parse_exact(text)) == text
-        assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == EVAL_N0_572_DIGEST
+        assert hashlib.sha256(out).hexdigest() == EVAL_N0_572_DIGEST
 
 
 class TestTable:
@@ -325,14 +324,17 @@ class TestDeterminism:
             outputs.add(out)
         assert len(outputs) == 1
 
-    def test_subprocess_runs_are_byte_identical(self, tmp_path):
-        env = dict(os.environ, PYTHONHASHSEED="random")
-        argv = [sys.executable, "-m", "severi", "table", "--d-max", "12"]
-        first = subprocess.run(argv, capture_output=True, env=env)
-        second = subprocess.run(argv, capture_output=True, env=env)
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout
-        assert first.stdout.decode().startswith("d,N0,N1,")
+    def test_subprocess_runs_are_byte_identical(self):
+        outputs = []
+        for _ in range(2):
+            child = spawn_python(
+                "-m", "severi", "table", "--d-max", "12",
+                env={"PYTHONHASHSEED": "random"}, stdout=PIPE,
+            )
+            outputs.append(child.communicate()[0])
+            assert child.returncode == 0
+        assert outputs[0] == outputs[1]
+        assert outputs[0].decode().startswith("d,N0,N1,")
 
 
 class TestCorruptedEngine:
@@ -378,13 +380,7 @@ class TestBrokenPipe:
         # As in `severi table --d-max 100 | head -1`.  The document is far
         # larger than a pipe buffer, so the child is still writing when
         # the reader closes its end.
-        src = Path(__file__).resolve().parents[1] / "src"
-        child = subprocess.Popen(
-            [sys.executable, "-m", "severi", *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-        )
+        child = spawn_python("-m", "severi", *argv, stdout=PIPE, stderr=PIPE)
         first = child.stdout.readline()
         child.stdout.close()
         err = child.stderr.read()
@@ -400,18 +396,40 @@ class TestBrokenPipe:
     def test_a_reader_that_closes_before_any_write_is_not_an_error(self, argv):
         # The reader closes its end at once, long before the child has
         # started up, so the child's one write meets a closed pipe.
-        src = Path(__file__).resolve().parents[1] / "src"
-        child = subprocess.Popen(
-            [sys.executable, "-m", "severi", *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-        )
+        child = spawn_python("-m", "severi", *argv, stdout=PIPE, stderr=PIPE)
         child.stdout.close()
         err = child.stderr.read()
         child.stderr.close()
         assert child.wait() == 0
         assert err == b""
+
+
+_VERBS = [
+    ("eval", "N1", "6"), ("table", "--d-max", "3"), ("audit", "--d-max", "3"),
+    ("--version",),
+]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", _VERBS, ids=[argv[0] for argv in _VERBS])
+    def test_a_closed_stdout_is_one_error_line_and_exit_two(self, argv):
+        # As in `severi audit --d-max 3 >&-`, where Python starts with
+        # sys.stdout None; exit 1 from audit would read as a blocking FAIL.
+        child = spawn_python("-m", "severi", *argv, redirect=">&-", stderr=PIPE)
+        err = child.communicate()[1].decode()
+        assert child.returncode == 2
+        assert _one_error_line(err) and "standard output is closed" in err
+
+    @pytest.mark.parametrize("verb", ["table", "audit"])
+    def test_an_output_file_needs_no_stdout(self, run_cli, tmp_path, verb):
+        path = tmp_path / "out"
+        child = spawn_python(
+            "-m", "severi", verb, "--d-max", "3", "--output", str(path),
+            redirect=">&-", stderr=PIPE,
+        )
+        assert child.communicate()[1] == b""
+        assert child.returncode == 0
+        assert path.read_text(encoding="utf-8") == run_cli(verb, "--d-max", "3")[1]
 
 
 class TestUsage:
@@ -427,15 +445,10 @@ class TestUsage:
 def _child(code: str, *args: str) -> str:
     """stdout of ``code`` run by a ``python -S`` child (no site hooks)
     that imports severi from this checkout."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code, *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+    child = spawn_python("-S", "-c", code, *args, stdout=PIPE, stderr=PIPE, text=True)
+    out, err = child.communicate()
+    assert child.returncode == 0, err
+    return out
 
 
 class TestStartup:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from conftest import audit_second_paths, golden_value
+from conftest import audit_rows, audit_second_paths, golden_value
 from severi import (
     BELOW_MIN_DEGREE,
     DEGENERATE_GEOMETRY,
@@ -87,8 +87,8 @@ class TestDerivedInvariants:
         assert engine.reducible_fibre_count(d) == expected
 
     @pytest.mark.parametrize("d,expected", [(1, 0), (2, 3), (3, 42)])
-    def test_r_component_count(self, engine, d, expected):
-        assert engine.r_component_count(d) == expected
+    def test_rcount_kind(self, engine, d, expected):
+        assert engine.value(InvariantKind.RCOUNT, d) == expected
 
     @pytest.mark.parametrize("d,expected", [(1, 0), (2, 3), (3, 54)])
     def test_lr(self, engine, d, expected):
@@ -99,7 +99,6 @@ class TestDerivedInvariants:
         assert 3 * engine.n0(3) == 36
         assert 3 * 3 * engine.m_invariant(3) == 90
         assert 3 * engine.lr(3) == 162
-        assert engine.r_component_count(3) == 42
         assert engine.reducible_fibre_count(3) == 42
         assert engine.k0(3) == 24
 
@@ -140,7 +139,7 @@ class TestDerivedInvariants:
         assert engine.g1(3) == Fraction(5, 4)
 
     def test_ramification_residual_degree_four(self, engine):
-        assert engine.ramification_residual(4) == Fraction(2015, 2)
+        assert audit._ramification_residual(engine, 4) == Fraction(2015, 2)
 
 
 class TestGoldenAgreement:
@@ -150,26 +149,28 @@ class TestGoldenAgreement:
         "omega": "omega",
         "m": "m_invariant",
         "nodes": "reducible_fibre_count",
-        "rcount": "r_component_count",
+        "rcount": "reducible_fibre_count",
         "lr": "lr",
         "k0": "k0",
         "k0_printed": "k0_printed",
         "k1": "k1",
         "g0": "g0",
         "g1": "g1",
-        "ramification_residual": "ramification_residual",
     }
 
     @classmethod
     def accessor(cls, name):
         """(engine, d) -> the value that ``name`` denotes in the golden file:
-        an engine method, or for k1_via_c2 the audit's second path."""
+        an engine method, or for k1_via_c2 and ramification_residual the
+        audit's second path and probe."""
         if name == "k1_via_c2":
             return lambda engine, d: audit_second_paths(engine, d)[1]
+        if name == "ramification_residual":
+            return audit._ramification_residual
         return lambda engine, d: getattr(engine, cls.NAME_TO_METHOD[name])(d)
 
     def test_every_golden_entry(self, engine, golden):
-        for name in [*self.NAME_TO_METHOD, "k1_via_c2"]:
+        for name in [*self.NAME_TO_METHOD, "k1_via_c2", "ramification_residual"]:
             accessor = self.accessor(name)
             for d_str, expected in golden[name].items():
                 actual = accessor(engine, int(d_str))
@@ -178,7 +179,8 @@ class TestGoldenAgreement:
     def test_live_oracle_spot_checks_beyond_golden_range(self, engine):
         assert engine.k0(13) == oracle.k0(13)
         assert engine.g1(13) == oracle.g1(13)
-        assert engine.ramification_residual(13) == oracle.ramification_residual(13)
+        residual = audit._ramification_residual(engine, 13)
+        assert residual == oracle.ramification_residual(13)
 
     @pytest.mark.parametrize("name", [
         "n0", "n1", "omega", "m", "nodes", "rcount", "lr", "k0", "k0_printed", "k1",
@@ -211,7 +213,7 @@ class TestClosedForms:
         for d in (40, 41):
             *_, nodes, rcount, lr, m = audit_second_paths(engine, d)
             assert (nodes, rcount, lr, m) == (
-                engine.reducible_fibre_count(d), engine.r_component_count(d),
+                engine.reducible_fibre_count(d), engine.value(InvariantKind.RCOUNT, d),
                 engine.lr(d), engine.m_invariant(d),
             )
 
@@ -223,11 +225,11 @@ class TestClosedForms:
         engine.n0(MAX_DEGREE)
         n0 = [0, *(engine.n0(k).numerator for k in range(1, MAX_DEGREE + 1))]
         for d in range(2, MAX_DEGREE + 1):
-            two_m, two_nodes, rcount, lr = audit._splitting_sums(n0, d)
+            two_m, two_nodes, rcount, lr = audit._splitting_sums(n0, d, audit_rows(d))
             two_k0 = 6 * n0[d] - 3 * d * two_m + 6 * lr - 2 * rcount - two_nodes
             assert engine.m_invariant(d) == Fraction(two_m, 2), d
             assert engine.reducible_fibre_count(d) == Fraction(two_nodes, 2), d
-            assert engine.r_component_count(d) == rcount, d
+            assert engine.value(InvariantKind.RCOUNT, d) == rcount, d
             assert engine.lr(d) == lr, d
             assert engine.k0(d) == Fraction(two_k0, 2), d
 
@@ -240,19 +242,19 @@ def _assert_untouched(engine):
 
 
 _PER_DEGREE_METHODS = (
-    "n0", "n1", "t_op", "omega", "m_invariant", "reducible_fibre_count",
-    "r_component_count", "lr", "k0", "k0_printed", "k1", "g0", "g1",
-    "ramification_residual",
+    "n0", "n1", "t_op", "omega", "m_invariant", "reducible_fibre_count", "lr",
+    "k0", "k0_printed", "k1", "g0", "g1",
 )
 _PER_DEGREE_CALLS = [
     *((name, lambda engine, d, name=name: getattr(engine, name)(d))
       for name in _PER_DEGREE_METHODS),
     *((f"value({kind.value})", lambda engine, d, kind=kind: engine.value(kind, d))
       for kind in KIND_ORDER),
-    # The audit's second paths that read the engine at d; the direct T
-    # reads only lists below d, and its degree comes from
+    # The audit's second paths and probe that read the engine at d; the
+    # direct sums read only lists below d, and their degree comes from
     # run_identity_suite's range, whose d_max is checked first.
     ("audit._k1_via_c2", lambda engine, d: audit._k1_via_c2(engine, 0, d)),
+    ("audit._ramification_residual", audit._ramification_residual),
     ("audit._g0_from_splitting_sum",
      lambda engine, d: audit._g0_from_splitting_sum(engine, (0, 0, 0, 0), d)),
 ]

@@ -78,21 +78,11 @@ MUTANTS = [
     ("g0_const", "g0", "two_m + 2,", "two_m + 1,", BLOCKING, 12),
     ("g0_den", "g0", ", 2)", ", 1)", BLOCKING, 12),
     ("g1_den", "g1", ", 48)", ", 24)", BLOCKING, 12),
-    ("g1num_k1", "_g1_numerator", "3 * k1", "2 * k1", BLOCKING, 12),
-    ("g1num_n1", "_g1_numerator", "108 *", "107 *", BLOCKING, 12),
-    ("g1num_poly", "_g1_numerator", "(3 * d - 4)", "(3 * d - 5)", BLOCKING, 12),
-    ("g1num_t", "_g1_numerator", "12 * self._t[d]", "11 * self._t[d]", BLOCKING, 12),
-    ("g1num_const", "_g1_numerator", "+ 48", "+ 47", BLOCKING, 12),
-    # The ramification residual, which only its probe runs.
-    ("res_const", "ramification_residual", "g1 - 48", "g1 - 47", PROBE, 12),
-    ("res_k1", "ramification_residual", "3 * k1", "2 * k1", PROBE, 12),
-    ("res_n1", "ramification_residual", "108 *", "109 *", PROBE, 12),
-    ("res_t", "ramification_residual", "12 * self._t[d]", "13 * self._t[d]", PROBE, 12),
-    ("res_omega_coeff", "ramification_residual", "(9 - 3 * d)", "(8 - 3 * d)",
-     PROBE, 12),
-    ("res_omega_read", "ramification_residual", "a, b = self.omega",
-     "b, a = self.omega", PROBE, 12),
-    ("res_den", "ramification_residual", "24 * b", "12 * b", PROBE, 12),
+    ("g1num_k1", "g1", "3 * k1", "2 * k1", BLOCKING, 12),
+    ("g1num_n1", "g1", "108 *", "107 *", BLOCKING, 12),
+    ("g1num_poly", "g1", "(3 * d - 4)", "(3 * d - 5)", BLOCKING, 12),
+    ("g1num_t", "g1", "12 * self._t[d]", "11 * self._t[d]", BLOCKING, 12),
+    ("g1num_const", "g1", "+ 48", "+ 47", BLOCKING, 12),
 ]
 
 # The same, in severi/exact.py: the binomial rows and the exact division.
@@ -116,11 +106,17 @@ EXACT_MUTANTS = [
 ]
 
 # The same, in severi/audit.py: the second paths of the two-path checks,
-# the direct splitting sums (a row or a weight of each) and their
-# assembly, and the lists of N0 and N1 that run_identity_suite reads
-# through the engine's public methods.
+# the audit's rows, the direct splitting sums (a row or a weight of each)
+# and their assembly, the lists of N0 and N1 that run_identity_suite
+# reads through the engine's public methods, and the ramification
+# probe's identity.
 AUDIT_MUTANTS = [
     ("t_direct_weight", "_t_direct", "(3 * d1 - 2)", "(3 * d1 - 1)", BLOCKING, 12),
+    ("t_direct_row", "_t_direct", "row[3 * d1 - 1]", "row[3 * d1 - 2]", BLOCKING, 12),
+    ("rows_seed", "run_identity_suite", "pascal_row(3 * d - 4)", "pascal_row(3 * d - 3)",
+     BLOCKING, 12),
+    ("rows_step", "run_identity_suite", "pascal_step(rows[-1])", "pascal_step(rows[0])",
+     BLOCKING, 12),
     ("k1c2_n1", "_k1_via_c2", "engine.n1(d)", "engine.n0(d)", BLOCKING, 12),
     ("k1c2_omega_read", "_k1_via_c2", "a, b = engine.omega", "b, a = engine.omega",
      BLOCKING, 12),
@@ -152,6 +148,17 @@ AUDIT_MUTANTS = [
      BLOCKING, 12),
     ("lists_n0", "run_identity_suite", "engine.n0(k)", "engine.n1(k)", BLOCKING, 12),
     ("lists_n1", "run_identity_suite", "engine.n1(k)", "engine.n0(k)", BLOCKING, 12),
+    # The ramification residual, which only its probe runs.
+    ("res_g1", "_ramification_residual", "2 * g1", "3 * g1", PROBE, 12),
+    ("res_const", "_ramification_residual", "- 2 - k1", "- 1 - k1", PROBE, 12),
+    ("res_k1", "_ramification_residual", "- k1 -", "+ k1 -", PROBE, 12),
+    ("res_omega_coeff", "_ramification_residual", "(3 * d - 9)", "(3 * d - 8)",
+     PROBE, 12),
+    ("res_omega_read", "_ramification_residual", "engine.omega(d)", "engine.n0(d)",
+     PROBE, 12),
+    ("res_n1", "_ramification_residual", "9 * n1", "8 * n1", PROBE, 12),
+    ("res_t", "_ramification_residual", "+ t)", "- t)", PROBE, 12),
+    ("res_den", "_ramification_residual", ") / 2", ") / 3", PROBE, 12),
 ]
 
 # (id, function, token, replacement, why the audit cannot see it)

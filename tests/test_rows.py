@@ -2,8 +2,9 @@
 
 The window serves the four Pascal rows C(3d-4, .) .. C(3d-1, .) for
 one degree at a time; ``exact.pascal_row`` seeds it after a non-sequential
-query and builds the rows of the audit's direct T and splitting sums.  Every row is
-compared with ``math.comb``.
+query.  The audit builds the same four rows anew at every audited degree
+for its direct T and splitting sums, from one ``pascal_row`` and three
+``exact.pascal_step`` calls.  Every row is compared with ``math.comb``.
 """
 
 from __future__ import annotations
@@ -125,27 +126,35 @@ def test_scaled_lists_follow_the_counts_in_any_query_order(queries):
 
 
 class TestRowBuilds:
-    """``pascal_row`` builds the rows of the audit's direct T and splitting
-    sums and seeds the window only after a non-sequential query;
-    sequential queries step."""
+    """``pascal_row`` seeds the window only after a non-sequential query,
+    and the audit's rows once per audited degree; sequential queries and
+    the audit's other three rows step."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counters of the engine's and the audit's ``pascal_row`` calls."""
+        """Counters of the engine's and the audit's ``pascal_row`` calls,
+        then of the audit's ``pascal_step`` calls."""
         return [
-            _count_calls(monkeypatch, "pascal_row", pascal_row, module=module)
-            for module in (engine_module, audit_module)
+            _count_calls(monkeypatch, name, function, module=module)
+            for name, function, module in (
+                ("pascal_row", pascal_row, engine_module),
+                ("pascal_row", pascal_row, audit_module),
+                ("pascal_step", pascal_step, audit_module),
+            )
         ]
 
-    def test_full_audit_builds_four_rows_per_audited_degree(self, calls):
-        # 3 window seeds (d = 1, 2, 3); at each of d = 3..100 one row for
-        # the direct T and three for the direct splitting sums.
+    def test_full_audit_builds_one_row_and_three_steps_per_audited_degree(
+        self, calls
+    ):
+        # 3 window seeds (d = 1, 2, 3); at each of d = 3..100 the row
+        # C(3d-4, .), stepped to C(3d-1, .) for the direct T and the direct
+        # splitting sums.
         run_full_audit(InvariantEngine(), 100)
-        assert [count[0] for count in calls] == [3, 4 * 98]
+        assert [count[0] for count in calls] == [3, 98, 3 * 98]
 
     def test_the_recursions_build_none(self, calls):
         InvariantEngine().n1(200)
-        assert [count[0] for count in calls] == [0, 0]
+        assert [count[0] for count in calls] == [0, 0, 0]
 
     def test_a_table_takes_three_steps_per_degree(self, monkeypatch):
         # The splitting sums read the window's rows and step none of their own.

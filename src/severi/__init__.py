@@ -22,8 +22,8 @@ _PUBLIC = {
         "run_discrepancy_probes", "run_full_audit", "run_identity_suite",
     ),
     "engine": (
-        "BELOW_MIN_DEGREE", "DEGENERATE_GEOMETRY", "DomainStatus", "InvariantEngine",
-        "InvariantKind", "KIND_ORDER", "domain_status",
+        "BELOW_MIN_DEGREE", "DEGENERATE_GEOMETRY", "InvariantEngine", "InvariantKind",
+        "KIND_ORDER", "domain_status",
     ),
     "exact": ("ExactScalar", "format_exact", "is_integral", "parse_exact"),
     "tables": ("InvariantRecord", "build_records", "render_csv", "render_json"),

@@ -279,9 +279,9 @@ def _g0_from_splitting_sum(
 ) -> ExactScalar:
     """Second path for ``g0``, (K0 - 2m + 2) / 2 with the paper's assembly
     K0 = 3 N0 - 3 d m + 3 LR - RCOUNT - NODES over ``sums``, the direct
-    (2m, 2 NODES, RCOUNT, LR), and N0(d) from ``engine.n0``.  The engine's
-    K0 is the closed form 12 (N0 - m), so ``g0_two_path`` checks that form
-    and the engine's 2m sum against the sums as the paper writes them."""
+    (2m, 2 NODES, RCOUNT, LR), and N0(d) from ``engine.n0``.  The engine
+    evaluates it over its NODES and LR forms and its own 2m: the two paths
+    share N0 and the formula's text, but no intermediate value."""
     n0, (two_m, two_nodes, rcount, lr) = engine.n0(d).numerator, sums
     two_k0 = 6 * n0 - 3 * d * two_m + 6 * lr - 2 * rcount - two_nodes
     return ExactScalar(two_k0 - 2 * two_m + 4, 4)
@@ -301,8 +301,8 @@ def run_identity_suite(
     the N1 loop stores it (``engine.t_op``), and ``k1_two_path``.
     ``rcount_equals_nodes`` compares the engine's RCOUNT, a closed form in
     N0 and m, with the direct NODES sum; ``g0_two_path`` compares
-    ``engine.g0``, from the closed form of K0 and a 2m summed over the
-    window's row, with the paper's assembly over the direct sums."""
+    ``engine.g0``, from the paper's assembly of K0 over the engine's forms
+    and 2m, with the same assembly over the direct sums."""
     checks = _shared(d_max, checks)
     n0, n1 = [0], [0]
     for d in range(3, d_max + 1):

@@ -19,6 +19,7 @@ from __future__ import annotations
 # and its self-tests pin severi.cli.build_records.  The audit layer is
 # imported per verb, in _cmd_audit, so eval, table and --version never
 # load severi.audit; argparse is imported only by build_parser.
+import io
 import os
 import sys
 from types import SimpleNamespace
@@ -113,6 +114,14 @@ def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**parsed)
 
 
+def _to_devnull(fd: int) -> None:
+    """Point ``fd`` at ``os.devnull`` (``os.open`` reuses a closed ``fd``)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    if devnull != fd:
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def _write_output(output: str | None, render, *args) -> None:
     """``render(*args, out)`` into the ``--output`` file, opened only now that
     every value is computed, or else into ``sys.stdout`` as it is now.  A
@@ -127,18 +136,26 @@ def _write_output(output: str | None, render, *args) -> None:
             render(*args, sys.stdout)
             sys.stdout.flush()
         except BrokenPipeError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _to_devnull(sys.stdout.fileno())
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as handle:
             render(*args, handle)
 
 
+def _to_stderr(text: str) -> None:
+    """Write and flush ``text`` on stderr; if fd 2 is closed or failing, drop
+    it as ``_write_output`` drops a broken stdout, keeping the exit code."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr.fileno())
+
+
 def _cmd_eval(args: SimpleNamespace) -> int:
     kind = kind_named(args.invariant)
-    value, status = InvariantEngine().evaluate(kind, args.d)
-    line = " ".join([format_exact(value)] + flag_tokens(status, value))
+    value, reason = InvariantEngine().evaluate(kind, args.d)
+    line = " ".join([format_exact(value)] + flag_tokens(reason, value))
     _write_output(None, emit, [line + "\n"])
     return EXIT_OK
 
@@ -162,15 +179,10 @@ def _cmd_audit(args: SimpleNamespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_fast(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv, SimpleNamespace())
-        except SystemExit as exc:
-            # argparse printed the help, the version or a usage error;
-            # keep its exit code.
-            return int(exc.code) if exc.code is not None else EXIT_OK
+    if sys.stderr is None:  # closed at start; argparse would use stdout
+        sys.stderr = io.StringIO()
     try:
+        args = _parse_fast(argv) or build_parser().parse_args(argv, SimpleNamespace())
         if args.command == "--version":
             _write_output(None, emit, [_VERSION + "\n"])
             return EXIT_OK
@@ -179,8 +191,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table":
             return _cmd_table(args)
         return _cmd_audit(args)
+    except SystemExit as exc:
+        # argparse printed help, the version or a usage error: keep its code.
+        _to_stderr("")
+        return int(exc.code) if exc.code is not None else EXIT_OK
     except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"severi: error: {exc}", file=sys.stderr)
+        _to_stderr(f"severi: error: {exc}\n")
         return EXIT_USAGE
 
 

@@ -15,7 +15,8 @@ All values are exact.  The recursions and both splitting sums run on
 plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
 carried as 36 N1 and reduced by exact division, T is one integer per
 degree, and the two splitting sums are one pair of ints per degree;
-NODES, RCOUNT, LR and K0 are closed forms in N0 and m (``_forms``).
+NODES (= RCOUNT) and LR are closed forms in N0 and m (``_forms``), and
+K0 is the paper's assembly over them, which makes it 12 (N0 - m).
 The loops also keep the scaled counts a = d N0, u = (3d-2) d N0 and
 v = d N1, so a degree costs only big products: T is a bare binomial row
 dotted with u v, and N0 is (3d-3)^-1 times one weight per unordered pair
@@ -114,35 +115,24 @@ KIND_SPEC: dict[InvariantKind, KindSpec] = {
 }
 
 
-class DomainStatus(NamedTuple):
-    """Validity flag attached to every invariant query.
-
-    Out-of-domain queries still evaluate the defining formula (it is
-    total); the flag records why the value carries no geometric weight.
-    """
-
-    in_domain: bool
-    reason: str | None = None
-
-
-IN_DOMAIN = DomainStatus(True)
-
-
-def domain_status(kind: InvariantKind | str, d: int) -> DomainStatus:
-    """Domain flag for (invariant, degree); pure function of its inputs."""
+def domain_status(kind: InvariantKind | str, d: int) -> str | None:
+    """Why (invariant, degree) is outside the invariant's geometric domain,
+    ``BELOW_MIN_DEGREE`` or ``DEGENERATE_GEOMETRY``, or None inside it.  The
+    formula still evaluates there (it is total); the reason says why the
+    value carries no geometric weight.  A pure function of its inputs."""
     kind = InvariantKind(kind)
     _check_degree(d)
     if kind is InvariantKind.K0 and d < 3:
         # One-cuspidal rational curves need degree >= 3; below that the
         # assembled formula evaluates but the geometry degenerates.
-        return DomainStatus(False, DEGENERATE_GEOMETRY)
+        return DEGENERATE_GEOMETRY
     if kind is InvariantKind.G1 and d == 3:
         # The one-parameter elliptic-cubic family is birational to the
         # plane; the genus formula evaluates to the non-integer 5/4.
-        return DomainStatus(False, DEGENERATE_GEOMETRY)
+        return DEGENERATE_GEOMETRY
     if d < KIND_SPEC[kind].min_degree:
-        return DomainStatus(False, BELOW_MIN_DEGREE)
-    return IN_DOMAIN
+        return BELOW_MIN_DEGREE
+    return None
 
 
 def _check_degree(d: int) -> None:
@@ -291,21 +281,20 @@ class InvariantEngine:
             self._split[d] = (two_m, 6 * self._n0[d] - 2 * s + 3 * two_m)
         return self._split[d]
 
-    def _forms(self, d: int) -> tuple[int, int, int]:
-        """(2 NODES, 2 LR, K0) at degree d, from N0 and 2m alone:
+    def _forms(self, d: int) -> tuple[int, int]:
+        """(2 NODES, 2 LR) at degree d, from N0 and 2m alone:
 
-            NODES = RCOUNT = (3d + 6) m - 9 N0,   LR = 3 d m - 3 N0,
-            K0 = 3 N0 - 3 d m + 3 LR - RCOUNT - NODES = 12 (N0 - m).
+            NODES = RCOUNT = (3d + 6) m - 9 N0,   LR = 3 d m - 3 N0.
 
         No derivation is written down: a test checks each form against its
         splitting sum at every degree 2 .. MAX_DEGREE, which within the
         engine's domain is the proof.  At d = 1, where every sum is empty,
-        the forms fail; there NODES = RCOUNT = LR = 0 and K0 = 3 N0 = 3.
+        the forms fail; there NODES = RCOUNT = LR = 0.
         """
         two_m, n0 = self._splitting_values(d)[0], self._n0[d]
         if d == 1:
-            return 0, 0, 3
-        return (3 * d + 6) * two_m - 18 * n0, 3 * d * two_m - 6 * n0, 12 * n0 - 6 * two_m
+            return 0, 0
+        return (3 * d + 6) * two_m - 18 * n0, 3 * d * two_m - 6 * n0
 
     def omega(self, d: int) -> ExactScalar:
         """One-twelfth of the irreducible nodal fibre count:
@@ -352,16 +341,19 @@ class InvariantEngine:
 
     def k0(self, d: int) -> ExactScalar:
         """One-cuspidal rational curves through 3d-2 points (authoritative
-        assembly path):
+        assembly path), the paper's
 
-            K0 = 3 N0 - 3 d m + 3 LR - RCOUNT - NODES.
+            K0 = 3 N0 - 3 d m + 3 LR - RCOUNT - NODES
 
-        The blown-down components are disjoint (-1)-curves, so their sum
-        R has R^2 = -RCOUNT; subtracting the nodal-fibre count from the
-        second Chern class assembly leaves the cusp count.  It is
-        12 (N0 - m) (see ``_forms``).  Anchored by the classical K0(3) = 24.
+        in ints over ``_forms`` (RCOUNT = NODES), halved exactly: 12 (N0 - m),
+        and 3 N0 = 3 at d = 1.  The blown-down components are disjoint
+        (-1)-curves, so their sum R has R^2 = -RCOUNT; subtracting the
+        nodal-fibre count from the second Chern class assembly leaves the
+        cusp count.  Anchored by the classical K0(3) = 24.
         """
-        return ExactScalar(self._forms(d)[2])
+        (two_nodes, two_lr), two_m = self._forms(d), self._splitting_values(d)[0]
+        two_k0 = 6 * self._n0[d] - 3 * d * two_m + 3 * two_lr - 2 * two_nodes
+        return ExactScalar(exact_div(two_k0, 2, d))
 
     def k0_printed(self, d: int) -> ExactScalar:
         """Literal closed form for the rational cusp count:
@@ -422,18 +414,16 @@ class InvariantEngine:
         kind is a ``ValueError``."""
         return getattr(self, KIND_SPEC[InvariantKind(kind)].method)(d)
 
-    def evaluate(self, kind: InvariantKind, d: int) -> tuple[ExactScalar, DomainStatus]:
-        """Value together with its domain flag; the kind and degree are
-        checked before any work."""
-        status = domain_status(kind, d)
-        return self.value(kind, d), status
+    def evaluate(self, kind: InvariantKind, d: int) -> tuple[ExactScalar, str | None]:
+        """Value together with its ``domain_status`` reason; the kind and
+        degree are checked before any work."""
+        reason = domain_status(kind, d)
+        return self.value(kind, d), reason
 
 
 __all__ = [
     "BELOW_MIN_DEGREE",
     "DEGENERATE_GEOMETRY",
-    "DomainStatus",
-    "IN_DOMAIN",
     "InvariantEngine",
     "InvariantKind",
     "KIND_ORDER",

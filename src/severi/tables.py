@@ -17,27 +17,21 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, TextIO
 
 from .exact import ExactScalar, emit, format_exact, is_integral, json_string
-from .engine import (
-    DomainStatus,
-    InvariantEngine,
-    InvariantKind,
-    KIND_ORDER,
-    _check_degree,
-)
+from .engine import InvariantEngine, InvariantKind, KIND_ORDER, _check_degree
 
 
 class InvariantRecord(NamedTuple):
-    """One degree's worth of invariant values and their domain flags,
-    keyed by invariant in column order."""
+    """One degree's invariant values and their domain flags, each flag the
+    ``domain_status`` reason (None inside), keyed by invariant in order."""
 
     d: int
     values: dict[InvariantKind, ExactScalar]
-    flags: dict[InvariantKind, DomainStatus]
+    flags: dict[InvariantKind, str | None]
 
 
-def flag_tokens(status: DomainStatus, value: ExactScalar) -> list[str]:
+def flag_tokens(reason: str | None, value: ExactScalar) -> list[str]:
     """Short flag words: the out-of-domain reason, then integrality."""
-    tokens = [status.reason] if status.reason else []
+    tokens = [reason] if reason else []
     if not is_integral(value):
         tokens.append("non-integral")
     return tokens
@@ -77,7 +71,7 @@ def build_records(
     records = []
     for d in range(1, d_max + 1):
         values: dict[InvariantKind, ExactScalar] = {}
-        flags: dict[InvariantKind, DomainStatus] = {}
+        flags: dict[InvariantKind, str | None] = {}
         for kind in kinds:
             values[kind], flags[kind] = engine.evaluate(kind, d)
         records.append(InvariantRecord(d=d, values=values, flags=flags))
@@ -127,9 +121,6 @@ def _json_records(records: list[InvariantRecord]) -> Iterator[str]:
     yield "\n]\n" if records else "[]\n"
 
 
-_JSON_BOOL = {False: "false", True: "true"}
-
-
 def _json_members(lines: list[str]) -> str:
     """A record's nested object from its member lines."""
     return "{\n" + ",\n".join(lines) + "\n    }" if lines else "{}"
@@ -142,11 +133,11 @@ def _record_json(record: InvariantRecord) -> str:
     ]
     flags = [
         f'      "{kind.value}": {{\n'
-        f'        "in_domain": {_JSON_BOOL[status.in_domain]},\n'
-        f'        "reason": {json_string(status.reason)},\n'
-        f'        "integral": {_JSON_BOOL[is_integral(record.values[kind])]}\n'
+        f'        "in_domain": {str(reason is None).lower()},\n'
+        f'        "reason": {json_string(reason)},\n'
+        f'        "integral": {str(is_integral(record.values[kind])).lower()}\n'
         "      }"
-        for kind, status in record.flags.items()
+        for kind, reason in record.flags.items()
     ]
     return (
         f'  {{\n    "d": {record.d},\n    "values": {_json_members(values)},\n'

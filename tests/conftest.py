@@ -73,14 +73,16 @@ def run_cli(capsys):
 
 
 def spawn_python(
-    *args: str, redirect: str = "", env: dict | None = None, **popen
+    *args: str, redirect: str = "", env: dict | None = None,
+    python: str = sys.executable, **popen
 ) -> subprocess.Popen:
     """Start ``python -X dev -W error ARGS`` (say ``-m severi eval N0 3``) on
     this checkout's source, so that a warning fails the child as
     ``filterwarnings`` fails the tests; through ``sh -c`` with the shell
     ``redirect`` (as ``>&-``) appended if one is given.  ``env`` adds
-    variables to the environment; ``popen`` goes to ``subprocess.Popen``."""
-    argv = [sys.executable, "-X", "dev", "-W", "error", *args]
+    variables to the environment; ``python`` is the interpreter, this one
+    by default; ``popen`` goes to ``subprocess.Popen``."""
+    argv = [python, "-X", "dev", "-W", "error", *args]
     if redirect:
         argv = ["sh", "-c", f"{shlex.join(argv)} {redirect}"]
     env = {**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from subprocess import PIPE
 
@@ -26,11 +27,11 @@ def _json_dumps_of_records(records) -> str:
             },
             "flags": {
                 kind.value: {
-                    "in_domain": status.in_domain,
-                    "reason": status.reason,
+                    "in_domain": reason is None,
+                    "reason": reason,
                     "integral": record.values[kind].denominator == 1,
                 }
-                for kind, status in record.flags.items()
+                for kind, reason in record.flags.items()
             },
         }
         for record in records
@@ -168,9 +169,9 @@ class TestTable:
     def test_json_carries_every_flag_variant_as_json_dumps_writes_it(self):
         records = build_records(InvariantEngine(), 4)
         variants = {
-            (status.in_domain, status.reason, record.values[kind].denominator == 1)
+            (reason is None, reason, record.values[kind].denominator == 1)
             for record in records
-            for kind, status in record.flags.items()
+            for kind, reason in record.flags.items()
         }
         assert {
             (True, None, True),
@@ -430,6 +431,36 @@ class TestClosedStdout:
         assert child.communicate()[1] == b""
         assert child.returncode == 0
         assert path.read_text(encoding="utf-8") == run_cli(verb, "--d-max", "3")[1]
+
+
+_USAGE_ERRORS = [
+    ("eval", "N0", "0"), ("table", "--d-max", "0"), ("audit", "--d-max", "2"),
+    ("table", "--format", "csv"),
+]
+
+
+class TestClosedStderr:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("redirect", [
+        pytest.param("2>&-", id="closed"),
+        pytest.param("2>/dev/full", id="full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full")),
+    ])
+    @pytest.mark.parametrize(
+        "argv", _USAGE_ERRORS, ids=["eval", "table", "audit", "argparse"]
+    )
+    def test_a_usage_error_with_no_usable_stderr_is_exit_two_and_no_output(
+        self, argv, redirect, unbuffered
+    ):
+        # As in `severi audit --d-max 2 2>&-`, where Python starts with
+        # sys.stderr None and print would write the error line to stdout.
+        # A stderr whose writes fail must not turn exit 2 into exit 1 (a
+        # blocking audit FAIL) or into 120 (a failed flush at exit).
+        child = spawn_python(
+            "-m", "severi", *argv, redirect=redirect, stdout=PIPE,
+            env={"PYTHONUNBUFFERED": unbuffered},
+        )
+        assert (child.communicate()[0], child.returncode) == (b"", 2)
 
 
 class TestUsage:

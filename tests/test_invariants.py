@@ -195,9 +195,9 @@ class TestGoldenAgreement:
 
 
 class TestClosedForms:
-    """NODES = RCOUNT = (3d + 6) m - 9 N0, LR = 3 d m - 3 N0 and
-    K0 = 12 (N0 - m), the forms the engine evaluates, against sums that
-    share no code with them."""
+    """NODES = RCOUNT = (3d + 6) m - 9 N0 and LR = 3 d m - 3 N0, the forms
+    the engine evaluates, and K0 = 12 (N0 - m), which the paper's assembly
+    over them gives, against sums that share no code with them."""
 
     def test_the_forms_match_the_oracle_sums_from_degree_2_to_40(self):
         # The engine against the oracle is pinned by the golden and
@@ -361,7 +361,7 @@ class TestDomainStatus:
     def test_counts_are_always_in_domain(self):
         for d in (1, 2, 3, 10):
             for kind in (InvariantKind.N0, InvariantKind.N1, InvariantKind.OMEGA):
-                assert domain_status(kind, d).in_domain
+                assert domain_status(kind, d) is None
 
     def test_splitting_statistics_start_at_degree_two(self):
         for kind in (
@@ -371,23 +371,21 @@ class TestDomainStatus:
             InvariantKind.LR,
             InvariantKind.K0_PRINTED,
         ):
-            status = domain_status(kind, 1)
-            assert not status.in_domain and status.reason == BELOW_MIN_DEGREE
-            assert domain_status(kind, 2).in_domain
+            assert domain_status(kind, 1) == BELOW_MIN_DEGREE
+            assert domain_status(kind, 2) is None
 
     def test_cuspidal_rational_count_degenerates_below_three(self):
         for d in (1, 2):
-            status = domain_status(InvariantKind.K0, d)
-            assert not status.in_domain and status.reason == DEGENERATE_GEOMETRY
-        assert domain_status(InvariantKind.K0, 3).in_domain
+            assert domain_status(InvariantKind.K0, d) == DEGENERATE_GEOMETRY
+        assert domain_status(InvariantKind.K0, 3) is None
 
     def test_elliptic_derived_invariants(self):
         for kind in (InvariantKind.K1, InvariantKind.G0):
-            assert domain_status(kind, 2).reason == BELOW_MIN_DEGREE
-            assert domain_status(kind, 3).in_domain
-        assert domain_status(InvariantKind.G1, 2).reason == BELOW_MIN_DEGREE
-        assert domain_status(InvariantKind.G1, 3).reason == DEGENERATE_GEOMETRY
-        assert domain_status(InvariantKind.G1, 4).in_domain
+            assert domain_status(kind, 2) == BELOW_MIN_DEGREE
+            assert domain_status(kind, 3) is None
+        assert domain_status(InvariantKind.G1, 2) == BELOW_MIN_DEGREE
+        assert domain_status(InvariantKind.G1, 3) == DEGENERATE_GEOMETRY
+        assert domain_status(InvariantKind.G1, 4) is None
 
     def test_a_kind_given_by_its_value_gets_the_same_flag(self, engine):
         for kind in KIND_ORDER:
@@ -405,14 +403,15 @@ class TestDomainStatus:
                 engine.value(name, 3)
 
     def test_out_of_domain_queries_still_evaluate(self, engine):
-        value, status = engine.evaluate(InvariantKind.G1, 3)
+        value, reason = engine.evaluate(InvariantKind.G1, 3)
         assert value == Fraction(5, 4)
-        assert not status.in_domain
+        assert reason == DEGENERATE_GEOMETRY
 
     def test_evaluate_returns_value_with_status_for_every_kind(self, engine, golden):
         for kind in KIND_ORDER:
-            value, status = engine.evaluate(kind, 3)
-            assert isinstance(status.in_domain, bool)
+            value, reason = engine.evaluate(kind, 3)
+            assert reason in (None, BELOW_MIN_DEGREE, DEGENERATE_GEOMETRY)
+            assert reason == domain_status(kind, 3)
             assert value == golden_value(
                 golden, _GOLDEN_NAME[kind], 3
             )

@@ -58,14 +58,19 @@ MUTANTS = [
     ("m_row", "_splitting_values", "c4[1::3]", "c4[2::3]", BLOCKING, 12),
     ("k0_printed_sum", "_splitting_values", "- 2 * s", "- 3 * s", PROBE, 12),
     ("k0_printed_den", "k0_printed", "[1], 2)", "[1], 1)", PROBE, 12),
-    # The closed forms in N0 and 2m, and their reads.
+    # The closed forms in N0 and 2m, and the read of NODES.
     ("form_nodes_slope", "_forms", "(3 * d + 6)", "(3 * d + 5)", BLOCKING, 12),
     ("form_nodes_n0", "_forms", "18 * n0", "19 * n0", BLOCKING, 12),
-    ("form_k0_n0", "_forms", "12 * n0", "11 * n0", BLOCKING, 12),
-    ("form_k0_m", "_forms", "6 * two_m", "5 * two_m", BLOCKING, 12),
-    ("nodes_read", "reducible_fibre_count", "_forms(d)[0]", "_forms(d)[2]",
+    ("form_lr_slope", "_forms", "3 * d * two_m", "3 * (d + 1) * two_m", BLOCKING, 12),
+    ("form_lr_n0", "_forms", "6 * n0", "4 * n0", BLOCKING, 12),
+    ("nodes_read", "reducible_fibre_count", "_forms(d)[0]", "_forms(d)[1]",
      BLOCKING, 12),
-    ("k0_read", "k0", "_forms(d)[2]", "_forms(d)[0]", BLOCKING, 12),
+    # The paper's K0 assembly over the forms: each coefficient, and the halving.
+    ("k0_n0", "k0", "6 * self._n0[d]", "5 * self._n0[d]", BLOCKING, 12),
+    ("k0_m", "k0", "3 * d * two_m", "4 * d * two_m", BLOCKING, 12),
+    ("k0_lr", "k0", "3 * two_lr", "2 * two_lr", BLOCKING, 12),
+    ("k0_nodes", "k0", "2 * two_nodes", "3 * two_nodes", BLOCKING, 12),
+    ("k0_div", "k0", "two_k0, 2, d)", "two_k0, 1, d)", BLOCKING, 12),
     ("omega_den", "omega", "24)", "12)", BLOCKING, 12),
     # K1.
     ("k1num_poly", "_k1_numerator", "(d - 4)", "(d - 3)", BLOCKING, 12),
@@ -182,8 +187,7 @@ AUDIT_EQUIVALENT = [
 # and live-oracle tests in tests/test_invariants.py pin their values.
 AUDIT_BLIND = [
     ("lr_read", "lr", "_forms(d)[1]", "_forms(d)[0]", (), "lr"),
-    ("form_lr_n0", "_forms", "6 * n0", "4 * n0", (), "lr"),
-    ("form_d1_k0", "_forms", "return 0, 0, 3", "return 0, 0, 4", (), "k0"),
+    ("form_d1_k0", "_forms", "return 0, 0", "return 0, 2", (), "k0"),
     ("m_den", "m_invariant", "[0], 2)", "[0], 1)", ("integrality_m",), "m_invariant"),
 ]
 

@@ -128,7 +128,8 @@ def _write_output(output: str | None, render, *args) -> None:
     reader that closes stdout early (``| head``) is not an error: the rest
     of the output goes to ``os.devnull``, so that the flush at exit cannot
     fail again, and the verb returns its own exit code.  A stdout closed
-    before the start (``>&-``), which Python makes None, is an ``OSError``."""
+    before the start (``>&-``), which Python makes None, is an ``OSError``.
+    A failed write or close removes a regular file (not ``/dev/full``)."""
     if output is None:
         if sys.stdout is None:
             raise OSError("standard output is closed")
@@ -138,8 +139,14 @@ def _write_output(output: str | None, render, *args) -> None:
         except BrokenPipeError:
             _to_devnull(sys.stdout.fileno())
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            render(*args, handle)
+        handle = open(output, "w", encoding="utf-8", newline="\n")
+        try:
+            with handle:
+                render(*args, handle)
+        except OSError:
+            if os.path.isfile(output):
+                os.remove(output)
+            raise
 
 
 def _to_stderr(text: str) -> None:

@@ -11,10 +11,10 @@ The engine computes, for each degree d >= 1:
   statistics, the one-cuspidal counts ``k0``/``k1``, and the linear
   genera ``g0``/``g1``.
 
-All values are exact.  The recursions and both splitting sums run on
+All values are exact.  The recursions and the splitting sums run on
 plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
-carried as 36 N1 and reduced by exact division, T is one integer per
-degree, and the two splitting sums are one pair of ints per degree;
+carried as 36 N1 and reduced by exact division, T and 2m are one int
+per degree, and ``k0_printed`` sums its bracket again at each call;
 NODES (= RCOUNT) and LR are closed forms in N0 and m (``_forms``), and
 K0 is the paper's assembly over them, which makes it 12 (N0 - m).
 The loops also keep the scaled counts a = d N0, u = (3d-2) d N0 and
@@ -59,12 +59,13 @@ def _pair_products(a: list[int], d: int) -> Iterable[int]:
     return map(mul, a[1:h + 1], a[d - 1:d - h - 1:-1])
 
 
-def _paired_sum(row: list[int], d: int, products: Iterable[int]) -> int:
+def _paired_sum(row: list[int], a: list[int], d: int) -> int:
     """Sum row[d1 - 1] d1 d2 N0(d1) N0(d2) over ordered pairs d1 + d2 = d:
     the row, which has exactly d - 1 entries, is folded onto unordered
     pairs, middle term once, and dotted with :func:`_pair_products`."""
     m, h = (d - 1) // 2, d // 2
-    return sum(map(mul, [*map(add, row[:m], row[::-1]), *row[m:h]], products))
+    folded = [*map(add, row[:m], row[::-1]), *row[m:h]]
+    return sum(map(mul, folded, _pair_products(a, d)))
 
 
 class InvariantKind(str, Enum):
@@ -150,11 +151,11 @@ class InvariantEngine:
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so no stored entry is ever overwritten.
     The state is all ``int``: N0, N1, T and the scaled counts a, u, v
-    are lists indexed by degree (entry 0 unused); the pairs of splitting
-    sums, the one O(d) work that is not a recursion, are a dict keyed
-    by degree; the binomial row window holds the rows of one degree
-    only (at degree 0, C(-4, .) .. C(-1, .), all empty).
-    Every other value is an O(1) assembly over these, rebuilt per call.
+    are lists indexed by degree (entry 0 unused); 2m, the one cached
+    O(d) sum, is a dict keyed by degree; the row window holds the rows
+    of one degree only (at degree 0, C(-4, .) .. C(-1, .), all empty).
+    Every other value is rebuilt per call: an O(1) assembly over these,
+    or for ``k0_printed`` one more sum over the window.
     """
 
     def __init__(self) -> None:
@@ -165,7 +166,7 @@ class InvariantEngine:
         self._a: list[int] = [0, 1]
         self._u: list[int] = [0, 1]
         self._v: list[int] = [0]
-        self._split: dict[int, tuple[int, ...]] = {}
+        self._split: dict[int, int] = {}
         self._window: tuple[int, list[list[int]]] = (0, [[]] * 4)
 
     def _rows(self, d: int) -> list[list[int]]:
@@ -259,26 +260,12 @@ class InvariantEngine:
 
     # -- derived invariants ----------------------------------------------
 
-    def _splitting_values(self, d: int) -> tuple[int, int]:
-        """(2m, 2 K0_PRINTED) at degree d, computed once.
-
-        They are assembled from two splitting sums, each
-
-            sum w d1 d2 C(n, 3 d1 - k) N0(d1) N0(d2)
-
-        over ordered pairs d1 + d2 = d (0 at d = 1), with (n, k, w) noted
-        by each, read from the window.  The two share the pair products.
-        """
+    def _two_m(self, d: int) -> int:
+        """2m at degree d (see :meth:`m_invariant`), summed once from the window."""
         _check_degree(d)  # before the lookup: True and 3.0 hash like 1 and 3
         if d not in self._split:
             self.n0(d)
-            c4, _, c2 = self._rows(d)[:3]
-            products = list(_pair_products(self._a, d))
-            two_m = _paired_sum(c4[1::3], d, products)  # 2m: (3d-4, 2, 1)
-            # first sum of the K0_PRINTED bracket: (3d-2, 2, 3 d2 - 2)
-            row = [(3 * (d - d1) - 2) * c for d1, c in zip(range(1, d), c2[1::3])]
-            s = _paired_sum(row, d, products)
-            self._split[d] = (two_m, 6 * self._n0[d] - 2 * s + 3 * two_m)
+            self._split[d] = _paired_sum(self._rows(d)[0][1::3], self._a, d)
         return self._split[d]
 
     def _forms(self, d: int) -> tuple[int, int]:
@@ -291,7 +278,7 @@ class InvariantEngine:
         engine's domain is the proof.  At d = 1, where every sum is empty,
         the forms fail; there NODES = RCOUNT = LR = 0.
         """
-        two_m, n0 = self._splitting_values(d)[0], self._n0[d]
+        two_m, n0 = self._two_m(d), self._n0[d]
         if d == 1:
             return 0, 0
         return (3 * d + 6) * two_m - 18 * n0, 3 * d * two_m - 6 * n0
@@ -315,7 +302,7 @@ class InvariantEngine:
 
         Empty sum (hence 0) at d = 1.
         """
-        return ExactScalar(self._splitting_values(d)[0], 2)
+        return ExactScalar(self._two_m(d), 2)
 
     def reducible_fibre_count(self, d: int) -> ExactScalar:
         """Number of reducible (nodal) fibres of the rational family.
@@ -351,7 +338,7 @@ class InvariantEngine:
         nodal-fibre count from the second Chern class assembly leaves the
         cusp count.  Anchored by the classical K0(3) = 24.
         """
-        (two_nodes, two_lr), two_m = self._forms(d), self._splitting_values(d)[0]
+        (two_nodes, two_lr), two_m = self._forms(d), self._two_m(d)
         two_k0 = 6 * self._n0[d] - 3 * d * two_m + 3 * two_lr - 2 * two_nodes
         return ExactScalar(exact_div(two_k0, 2, d))
 
@@ -364,7 +351,10 @@ class InvariantEngine:
         Audit-only evaluator: it yields -60 at d = 3 against the anchor
         24 and is kept verbatim so the discrepancy stays reproducible.
         """
-        return ExactScalar(self._splitting_values(d)[1], 2)
+        two_m, c2 = self._two_m(d), self._rows(d)[2]  # C(3d-2, .)
+        row = [(3 * (d - d1) - 2) * c for d1, c in zip(range(1, d), c2[1::3])]
+        s = _paired_sum(row, self._a, d)
+        return ExactScalar(6 * self._n0[d] - 2 * s + 3 * two_m, 2)
 
     def k1(self, d: int) -> ExactScalar:
         """One-cuspidal elliptic curves through 3d-1 points:
@@ -388,7 +378,7 @@ class InvariantEngine:
 
         from the section relation m + 2g - 2 = -m + K0.
         """
-        k0, two_m = self.k0(d).numerator, self._splitting_values(d)[0]
+        k0, two_m = self.k0(d).numerator, self._two_m(d)
         return ExactScalar(k0 - two_m + 2, 2)
 
     def g1(self, d: int) -> ExactScalar:

@@ -55,9 +55,9 @@ MUTANTS = [
     # The 2m row is symmetric, so only the K0_PRINTED bracket, which only
     # its probe reads, sees the direction of the fold.
     ("paired_fold", "_paired_sum", "row[::-1]", "row[::1]", PROBE, 12),
-    ("m_row", "_splitting_values", "c4[1::3]", "c4[2::3]", BLOCKING, 12),
-    ("k0_printed_sum", "_splitting_values", "- 2 * s", "- 3 * s", PROBE, 12),
-    ("k0_printed_den", "k0_printed", "[1], 2)", "[1], 1)", PROBE, 12),
+    ("m_row", "_two_m", "[0][1::3]", "[0][2::3]", BLOCKING, 12),
+    ("k0_printed_sum", "k0_printed", "- 2 * s", "- 3 * s", PROBE, 12),
+    ("k0_printed_den", "k0_printed", "two_m, 2)", "two_m, 1)", PROBE, 12),
     # The closed forms in N0 and 2m, and the read of NODES.
     ("form_nodes_slope", "_forms", "(3 * d + 6)", "(3 * d + 5)", BLOCKING, 12),
     ("form_nodes_n0", "_forms", "18 * n0", "19 * n0", BLOCKING, 12),
@@ -78,8 +78,7 @@ MUTANTS = [
     ("k1num_t", "_k1_numerator", "8 * t", "7 * t", BLOCKING, 12),
     ("k1_den", "k1", ", 8)", ", 4)", BLOCKING, 12),
     # The genera.
-    ("g0_two_m", "g0", "_splitting_values(d)[0]", "_splitting_values(d)[1]",
-     BLOCKING, 12),
+    ("g0_two_m", "g0", "self._two_m(d)", "self._two_m(d + 1)", BLOCKING, 12),
     ("g0_const", "g0", "two_m + 2,", "two_m + 1,", BLOCKING, 12),
     ("g0_den", "g0", ", 2)", ", 1)", BLOCKING, 12),
     ("g1_den", "g1", ", 48)", ", 24)", BLOCKING, 12),
@@ -188,7 +187,8 @@ AUDIT_EQUIVALENT = [
 AUDIT_BLIND = [
     ("lr_read", "lr", "_forms(d)[1]", "_forms(d)[0]", (), "lr"),
     ("form_d1_k0", "_forms", "return 0, 0", "return 0, 2", (), "k0"),
-    ("m_den", "m_invariant", "[0], 2)", "[0], 1)", ("integrality_m",), "m_invariant"),
+    ("m_den", "m_invariant", "_two_m(d), 2)", "_two_m(d), 1)", ("integrality_m",),
+     "m_invariant"),
 ]
 
 _FUNCTION = re.compile(r"^ *def (\w+)\(", re.MULTILINE)
@@ -202,6 +202,7 @@ def _module(name: str, mutation: tuple[str, str, str] | None = None):
     if mutation is not None:
         function, token, replacement = mutation
         starts = {m.group(1): m.start() for m in _FUNCTION.finditer(source)}
+        assert function in starts, f"severi/{name}.py has no function {function!r}"
         start = starts[function]
         end = min([s for s in starts.values() if s > start] + [len(source)])
         span = source[start:end]

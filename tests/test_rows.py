@@ -9,6 +9,9 @@ for its direct T and splitting sums, from one ``pascal_row`` and three
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
 from functools import lru_cache
 from math import comb
 
@@ -146,11 +149,12 @@ class TestRowBuilds:
     def test_full_audit_builds_one_row_and_three_steps_per_audited_degree(
         self, calls
     ):
-        # 3 window seeds (d = 1, 2, 3); at each of d = 3..100 the row
-        # C(3d-4, .), stepped to C(3d-1, .) for the direct T and the direct
-        # splitting sums.
+        # 4 window seeds: d = 1, 2, 3, then d = 3 again when the K0_PRINTED
+        # probe reads the window after d = 100; at each of d = 3..100 the
+        # row C(3d-4, .), stepped to C(3d-1, .) for the direct T and the
+        # direct splitting sums.
         run_full_audit(InvariantEngine(), 100)
-        assert [count[0] for count in calls] == [3, 98, 3 * 98]
+        assert [count[0] for count in calls] == [4, 98, 3 * 98]
 
     def test_the_recursions_build_none(self, calls):
         InvariantEngine().n1(200)
@@ -171,21 +175,50 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
         if name != "_window":
             assert state, name
             for entry in state.values() if isinstance(state, dict) else state:
-                parts = entry if isinstance(entry, tuple) else (entry,)
-                assert {type(x) for x in parts} == {int}, (name, entry)
-    # Two splitting sums per degree: d = 3..100 in the audit, 1..100 in
-    # a table, each over a row of exactly d - 1 entries, which is what
-    # lets _paired_sum fold the row with row[::-1].
-    def check_row(row, d, products):
+                assert type(entry) is int, (name, entry)
+    # 2m is summed once per degree, d = 3..100 in the audit, and the
+    # K0_PRINTED bracket at each call, d = 3 only in the audit: 98 + 1.
+    # A table reads both at d = 1..100.  Each sum runs over a row of
+    # exactly d - 1 entries, which is what lets _paired_sum fold the row
+    # with row[::-1].
+    def check_row(row, a, d):
         assert len(row) == d - 1, (d, len(row))
 
     calls = _count_calls(
         monkeypatch, "_paired_sum", engine_module._paired_sum, check_row
     )
-    for entry_point, expected in ((run_full_audit, 196), (build_records, 200)):
+    for entry_point, expected in ((run_full_audit, 99), (build_records, 200)):
         calls[0] = 0
         entry_point(InvariantEngine(), 100)
         assert calls[0] == expected, entry_point.__name__
+
+
+def test_a_filled_engine_reads_alike_from_four_threads():
+    # Reads of a filled engine still fill 2m and re-seed the window (every
+    # K0_PRINTED does), each built locally and published by one
+    # assignment; a short switch interval interleaves the threads often.
+    engine = InvariantEngine()
+    build_records(engine, 40)
+    fresh = InvariantEngine()
+    queries = [(kind, d) for kind in InvariantKind for d in range(1, 41)]
+    expected = {query: fresh.value(*query) for query in queries}
+    mismatches = {}
+
+    def read(seed):
+        order = random.Random(seed).sample(queries, len(queries))
+        mismatches[seed] = [q for q in order if engine.value(*q) != expected[q]]
+
+    threads = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == {seed: [] for seed in range(4)}
 
 
 def _count_calls(monkeypatch, name, function, check=None, module=engine_module):

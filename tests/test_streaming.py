@@ -11,7 +11,12 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
+import resource
+import stat
+import subprocess
 import sys
+import threading
 import tracemalloc
 from functools import partial
 
@@ -22,6 +27,7 @@ from severi.audit import run_full_audit
 from severi.cli import main
 from severi.exact import BATCH_CHARS
 from severi.tables import build_records, render_csv, render_json
+from conftest import spawn_python
 from test_cli import D100_DIGESTS
 
 
@@ -126,16 +132,44 @@ def test_the_cli_makes_few_writes_to_stdout(monkeypatch, argv, digest):
     assert stdout.calls <= math.ceil(len(data) / BATCH_CHARS) + 1
 
 
+def _cap_file_size():
+    """In the child only: a write past 20 KiB fails with EFBIG (Python
+    ignores SIGXFSZ), well inside a table at d_max 100 (0.3 MB)."""
+    resource.setrlimit(resource.RLIMIT_FSIZE, (20480, 20480))
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["table", "--d-max", "601"], ["audit", "--d-max", "2"]],
+    # Fails before the file is opened, twice, then while writing it.
+    [["table", "--d-max", "601"], ["audit", "--d-max", "2"],
+     ["table", "--d-max", "100"]],
 )
-def test_a_failed_command_leaves_no_output_file(run_cli, tmp_path, argv):
+def test_a_failed_command_leaves_no_output_file(tmp_path, argv):
     target = tmp_path / "out.txt"
-    code, out, err = run_cli(*argv, "--output", str(target))
-    assert code == 2
-    assert out == "" and err.startswith("severi: error:")
+    child = spawn_python(
+        "-m", "severi", *argv, "--output", str(target),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=_cap_file_size,
+    )
+    out, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    assert out == b"" and err.startswith(b"severi: error:"), err
     assert not target.exists()
+
+
+def test_a_failed_write_leaves_a_path_that_is_no_regular_file(run_cli, tmp_path):
+    # A reader that closes the FIFO at once fails the write of a document
+    # larger than the pipe's buffer with EPIPE; only a regular file is
+    # removed, so the FIFO stays, as /dev/full would.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = threading.Thread(
+        target=lambda: os.close(os.open(fifo, os.O_RDONLY)), daemon=True
+    )
+    reader.start()
+    code, out, err = run_cli("table", "--d-max", "100", "--output", str(fifo))
+    reader.join(timeout=10)
+    assert code == 2 and out == "" and err.startswith("severi: error:"), err
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 @pytest.mark.parametrize("command, fmt", sorted(D100_DIGESTS))

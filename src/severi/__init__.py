@@ -18,8 +18,7 @@ from ._version import __version__
 # Home module of each public name.
 _PUBLIC = {
     "audit": (
-        "AuditCheck", "AuditReport", "CheckKind", "CheckStatus", "run_anchor_suite",
-        "run_discrepancy_probes", "run_full_audit", "run_identity_suite",
+        "AuditCheck", "AuditReport", "CheckKind", "CheckStatus", "run_full_audit",
     ),
     "engine": (
         "BELOW_MIN_DEGREE", "DEGENERATE_GEOMETRY", "InvariantEngine", "InvariantKind",

@@ -138,17 +138,6 @@ def _json_exact(x: ExactScalar | None) -> str:
     return json_string(None if x is None else format_exact(x))
 
 
-def _shared(d_max: int, checks: list[AuditCheck] | None) -> list[AuditCheck]:
-    """Reject d_max below 3 or above the ceiling before any work, then
-    return the list a suite appends each check to as soon as it is made:
-    ``checks``, or a new list if None.  A suite that raises thus leaves
-    the checks it made in a shared list."""
-    _check_degree(d_max)
-    if d_max < 3:
-        raise ValueError(f"audit requires d_max >= 3, got {d_max!r}")
-    return [] if checks is None else checks
-
-
 def _compared(
     check_id: str, d: int, kind: CheckKind, expected: ExactScalar, actual: ExactScalar
 ) -> AuditCheck:
@@ -199,19 +188,18 @@ RECORDED_RAMIFICATION_RESIDUALS: dict[int, ExactScalar] = {
 
 
 def run_anchor_suite(
-    engine: InvariantEngine, d_max: int, checks: list[AuditCheck] | None = None
-) -> AuditReport:
+    engine: InvariantEngine, d_max: int, checks: list[AuditCheck]
+) -> None:
     """Compare engine outputs against the anchor table, filtered to
     anchors of degree <= d_max.  Any mismatch is a FAIL.  Like every
-    suite, it appends to ``checks`` if given, and reports that list."""
-    checks = _shared(d_max, checks)
+    suite, it appends each check to ``checks`` as soon as it is made, and
+    trusts ``d_max``: :func:`run_full_audit` checks it and owns the list."""
     for kind, d, expected in _ANCHORS:
         if d <= d_max:
             checks.append(_compared(
                 f"anchor_{kind.value.lower()}_d{d}", d, CheckKind.ANCHOR,
                 ExactScalar(expected), engine.value(kind, d),
             ))
-    return AuditReport(d_max=d_max, checks=checks)
 
 
 # The kinds scanned for integrality, in this order: the final counts,
@@ -288,8 +276,8 @@ def _g0_from_splitting_sum(
 
 
 def run_identity_suite(
-    engine: InvariantEngine, d_max: int, checks: list[AuditCheck] | None = None
-) -> AuditReport:
+    engine: InvariantEngine, d_max: int, checks: list[AuditCheck]
+) -> None:
     """Two-path equalities, the component-count identity, the stored T
     against a direct sum, and integrality scans, for 3 <= d <= d_max.
 
@@ -302,8 +290,8 @@ def run_identity_suite(
     ``rcount_equals_nodes`` compares the engine's RCOUNT, a closed form in
     N0 and m, with the direct NODES sum; ``g0_two_path`` compares
     ``engine.g0``, from the paper's assembly of K0 over the engine's forms
-    and 2m, with the same assembly over the direct sums."""
-    checks = _shared(d_max, checks)
+    and 2m, with the same assembly over the direct sums.  Appends to
+    ``checks`` and trusts ``d_max``, as :func:`run_anchor_suite` does."""
     n0, n1 = [0], [0]
     for d in range(3, d_max + 1):
         k1 = engine.k1(d)  # fills the engine to d
@@ -337,7 +325,6 @@ def run_identity_suite(
                 kind=CheckKind.INTEGRALITY, actual=value,
                 status=status, detail=detail,
             ))
-    return AuditReport(d_max=d_max, checks=checks)
 
 
 def _probe(
@@ -370,15 +357,14 @@ def _ramification_residual(engine: InvariantEngine, d: int) -> ExactScalar:
 
 
 def run_discrepancy_probes(
-    engine: InvariantEngine, d_max: int, checks: list[AuditCheck] | None = None
-) -> AuditReport:
+    engine: InvariantEngine, d_max: int, checks: list[AuditCheck]
+) -> None:
     """Reproduce the two documented inconsistencies.
 
     Probes report INFO while the discrepancy reproduces exactly; they
     FAIL only on evaluator drift (a changed or vanished value), never
-    because the inconsistency itself is present.
-    """
-    checks = _shared(d_max, checks)
+    because the inconsistency itself is present.  Appends to ``checks``
+    and trusts ``d_max``, as :func:`run_anchor_suite` does."""
     checks.append(_probe(
         "k0_printed_vs_anchor", 3, engine.k0_printed(3), RECORDED_K0_PRINTED_D3,
         "closed form disagrees with assembly anchor 24",
@@ -393,15 +379,18 @@ def run_discrepancy_probes(
             "ramification_residual", d, _ramification_residual(engine, d),
             recorded, detail,
         ))
-    return AuditReport(d_max=d_max, checks=checks)
 
 
 def run_full_audit(engine: InvariantEngine, d_max: int) -> AuditReport:
-    """All three suites in canonical order as a single report.  An exact
-    division with a remainder (a corrupted engine) ends it: the suites
-    share one check list, so every check made before the raise is kept,
-    then one IDENTITY FAIL at that degree."""
-    checks = _shared(d_max, None)
+    """The audit's one entry point: it refuses a d_max below 3 or above the
+    ceiling before any work, then runs the three suites in canonical order
+    on the one check list it owns, as a single report.  An exact division
+    with a remainder (a corrupted engine) ends the audit: every check made
+    before the raise is kept, then one IDENTITY FAIL at that degree."""
+    _check_degree(d_max)
+    if d_max < 3:
+        raise ValueError(f"audit requires d_max >= 3, got {d_max!r}")
+    checks: list[AuditCheck] = []
     try:
         for suite in (run_anchor_suite, run_identity_suite, run_discrepancy_probes):
             suite(engine, d_max, checks)
@@ -420,8 +409,5 @@ __all__ = [
     "CheckStatus",
     "RECORDED_RAMIFICATION_RESIDUALS",
     "RECORDED_K0_PRINTED_D3",
-    "run_anchor_suite",
-    "run_discrepancy_probes",
     "run_full_audit",
-    "run_identity_suite",
 ]

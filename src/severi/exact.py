@@ -19,6 +19,7 @@ audit steps one ``pascal_row`` three times per audited degree.
 from __future__ import annotations
 
 import sys
+from _thread import allocate_lock
 from fractions import Fraction
 from operator import add
 from typing import Iterable, TextIO
@@ -66,20 +67,25 @@ def pascal_step(row: list[int]) -> list[int]:
     return half + half[::-1][1 - len(row) % 2:]
 
 
+_DIGIT_LIMIT_LOCK = allocate_lock()
+
+
 def _lift_digit_limit(convert, value):
     """convert(value), retried with Python's int<->str digit limit (3.11+)
-    lifted if it raises: N0 passes the default 4300 digits at d = 572."""
+    lifted if it raises: N0 passes the default 4300 digits at d = 572.
+    The limit is process-wide, so one thread at a time lifts and restores it."""
     try:
         return convert(value)
     except ValueError:
         if not hasattr(sys, "set_int_max_str_digits"):
             raise
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return convert(value)
-    finally:
-        sys.set_int_max_str_digits(saved)
+    with _DIGIT_LIMIT_LOCK:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(value)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 def format_exact(x: ExactScalar) -> str:

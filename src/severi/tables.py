@@ -47,9 +47,9 @@ def kind_named(name: str) -> InvariantKind:
 
 
 def select_kinds(names: str | None) -> tuple[InvariantKind, ...]:
-    """Resolve a comma-separated kind list (None/empty means all), kept
-    in canonical column order."""
-    if not names:
+    """Resolve a comma-separated kind list in canonical column order: None
+    (the option left out) means all; naming no kind, even "", is a ValueError."""
+    if names is None:
         return KIND_ORDER
     wanted = set()
     for raw in names.split(","):

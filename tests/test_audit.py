@@ -25,16 +25,23 @@ from severi.audit import (
 )
 
 
+def _appended(suite, engine, d_max):
+    """The checks one suite appends to a fresh list."""
+    checks = []
+    suite(engine, d_max, checks)
+    return checks
+
+
 class TestAnchorSuite:
     def test_all_anchors_pass_at_d_max_five(self, engine):
-        report = run_anchor_suite(engine, 5)
-        assert len(report.checks) == 13
-        assert all(c.status is CheckStatus.PASS for c in report.checks)
-        assert all(c.kind is CheckKind.ANCHOR for c in report.checks)
+        checks = _appended(run_anchor_suite, engine, 5)
+        assert len(checks) == 13
+        assert all(c.status is CheckStatus.PASS for c in checks)
+        assert all(c.kind is CheckKind.ANCHOR for c in checks)
 
     def test_filtering_keeps_exactly_the_anchors_in_range(self, engine):
-        report = run_anchor_suite(engine, 3)
-        assert {(c.id, c.degree) for c in report.checks} == {
+        checks = _appended(run_anchor_suite, engine, 3)
+        assert {(c.id, c.degree) for c in checks} == {
             ("anchor_n0_d1", 1),
             ("anchor_n0_d2", 2),
             ("anchor_n0_d3", 3),
@@ -43,45 +50,46 @@ class TestAnchorSuite:
             ("anchor_k1_d3", 3),
             ("anchor_g0_d3", 3),
         }
-        assert all(c.status is CheckStatus.PASS for c in report.checks)
+        assert all(c.status is CheckStatus.PASS for c in checks)
 
     def test_every_check_carries_expected_and_actual(self, engine):
-        for check in run_anchor_suite(engine, 5).checks:
+        for check in _appended(run_anchor_suite, engine, 5):
             assert check.expected is not None
             assert check.actual == check.expected
 
     @pytest.mark.parametrize("bad", [2, 1, 0])
     def test_precondition_surfaces_as_input_error(self, engine, bad):
+        # The suites trust d_max: the audit's one entry point checks it.
         with pytest.raises(ValueError):
-            run_anchor_suite(engine, bad)
+            run_full_audit(engine, bad)
 
     def test_mismatch_is_a_fail(self, engine):
         engine.k0 = lambda d: Fraction(23)  # simulate a regression
-        report = run_anchor_suite(engine, 3)
-        failed = {c.id: c for c in report.checks if c.status is CheckStatus.FAIL}
+        checks = _appended(run_anchor_suite, engine, 3)
+        failed = {c.id: c for c in checks if c.status is CheckStatus.FAIL}
         # g0 is assembled from k0, so its anchor breaks too.
         assert set(failed) == {"anchor_k0_d3", "anchor_g0_d3"}
         assert failed["anchor_k0_d3"].expected == 24
         assert failed["anchor_k0_d3"].actual == 23
-        assert report.has_blocking_failure
+        assert AuditReport(3, checks).has_blocking_failure
 
 
 class TestIdentitySuite:
     def test_all_identities_pass_up_to_twelve(self, engine):
-        report = run_identity_suite(engine, 12)
-        identities = [c for c in report.checks if c.kind is CheckKind.IDENTITY]
+        checks = _appended(run_identity_suite, engine, 12)
+        identities = [c for c in checks if c.kind is CheckKind.IDENTITY]
         assert len(identities) == 4 * 10
         assert all(c.status is CheckStatus.PASS for c in identities)
 
     def test_integrality_checks_pass_and_info_rows_present(self, engine):
-        report = run_identity_suite(engine, 6)
+        checks = _appended(run_identity_suite, engine, 6)
         hard = [
             c
-            for c in report.checks
+            for c in checks
             if c.kind is CheckKind.INTEGRALITY and c.status is not CheckStatus.INFO
         ]
         assert hard and all(c.status is CheckStatus.PASS for c in hard)
-        info = [c for c in report.checks if c.status is CheckStatus.INFO]
+        info = [c for c in checks if c.status is CheckStatus.INFO]
         assert {c.id for c in info} == {
             "integrality_g1",
             "integrality_omega",
@@ -90,10 +98,9 @@ class TestIdentitySuite:
 
     def test_a_non_integral_required_kind_is_a_fail(self, engine):
         engine.k0 = lambda d: Fraction(1, 2)  # simulate a regression
-        report = run_identity_suite(engine, 4)
         failed = {
             (c.id, c.degree)
-            for c in report.checks
+            for c in _appended(run_identity_suite, engine, 4)
             if c.kind is CheckKind.INTEGRALITY and c.status is CheckStatus.FAIL
         }
         # g0 is assembled from k0, so it turns non-integral too.
@@ -102,17 +109,17 @@ class TestIdentitySuite:
         }
 
     def test_g1_reported_non_integral_at_degree_three(self, engine):
-        report = run_identity_suite(engine, 3)
-        g1_info = [c for c in report.checks if c.id == "integrality_g1"]
+        checks = _appended(run_identity_suite, engine, 3)
+        g1_info = [c for c in checks if c.id == "integrality_g1"]
         assert len(g1_info) == 1
         assert g1_info[0].status is CheckStatus.INFO
         assert g1_info[0].actual == Fraction(5, 4)
         assert g1_info[0].detail == "non-integral"
 
     def test_k1_two_path_value_at_degree_four(self, engine):
-        report = run_identity_suite(engine, 4)
         check = next(
-            c for c in report.checks if c.id == "k1_two_path" and c.degree == 4
+            c for c in _appended(run_identity_suite, engine, 4)
+            if c.id == "k1_two_path" and c.degree == 4
         )
         assert check.status is CheckStatus.PASS
         assert check.actual == 840 and check.expected == 840
@@ -123,8 +130,8 @@ class TestIdentitySuite:
         engine = InvariantEngine()
         engine.n1(6)
         engine._t[6] += 1
-        report = run_identity_suite(engine, 6)
-        failed = {(c.id, c.degree) for c in report.checks if c.status is CheckStatus.FAIL}
+        checks = _appended(run_identity_suite, engine, 6)
+        failed = {(c.id, c.degree) for c in checks if c.status is CheckStatus.FAIL}
         assert failed == {("k1_two_path", 6), ("t_linearity", 6)}
 
 
@@ -192,15 +199,15 @@ class TestCorruptedEngine:
 
 class TestDiscrepancyProbes:
     def test_printed_form_probe_reproduces_minus_sixty(self, engine):
-        report = run_discrepancy_probes(engine, 3)
-        probe = next(c for c in report.checks if c.id == "k0_printed_vs_anchor")
+        checks = _appended(run_discrepancy_probes, engine, 3)
+        probe = next(c for c in checks if c.id == "k0_printed_vs_anchor")
         assert probe.status is CheckStatus.INFO
         assert probe.actual == -60
         assert probe.expected == RECORDED_K0_PRINTED_D3
 
     def test_ramification_residuals_reproduce_recorded_values(self, engine):
-        report = run_discrepancy_probes(engine, 12)
-        residuals = [c for c in report.checks if c.id == "ramification_residual"]
+        checks = _appended(run_discrepancy_probes, engine, 12)
+        residuals = [c for c in checks if c.id == "ramification_residual"]
         assert [c.degree for c in residuals] == list(range(4, 13))
         for check in residuals:
             assert check.status is CheckStatus.INFO
@@ -208,8 +215,8 @@ class TestDiscrepancyProbes:
             assert check.actual != 0
 
     def test_probe_beyond_recorded_range_reports_info(self, engine):
-        report = run_discrepancy_probes(engine, 13)
-        tail = next(c for c in report.checks if c.degree == 13)
+        checks = _appended(run_discrepancy_probes, engine, 13)
+        tail = next(c for c in checks if c.degree == 13)
         assert tail.status is CheckStatus.INFO
         assert tail.expected is None and tail.actual != 0
 
@@ -218,18 +225,18 @@ class TestDiscrepancyProbes:
         # must fail: it certifies the text of the closed form, not the
         # anchor.
         engine.k0_printed = lambda d: Fraction(24)
-        report = run_discrepancy_probes(engine, 3)
-        probe = next(c for c in report.checks if c.id == "k0_printed_vs_anchor")
+        checks = _appended(run_discrepancy_probes, engine, 3)
+        probe = next(c for c in checks if c.id == "k0_printed_vs_anchor")
         assert probe.status is CheckStatus.FAIL
-        assert not report.has_blocking_failure  # probes never gate exit
+        assert not AuditReport(3, checks).has_blocking_failure  # probes never gate exit
 
     def test_probe_fails_on_residual_drift(self, engine):
         # The probe evaluates the identity from the public g1, so a g1
         # that drifts moves the residual.
         g1 = engine.g1
         engine.g1 = lambda d: g1(d) + 1
-        report = run_discrepancy_probes(engine, 4)
-        probe = next(c for c in report.checks if c.id == "ramification_residual")
+        checks = _appended(run_discrepancy_probes, engine, 4)
+        probe = next(c for c in checks if c.id == "ramification_residual")
         assert probe.status is CheckStatus.FAIL
 
     def test_the_residual_is_three_d_plus_one_halves_of_omega(self, engine):
@@ -245,8 +252,8 @@ class TestDiscrepancyProbes:
             assert recorded == (3 * d + 1) * oracle.omega(d) / 2, d
 
     def test_probes_never_fail_merely_because_discrepancy_exists(self, engine):
-        report = run_discrepancy_probes(engine, 8)
-        assert all(c.status is CheckStatus.INFO for c in report.checks)
+        checks = _appended(run_discrepancy_probes, engine, 8)
+        assert all(c.status is CheckStatus.INFO for c in checks)
 
 
 class TestReport:
@@ -322,15 +329,6 @@ class TestReport:
             "summary": report.summary,
         }
         assert report.to_json() == json.dumps(tree, indent=2) + "\n"
-
-    def test_the_suites_append_to_a_shared_list(self, engine):
-        checks = []
-        report = run_anchor_suite(engine, 3, checks)
-        run_discrepancy_probes(engine, 4, checks)
-        assert report.checks is checks
-        assert [c.id for c in checks][-3:] == [
-            "anchor_g0_d3", "k0_printed_vs_anchor", "ramification_residual",
-        ]
 
     def test_full_audit_is_clean_and_non_blocking(self, engine):
         report = run_full_audit(engine, 12)

@@ -196,6 +196,12 @@ class TestTable:
         code, _, err = run_cli("table", "--d-max", "2", "--invariants", "N0,BOGUS")
         assert code == 2 and "unknown invariant" in err
 
+    @pytest.mark.parametrize("selection", ["", " ", ","])
+    def test_an_empty_selection_is_a_usage_error(self, run_cli, selection):
+        # Only an --invariants left out selects every column.
+        code, out, err = run_cli("table", "--d-max", "2", "--invariants", selection)
+        assert (code, out) == (2, "") and "invariant selection is empty" in err
+
     def test_csv_and_json_carry_identical_value_strings(self, run_cli):
         _, csv_out, _ = run_cli("table", "--d-max", "6")
         _, json_out, _ = run_cli("table", "--d-max", "6", "--format", "json")

@@ -4,11 +4,13 @@ import json
 from fractions import Fraction
 
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from severi import exact
 from severi.exact import (
     ExactScalar,
     InexactDivision,
@@ -96,6 +98,57 @@ def test_round_trip_beyond_the_int_str_digit_limit():
         assert len(text.split("/")[0].lstrip("-")) == 5001
         assert parse_exact(text) == value
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit"
+)
+def test_two_threads_lifting_the_digit_limit_do_not_interleave():
+    # a (this thread) lifts the limit and, while it is lifted, starts b
+    # and waits for b's retry; b's retry waits for a to restore the limit.
+    # Without a lock b saves a's lifted 0, converts under the restored
+    # limit and then restores 0 for the whole process.  With one, b waits
+    # for a's restore, and a's short wait for b's retry times out.
+    limit = sys.get_int_max_str_digits()
+    b_failed, b_retries, a_done = (threading.Event() for _ in range(3))
+    results = {}
+
+    def convert_a(calls):
+        calls.append(None)
+        if len(calls) == 1:
+            raise ValueError("too many digits")
+        b.start()
+        b_failed.wait(5)
+        b_retries.wait(0.2)
+        return "a"
+
+    def convert_b(calls):
+        calls.append(None)
+        if len(calls) == 1:
+            b_failed.set()
+            raise ValueError("too many digits")
+        b_retries.set()
+        a_done.wait(5)
+        if sys.get_int_max_str_digits() != 0:
+            raise ValueError("converted under the restored limit")
+        return "b"
+
+    def run_b():
+        try:
+            results["b"] = exact._lift_digit_limit(convert_b, [])
+        except ValueError as exc:
+            results["b"] = exc
+
+    b = threading.Thread(target=run_b)
+    try:
+        results["a"] = exact._lift_digit_limit(convert_a, [])
+        a_done.set()
+        b.join(5)
+        assert not b.is_alive()
+        assert results == {"a": "a", "b": "b"}
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(st.none() | st.text())

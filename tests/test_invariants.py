@@ -18,7 +18,7 @@ from severi import (
 )
 from severi import audit
 from severi import engine as engine_module
-from severi.audit import run_full_audit, run_identity_suite
+from severi.audit import run_full_audit
 from severi.engine import MAX_DEGREE
 from severi.tables import build_records, kind_named, select_kinds
 
@@ -252,7 +252,7 @@ _PER_DEGREE_CALLS = [
       for kind in KIND_ORDER),
     # The audit's second paths and probe that read the engine at d; the
     # direct sums read only lists below d, and their degree comes from
-    # run_identity_suite's range, whose d_max is checked first.
+    # run_identity_suite's range, whose d_max run_full_audit checks first.
     ("audit._k1_via_c2", lambda engine, d: audit._k1_via_c2(engine, 0, d)),
     ("audit._ramification_residual", audit._ramification_residual),
     ("audit._g0_from_splitting_sum",
@@ -323,9 +323,9 @@ class TestInvariantProperties:
         _assert_untouched(engine)
 
     @pytest.mark.parametrize("bad", [0, 1, 2, 3.0, True, "3", None, MAX_DEGREE + 1])
-    def test_the_identity_suite_refuses_a_bad_d_max_before_any_work(self, engine, bad):
+    def test_the_full_audit_refuses_a_bad_d_max_before_any_work(self, engine, bad):
         with pytest.raises(ValueError):
-            run_identity_suite(engine, bad)
+            run_full_audit(engine, bad)
         _assert_untouched(engine)
 
     def test_degree_must_be_an_integer(self, engine):

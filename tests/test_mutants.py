@@ -16,7 +16,9 @@ Equivalent mutants are listed with the reason the audit cannot tell them
 apart, and their audit bytes are asserted unchanged, so neither list can
 go stale.  Audit-blind mutants change a public accessor that no audit
 check reads: their audit bytes are asserted unchanged too, and the
-retyped oracle is asserted to tell them apart.
+retyped oracle is asserted to tell them apart.  Every function of the
+three modules is named by some mutant or listed in ``UNMUTATED`` with the
+tests that pin it instead, so a new function cannot escape the gate.
 """
 
 from __future__ import annotations
@@ -51,6 +53,19 @@ MUTANTS = [
      BLOCKING, 30),
     ("n1_t_weight", "n1", "4 * s", "5 * s", BLOCKING, 12),
     ("n1_t_row", "n1", "[2:3 * m:3]", "[1:3 * m:3]", BLOCKING, 12),
+    ("n1_comb", "n1", "3 * comb(dd, 3)", "39 * comb(dd, 3)", BLOCKING, 12),
+    ("t_op_read", "t_op", "self._t[d]", "self._t[d - 1]", BLOCKING, 12),
+    ("window_reuse", "_rows", "[rows[3] if", "[rows[2] if", BLOCKING, 12),
+    ("window_seed", "_rows", "pascal_row(3 * d - 4)]", "pascal_row(3 * d - 5)]",
+     BLOCKING, 12),
+    # The scaled count lists a = d N0, u = (3d-2) d N0 and v = d N1, and
+    # the pair products read from a.
+    ("list_a_d20", "n0", "a.append(dd * n0[dd])", "a.append((dd + (dd == 20)) * n0[dd])",
+     BLOCKING, 30),
+    ("list_u", "n0", "(3 * dd - 2) * a[dd]", "(3 * dd - 1) * a[dd]", BLOCKING, 12),
+    ("list_v", "n1", "v.append(dd * n1[dd])", "v.append((dd + 1) * n1[dd])",
+     BLOCKING, 12),
+    ("pair_products", "_pair_products", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),
     # The splitting sums.
     # The 2m row is symmetric, so only the K0_PRINTED bracket, which only
     # its probe reads, sees the direction of the fold.
@@ -58,6 +73,8 @@ MUTANTS = [
     ("m_row", "_two_m", "[0][1::3]", "[0][2::3]", BLOCKING, 12),
     ("k0_printed_sum", "k0_printed", "- 2 * s", "- 3 * s", PROBE, 12),
     ("k0_printed_den", "k0_printed", "two_m, 2)", "two_m, 1)", PROBE, 12),
+    ("k0_printed_weight", "k0_printed", "(3 * (d - d1) - 2)", "(3 * (d - d1) - 1)",
+     PROBE, 12),
     # The closed forms in N0 and 2m, and the read of NODES.
     ("form_nodes_slope", "_forms", "(3 * d + 6)", "(3 * d + 5)", BLOCKING, 12),
     ("form_nodes_n0", "_forms", "18 * n0", "19 * n0", BLOCKING, 12),
@@ -166,6 +183,12 @@ AUDIT_MUTANTS = [
 ]
 
 # (id, function, token, replacement, why the audit cannot see it)
+ENGINE_EQUIVALENT = [
+    ("two_m_always", "_two_m", "if d not in self._split:", "if True:",
+     "2m is summed again at each call, into the same int"),
+    ("window_rebuild_d20", "_rows", "if at != d:", "if at != d or d == 20:",
+     "the rows of degree 20 are rebuilt into the same ints"),
+]
 EXACT_EQUIVALENT = [
     ("div_guard_one", "exact_div", "if remainder:", "if remainder > 1:",
      "on a correct engine every division is exact, so a guard that lets a "
@@ -189,6 +212,40 @@ AUDIT_BLIND = [
     ("form_d1_k0", "_forms", "return 0, 0", "return 0, 2", (), "k0"),
     ("m_den", "m_invariant", "_two_m(d), 2)", "_two_m(d), 1)", ("integrality_m",),
      "m_invariant"),
+]
+
+# (module, function, why no mutant above names it): with the lists above,
+# every function of the three modules, so that a new one joins the gate
+# or says here why not.
+UNMUTATED = [
+    ("engine", "__init__", "test_invariants._assert_untouched pins its seed lists"),
+    ("engine", "_check_degree", "the degree refusal tests pin it"),
+    ("engine", "domain_status", "no check reads it; the domain tests pin it"),
+    ("engine", "value", "the kind dispatcher; the golden tests pin each kind"),
+    ("engine", "evaluate", "no check reads it; the domain tests pin it"),
+    ("exact", "__init__", "InexactDivision's fields; TestCorruptedEngine pins them"),
+    ("exact", "is_integral", "an exact mutant reaches only the engine, which never "
+     "calls it; the integrality tests pin it"),
+    ("exact", "_lift_digit_limit", "text conversion; the digit-limit tests pin it"),
+    ("exact", "format_exact", "text conversion; the round-trip tests pin it"),
+    ("exact", "parse_exact", "text conversion; the round-trip tests pin it"),
+    ("exact", "json_string", "rendering; its json.dumps property test pins it"),
+    ("exact", "emit", "rendering; the streaming tests pin it"),
+    ("audit", "__init__", "AuditReport's fields; TestReport pins them"),
+    ("audit", "summary", "rendering; TestReport and the audit digests pin it"),
+    ("audit", "has_blocking_failure", "the gate reads it to tell an outcome"),
+    ("audit", "to_json", "rendering; the audit digests pin it"),
+    ("audit", "_json_pieces", "rendering; the audit digests pin it"),
+    ("audit", "to_text", "rendering; the audit digests pin it"),
+    ("audit", "_text_lines", "rendering; the audit digests pin it"),
+    ("audit", "_json_exact", "rendering; the audit digests pin it"),
+    ("audit", "_compared", "a check's status; TestAnchorSuite's mismatch test pins it"),
+    ("audit", "_probe", "a probe's status; TestDiscrepancyProbes pins it"),
+    ("audit", "run_anchor_suite", "which anchors run; TestAnchorSuite pins it"),
+    ("audit", "run_discrepancy_probes", "which probes run; TestDiscrepancyProbes "
+     "pins it"),
+    ("audit", "run_full_audit", "the entry point; the d_max refusal tests and "
+     "TestCorruptedEngine pin it"),
 ]
 
 _FUNCTION = re.compile(r"^ *def (\w+)\(", re.MULTILINE)
@@ -315,9 +372,10 @@ def test_the_audit_catches_the_mutant(
 
 @pytest.mark.parametrize(
     "name, function, token, replacement, reason",
-    [("exact", *m[1:]) for m in EXACT_EQUIVALENT]
+    [("engine", *m[1:]) for m in ENGINE_EQUIVALENT]
+    + [("exact", *m[1:]) for m in EXACT_EQUIVALENT]
     + [("audit", *m[1:]) for m in AUDIT_EQUIVALENT],
-    ids=[m[0] for m in EXACT_EQUIVALENT + AUDIT_EQUIVALENT],
+    ids=[m[0] for m in ENGINE_EQUIVALENT + EXACT_EQUIVALENT + AUDIT_EQUIVALENT],
 )
 def test_an_equivalent_mutant_leaves_the_audit_bytes_unchanged(
     name, function, token, replacement, reason
@@ -348,3 +406,20 @@ def test_an_audit_blind_mutant_is_caught_by_the_oracle_only(
         assert (mutant.to_text(), mutant.to_json()) == (original.to_text(), original.to_json())
     value, reference = getattr(engine, accessor), getattr(oracle, accessor)
     assert any(value(d) != reference(d) for d in range(1, 13))
+
+
+def test_every_function_is_named_by_a_mutant_or_listed_as_unmutated():
+    functions = {
+        (name, function) for name, source in SOURCES.items()
+        for function in _FUNCTION.findall(source)
+    }
+    mutated = {
+        (name, m[1]) for name, mutants in (
+            ("engine", MUTANTS + ENGINE_EQUIVALENT + AUDIT_BLIND),
+            ("exact", EXACT_MUTANTS + EXACT_EQUIVALENT),
+            ("audit", AUDIT_MUTANTS + AUDIT_EQUIVALENT),
+        ) for m in mutants
+    }
+    unmutated = [(name, function) for name, function, _ in UNMUTATED]
+    assert len(set(unmutated)) == len(unmutated)
+    assert sorted(functions - mutated) == sorted(unmutated)

@@ -12,8 +12,7 @@ from test_cli import _child
 HOMES = {
     "severi._version": ["__version__"],
     "severi.audit": [
-        "AuditCheck", "AuditReport", "CheckKind", "CheckStatus", "run_anchor_suite",
-        "run_discrepancy_probes", "run_full_audit", "run_identity_suite",
+        "AuditCheck", "AuditReport", "CheckKind", "CheckStatus", "run_full_audit",
     ],
     "severi.engine": [
         "BELOW_MIN_DEGREE", "DEGENERATE_GEOMETRY", "InvariantEngine", "InvariantKind",

@@ -8,7 +8,9 @@ Verbs::
     severi audit --d-max N [--format text|json] [--output PATH]
 
 Exit codes: 0 success (and no blocking audit failure), 1 audit FAIL
-present, 2 usage, I/O or arithmetic error (a corrupted engine).
+present, 2 usage, I/O or arithmetic error (a corrupted engine), 3 an
+internal error (any other exception: a fault in this package, never
+a check's verdict).
 Identical commands produce byte-identical output.
 """
 
@@ -39,6 +41,7 @@ from .tables import (
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _VERSION = f"severi {__version__}"
 
@@ -205,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, ArithmeticError) as exc:
         _to_stderr(f"severi: error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        _to_stderr(f"severi: internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,13 +15,15 @@ All values are exact.  The recursions and the splitting sums run on
 plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
 carried as 36 N1 and reduced by exact division, T and 2m are one int
 per degree, and ``k0_printed`` sums its bracket again at each call;
-NODES (= RCOUNT) and LR are closed forms in N0 and m (``_forms``), and
-K0 is the paper's assembly over them, which makes it 12 (N0 - m).
+NODES (= RCOUNT) and LR are closed forms in N0 and m, proved in
+``_forms``, and K0 is the paper's assembly over them, which makes it
+12 (N0 - m).
 The loops also keep the scaled counts a = d N0, u = (3d-2) d N0 and
 v = d N1, so a degree costs only big products: T is a bare binomial row
-dotted with u v, and N0 is (3d-3)^-1 times one weight per unordered pair
-dotted with a a, the two binomials of Kontsevich's bracket folded into
-one row (see ``n0``).  The splitting sums read ``a`` too.
+dotted with u v, and each N0 N0 splitting sum -- N0 itself over 3d-3
+(see ``n0``), 2m and the K0_PRINTED bracket -- is one ``_paired_sum``,
+an ordered row of weights folded onto the unordered pairs and dotted
+with a a.
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
 stored.  ``g1`` reads the numerator 8 K1 of ``k1``, and ``g0`` that of
@@ -40,7 +42,7 @@ from __future__ import annotations
 from enum import Enum
 from math import comb
 from operator import add, mul
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .exact import ExactScalar, exact_div, pascal_row, pascal_step
 
@@ -52,20 +54,16 @@ from .exact import ExactScalar, exact_div, pascal_row, pascal_step
 MAX_DEGREE = 600
 
 
-def _pair_products(a: list[int], d: int) -> Iterable[int]:
-    """a(d1) a(d2) = d1 d2 N0(d1) N0(d2) for the pairs d1 + d2 = d,
-    d1 <= d2, lazily."""
-    h = d // 2
-    return map(mul, a[1:h + 1], a[d - 1:d - h - 1:-1])
-
-
 def _paired_sum(row: list[int], a: list[int], d: int) -> int:
-    """Sum row[d1 - 1] d1 d2 N0(d1) N0(d2) over ordered pairs d1 + d2 = d:
-    the row, which has exactly d - 1 entries, is folded onto unordered
-    pairs, middle term once, and dotted with :func:`_pair_products`."""
+    """Sum row[d1 - 1] a(d1) a(d2) over ordered pairs d1 + d2 = d, with
+    a(k) = k N0(k): the row, which has exactly d - 1 entries, is folded
+    onto the unordered pairs d1 <= d2, middle term once, so each product
+    a(d1) a(d2) is taken once.  Every N0 N0 splitting sum of the engine
+    goes through it: N0 itself (``n0``), 2m (``_two_m``) and the
+    K0_PRINTED bracket (``k0_printed``)."""
     m, h = (d - 1) // 2, d // 2
     folded = [*map(add, row[:m], row[::-1]), *row[m:h]]
-    return sum(map(mul, folded, _pair_products(a, d)))
+    return sum(map(mul, folded, map(mul, a[1:h + 1], a[d - 1:d - h - 1:-1])))
 
 
 class InvariantKind(str, Enum):
@@ -192,26 +190,19 @@ class InvariantEngine:
                                     - d1^3 d2 C(3d-4, 3d1-1)].
 
         With a(k) = k N(k), a term is d1 a(d1) a(d2) times
-        d2 C(n, 3d1-2) - d1 C(n, 3d1-1) = (2d1-d2) C(n+1, 3d1-1) / (n+1),
-        n = 3d-4; folding d1 <-> d2 by C(3d-3, 3d2-1) = C(3d-3, 3d1-2),
+        d2 C(n, 3d1-2) - d1 C(n, 3d1-1) = (3d1-d) C(n+1, 3d1-1) / (n+1),
+        n = 3d-4, by Pascal's ratio rule, so that
 
-            (3d-3) N(d) = sum over d1 < d2 of a(d1) a(d2)
-                [d1 (3d1-d) C(3d-3, 3d1-1) + d2 (2d-3d1) C(3d-3, 3d1-2)],
+            (3d-3) N(d) = sum d1 (3d1-d) C(3d-3, 3d1-1) a(d1) a(d2),
 
-        plus (d/2)^2 C(3d-3, 3d/2-1) a(d/2)^2 for even d.
+        one more :func:`_paired_sum`, over the window's row C(3d-3, .).
         """
         _check_degree(d)
         n0, a, u = self._n0, self._a, self._u
         for dd in range(len(n0), d + 1):
-            row = self._rows(dd)[1]
-            weights = [
-                d1 * (3 * d1 - dd) * c1 + (dd - d1) * (2 * dd - 3 * d1) * c2
-                for d1, c1, c2 in zip(range(1, (dd + 1) // 2), row[2::3], row[1::3])
-            ]
-            if dd % 2 == 0:
-                weights.append(dd * dd // 4 * row[3 * dd // 2 - 1])
-            s = sum(map(mul, weights, _pair_products(a, dd)))
-            n0.append(exact_div(s, 3 * dd - 3, dd))
+            row = self._rows(dd)[1][2::3]
+            weights = [d1 * (3 * d1 - dd) * c for d1, c in zip(range(1, dd), row)]
+            n0.append(exact_div(_paired_sum(weights, a, dd), 3 * dd - 3, dd))
             a.append(dd * n0[dd])
             u.append((3 * dd - 2) * a[dd])
         return ExactScalar(n0[d])
@@ -273,10 +264,33 @@ class InvariantEngine:
 
             NODES = RCOUNT = (3d + 6) m - 9 N0,   LR = 3 d m - 3 N0.
 
-        No derivation is written down: a test checks each form against its
-        splitting sum at every degree 2 .. MAX_DEGREE, which within the
-        engine's domain is the proof.  At d = 1, where every sum is empty,
-        the forms fail; there NODES = RCOUNT = LR = 0.
+        Proof, for d >= 2.  Sums run over ordered pairs d1 + d2 = d, with
+        n = 3d-4, p = d1 d2 N0(d1) N0(d2), c0 = C(n, 3d1-2),
+        c- = C(n, 3d1-3), c+ = C(n, 3d1-1), and
+
+            P_k = sum d2^k c- p,   Q_k = sum d2^k c0 p,   so 2m = Q_0.
+
+        * The swap d1 <-> d2 keeps p and c0 and exchanges c+ with c-, so
+          Q_1 = d m and sum c+ p = P_0.
+        * Pascal's rule C(n+1, j) = C(n, j) + C(n, j-1) gives
+          RCOUNT = sum (c0 + c-) p = 2m + P_0, LR = sum d2 (c0 + c-) p
+          = d m + P_1, and 2 NODES = sum (c+ + 2 c0 + c-) p = 2 RCOUNT.
+        * The ratio rule (j+1) C(n, j+1) = (n-j) C(n, j) at j = 3d1-3 is
+          (3d1-2) c0 = (3d2-1) c-; weighted by d2^k p and summed,
+
+              3 P_{k+1} - P_k = (3d-2) Q_k - 3 Q_{k+1}.
+
+        * Kontsevich's recursion (see ``n0``), its c+ term swapped, is
+          N0 = sum (d1 d2 c0 - d2^2 c-) p = d^2 m - Q_2 - P_2.
+
+        The ratio identity at k = 1 is 3 (P_2 + Q_2) = P_1 + (3d-2) d m,
+        and the recursion makes it P_1 = 2d m - 3 N0.  At k = 0 it is
+        3 P_1 - P_0 = (3d-4) m, so P_0 = (3d+4) m - 9 N0; the forms
+        follow.  At d = 1 every sum is empty, so NODES = RCOUNT = LR = 0,
+        but the recursion does not hold there (N0(1) = 1 is its seed)
+        and the forms give NODES = -9 and LR = -3: hence the branch.
+        A search found no form of this kind for 2m or for the K0_PRINTED
+        bracket, so both stay sums.
         """
         two_m, n0 = self._two_m(d), self._n0[d]
         if d == 1:

@@ -377,6 +377,22 @@ class TestCorruptedEngine:
         ) in out
 
 
+class TestInternalError:
+    """Any other exception is a fault of the program, not a usage error and
+    not an audit FAIL: one stderr line and exit 3, in every verb."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "N0", "3"), ("table", "--d-max", "12"), ("audit", "--d-max", "12")],
+    )
+    def test_a_crash_is_one_error_line_and_exit_three(self, run_cli, monkeypatch, argv):
+        def crash(self, d):
+            raise IndexError("boom")
+
+        monkeypatch.setattr(InvariantEngine, "n0", crash)
+        assert run_cli(*argv) == (3, "", "severi: internal error: IndexError: boom\n")
+
+
 class TestBrokenPipe:
     @pytest.mark.parametrize(
         "argv",

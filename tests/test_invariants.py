@@ -194,10 +194,50 @@ class TestGoldenAgreement:
             assert accessor(engine, d) == reference(d), (name, d)
 
 
+def _proof_sums(d):
+    """(P_0, P_1, P_2, Q_0, Q_1, Q_2) of the engine's ``_forms`` proof at
+    degree d, summed from the oracle: P_k = sum d2^k C(n, 3d1-3) p and
+    Q_k = sum d2^k C(n, 3d1-2) p over ordered pairs, n = 3d-4 and
+    p = d1 d2 N0(d1) N0(d2)."""
+    n, sums = 3 * d - 4, [0] * 6
+    for d1, d2 in oracle.splittings(d):
+        p = d1 * d2 * oracle.n0(d1) * oracle.n0(d2)
+        for k in range(3):
+            sums[k] += d2 ** k * oracle.c(n, 3 * d1 - 3) * p
+            sums[3 + k] += d2 ** k * oracle.c(n, 3 * d1 - 2) * p
+    return sums
+
+
 class TestClosedForms:
     """NODES = RCOUNT = (3d + 6) m - 9 N0 and LR = 3 d m - 3 N0, the forms
     the engine evaluates, and K0 = 12 (N0 - m), which the paper's assembly
-    over them gives, against sums that share no code with them."""
+    over them gives, against sums that share no code with them; and the
+    steps of their proof in the ``_forms`` docstring, with the same sums."""
+
+    def test_the_proof_steps_hold_from_degree_2_to_60(self):
+        for d in range(2, 61):
+            n0, m = oracle.n0(d), oracle.m_invariant(d)
+            p0, p1, p2, q0, q1, q2 = _proof_sums(d)
+            assert q0 == 2 * m, d
+            assert p1 == 2 * d * m - 3 * n0, d
+            assert p0 == (3 * d + 4) * m - 9 * n0, d
+            assert 3 * p1 - p0 == (3 * d - 2) * q0 - 3 * q1, d
+            assert 3 * p2 - p1 == (3 * d - 2) * q1 - 3 * q2, d
+            # n0's ordered bracket, reduced by the ratio rule.
+            bracket = sum(
+                d1 * (3 * d1 - d) * oracle.c(3 * d - 3, 3 * d1 - 1)
+                * d1 * oracle.n0(d1) * d2 * oracle.n0(d2)
+                for d1, d2 in oracle.splittings(d)
+            )
+            assert (3 * d - 3) * n0 == bracket, d
+
+    def test_the_forms_fail_at_degree_1_where_the_engine_branches(self, engine):
+        # Every sum is empty at d = 1, but N0(1) = 1 is the recursion's seed,
+        # not its value, so the forms give NODES = -9 and LR = -3.
+        n0, m = oracle.n0(1), oracle.m_invariant(1)
+        assert oracle.nodes(1) == oracle.rcount(1) == oracle.lr(1) == m == 0
+        assert ((3 + 6) * m - 9 * n0, 3 * m - 3 * n0) == (-9, -3)
+        assert engine.reducible_fibre_count(1) == engine.lr(1) == 0
 
     def test_the_forms_match_the_oracle_sums_from_degree_2_to_40(self):
         # The engine against the oracle is pinned by the golden and

@@ -48,7 +48,9 @@ BLOCKING, PROBE = "blocking", "probe"
 MUTANTS = [
     # The recursions and the row window.
     ("n0_weight", "n0", "(3 * d1 - dd)", "(3 * d1 - dd + 1)", BLOCKING, 12),
-    ("n0_middle", "n0", "dd * dd // 4", "dd * dd // 2", BLOCKING, 12),
+    ("n0_row", "n0", "[1][2::3]", "[1][1::3]", BLOCKING, 12),
+    ("n0_range", "n0", "zip(range(1, dd)", "zip(range(2, dd)", BLOCKING, 12),
+    ("n0_div", "n0", "3 * dd - 3, dd)", "3 * dd - 2, dd)", BLOCKING, 12),
     ("n0_public_d30", "n0", "ExactScalar(n0[d])", "ExactScalar(n0[d] + (d == 30))",
      BLOCKING, 30),
     ("n1_t_weight", "n1", "4 * s", "5 * s", BLOCKING, 12),
@@ -56,20 +58,20 @@ MUTANTS = [
     ("n1_comb", "n1", "3 * comb(dd, 3)", "39 * comb(dd, 3)", BLOCKING, 12),
     ("t_op_read", "t_op", "self._t[d]", "self._t[d - 1]", BLOCKING, 12),
     ("window_reuse", "_rows", "[rows[3] if", "[rows[2] if", BLOCKING, 12),
+    ("window_reuse_degree", "_rows", "at == d - 1", "at == d - 2", BLOCKING, 12),
     ("window_seed", "_rows", "pascal_row(3 * d - 4)]", "pascal_row(3 * d - 5)]",
      BLOCKING, 12),
-    # The scaled count lists a = d N0, u = (3d-2) d N0 and v = d N1, and
-    # the pair products read from a.
+    # The scaled count lists a = d N0, u = (3d-2) d N0 and v = d N1.
     ("list_a_d20", "n0", "a.append(dd * n0[dd])", "a.append((dd + (dd == 20)) * n0[dd])",
      BLOCKING, 30),
     ("list_u", "n0", "(3 * dd - 2) * a[dd]", "(3 * dd - 1) * a[dd]", BLOCKING, 12),
     ("list_v", "n1", "v.append(dd * n1[dd])", "v.append((dd + 1) * n1[dd])",
      BLOCKING, 12),
-    ("pair_products", "_pair_products", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),
-    # The splitting sums.
-    # The 2m row is symmetric, so only the K0_PRINTED bracket, which only
-    # its probe reads, sees the direction of the fold.
-    ("paired_fold", "_paired_sum", "row[::-1]", "row[::1]", PROBE, 12),
+    # The splitting sums: the one fold of an ordered row onto the pairs,
+    # which N0, 2m and the K0_PRINTED bracket share, and their rows.
+    ("pair_products", "_paired_sum", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),
+    ("paired_fold", "_paired_sum", "row[::-1]", "row[::1]", BLOCKING, 12),
+    ("paired_middle", "_paired_sum", "*row[m:h]", "*row[h:h]", BLOCKING, 12),
     ("m_row", "_two_m", "[0][1::3]", "[0][2::3]", BLOCKING, 12),
     ("k0_printed_sum", "k0_printed", "- 2 * s", "- 3 * s", PROBE, 12),
     ("k0_printed_den", "k0_printed", "two_m, 2)", "two_m, 1)", PROBE, 12),

@@ -176,18 +176,19 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
             assert state, name
             for entry in state.values() if isinstance(state, dict) else state:
                 assert type(entry) is int, (name, entry)
-    # 2m is summed once per degree, d = 3..100 in the audit, and the
-    # K0_PRINTED bracket at each call, d = 3 only in the audit: 98 + 1.
-    # A table reads both at d = 1..100.  Each sum runs over a row of
-    # exactly d - 1 entries, which is what lets _paired_sum fold the row
-    # with row[::-1].
+    # N0 is summed once per degree, d = 2..100; 2m once per degree,
+    # d = 3..100 in the audit and d = 1..100 in a table; the K0_PRINTED
+    # bracket at each call, d = 3 only in the audit and d = 1..100 in a
+    # table: 99 + 98 + 1 and 99 + 100 + 100.  Each sum runs over a row
+    # of exactly d - 1 entries, which is what lets _paired_sum fold the
+    # row with row[::-1].
     def check_row(row, a, d):
         assert len(row) == d - 1, (d, len(row))
 
     calls = _count_calls(
         monkeypatch, "_paired_sum", engine_module._paired_sum, check_row
     )
-    for entry_point, expected in ((run_full_audit, 99), (build_records, 200)):
+    for entry_point, expected in ((run_full_audit, 198), (build_records, 299)):
         calls[0] = 0
         entry_point(InvariantEngine(), 100)
         assert calls[0] == expected, entry_point.__name__

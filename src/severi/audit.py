@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple, TextIO
 from ._version import __version__
 from .exact import (
     ExactScalar, InexactDivision, emit, format_exact, is_integral, json_string,
-    parse_exact, pascal_row, pascal_step,
+    pascal_row, pascal_step,
 )
 from .engine import InvariantEngine, InvariantKind, _check_degree
 
@@ -172,18 +172,15 @@ _ANCHORS: tuple[tuple[InvariantKind, int, int], ...] = (
 # independent straight-line evaluation of the respective forms.
 RECORDED_K0_PRINTED_D3 = ExactScalar(-60)
 RECORDED_RAMIFICATION_RESIDUALS: dict[int, ExactScalar] = {
-    d: parse_exact(text)
-    for d, text in {
-        4: "2015/2",
-        5: "349216",
-        6: "208311060",
-        7: "200981112640",
-        8: "295875803724200",
-        9: "633268756795852800",
-        10: "1894364316632897685120",
-        11: "7667723864947258454073600",
-        12: "40879222502403733748761507200",
-    }.items()
+    4: ExactScalar(2015, 2),
+    5: ExactScalar(349216),
+    6: ExactScalar(208311060),
+    7: ExactScalar(200981112640),
+    8: ExactScalar(295875803724200),
+    9: ExactScalar(633268756795852800),
+    10: ExactScalar(1894364316632897685120),
+    11: ExactScalar(7667723864947258454073600),
+    12: ExactScalar(40879222502403733748761507200),
 }
 
 

@@ -14,12 +14,15 @@ mirror it, so the mirrored half shares its ints with the first; callers
 see only full rows.  The engine steps its row window with additions and
 seeds it with ``pascal_row`` only after a non-sequential query; the
 audit steps one ``pascal_row`` three times per audited degree.
+
+Text conversion never reads or changes Python's process-wide int<->str
+digit limit (3.11+): a part too long for ``str`` and ``int`` is written
+and read through ``Decimal``, which that limit does not bound.
 """
 
 from __future__ import annotations
 
-import sys
-from _thread import allocate_lock
+from decimal import Decimal
 from fractions import Fraction
 from operator import add
 from typing import Iterable, TextIO
@@ -67,30 +70,15 @@ def pascal_step(row: list[int]) -> list[int]:
     return half + half[::-1][1 - len(row) % 2:]
 
 
-_DIGIT_LIMIT_LOCK = allocate_lock()
-
-
-def _lift_digit_limit(convert, value):
-    """convert(value), retried with Python's int<->str digit limit (3.11+)
-    lifted if it raises: N0 passes the default 4300 digits at d = 572.
-    The limit is process-wide, so one thread at a time lifts and restores it."""
-    try:
-        return convert(value)
-    except ValueError:
-        if not hasattr(sys, "set_int_max_str_digits"):
-            raise
-    with _DIGIT_LIMIT_LOCK:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return convert(value)
-        finally:
-            sys.set_int_max_str_digits(saved)
-
-
 def format_exact(x: ExactScalar) -> str:
-    """Render exactly: plain decimal for integers, ``p/q`` otherwise."""
-    return _lift_digit_limit(str, x)
+    """Render exactly: plain decimal for integers, ``p/q`` otherwise.
+    Past the digit limit (``N0`` from d = 572) each part goes through
+    ``Decimal``."""
+    try:
+        return str(x)
+    except ValueError:
+        text = str(Decimal(x.numerator))
+        return text if x.denominator == 1 else text + "/" + str(Decimal(x.denominator))
 
 
 def json_string(s: str | None) -> str:
@@ -127,5 +115,13 @@ def emit(pieces: Iterable[str], out: TextIO | None) -> str | None:
 
 
 def parse_exact(text: str) -> ExactScalar:
-    """Parse the output of :func:`format_exact` (also accepts ``p/q``)."""
-    return _lift_digit_limit(ExactScalar, text)
+    """Parse the output of :func:`format_exact` (also accepts ``p/q``).
+    Past the digit limit only that output, ``-digits/digits``, is read,
+    through ``Decimal``."""
+    try:
+        return ExactScalar(text)
+    except ValueError:
+        num, slash, den = text.partition("/")
+        if not num.removeprefix("-").isdecimal() or slash and not den.isdecimal():
+            raise
+        return ExactScalar(int(Decimal(num)), int(Decimal(den or 1)))

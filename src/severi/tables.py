@@ -14,7 +14,7 @@ the fixed schema, without the ``json`` module, and is byte-identical to
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .exact import ExactScalar, emit, format_exact, is_integral, json_string
 from .engine import InvariantEngine, InvariantKind, KIND_ORDER, _check_degree
@@ -64,10 +64,12 @@ def select_kinds(names: str | None) -> tuple[InvariantKind, ...]:
 def build_records(
     engine: InvariantEngine,
     d_max: int,
-    kinds: tuple[InvariantKind, ...] = KIND_ORDER,
+    kinds: Iterable[InvariantKind | str] = KIND_ORDER,
 ) -> list[InvariantRecord]:
-    """One record per degree 1..d_max, with d_max checked before any work."""
+    """One record per degree 1..d_max, with d_max checked and ``kinds``
+    (members or their names) resolved before any work."""
     _check_degree(d_max)
+    kinds = tuple(map(InvariantKind, kinds))
     records = []
     for d in range(1, d_max + 1):
         values: dict[InvariantKind, ExactScalar] = {}

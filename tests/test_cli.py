@@ -14,6 +14,8 @@ from severi import cli
 from severi.exact import format_exact, parse_exact
 from severi.tables import build_records, render_csv, render_json
 
+N0_K0 = (InvariantKind.N0, InvariantKind.K0)
+
 
 def _json_dumps_of_records(records) -> str:
     """The reference for ``render_json``: the table as nested dicts, dumped
@@ -161,6 +163,17 @@ class TestTable:
                 "table", "--d-max", "3", "--invariants", "N0", "--format", fmt
             )
             assert code == 0 and render(records) == out
+
+    @pytest.mark.parametrize(
+        "make_kinds",
+        [lambda: ("N0", "K0"), lambda: (kind for kind in N0_K0)],
+        ids=["names", "generator"],
+    )
+    def test_kinds_given_as_names_or_a_generator_render_as_members(self, make_kinds):
+        expected = build_records(InvariantEngine(), 3, N0_K0)
+        records = build_records(InvariantEngine(), 3, make_kinds())
+        assert render_csv(records) == render_csv(expected)
+        assert render_json(records) == render_json(expected)
 
     def test_no_records_render_the_bare_header_and_an_empty_array(self):
         assert render_csv([]) == "d\n"

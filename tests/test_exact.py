@@ -1,16 +1,13 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-
 import sys
-import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from severi import exact
 from severi.exact import (
     ExactScalar,
     InexactDivision,
@@ -40,9 +37,21 @@ def test_inexact_division_names_the_degree_and_keeps_the_exact_quotient():
     assert str(info.value) == "division by 36 failed at d=4: remainder 12"
 
 
+# 5001 digits, 7 * 10**5000 + 1, written without an int-to-str conversion:
+# above Python's default 4300-digit limit, which N0 passes at d = 572.
+PAST_LIMIT = "7" + "0" * 4999 + "1"
+
+
 def test_parse_rejects_malformed_text():
-    with pytest.raises(ValueError):
-        parse_exact("12/x")
+    malformed = ["12/x", PAST_LIMIT + "/x", PAST_LIMIT + ".5", "--" + PAST_LIMIT,
+                 PAST_LIMIT + "/"]
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(PAST_LIMIT):
+        # Past the limit only format_exact's own output is read; below it
+        # Fraction's grammar, which allows surrounding spaces, still holds.
+        malformed.append(" " + PAST_LIMIT)
+    for text in malformed:
+        with pytest.raises(ValueError):
+            parse_exact(text)
 
 
 rationals = st.fractions(
@@ -89,8 +98,6 @@ def test_format_parse_round_trip(value, text):
 
 
 def test_round_trip_beyond_the_int_str_digit_limit():
-    # 5001 digits: above Python's default 4300-digit conversion limit,
-    # which N0 passes at d = 572.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     big = 7 * 10**5000 + 1
     for value in (Fraction(big), Fraction(-big, 3)):
@@ -100,55 +107,18 @@ def test_round_trip_beyond_the_int_str_digit_limit():
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit"
-)
-def test_two_threads_lifting_the_digit_limit_do_not_interleave():
-    # a (this thread) lifts the limit and, while it is lifted, starts b
-    # and waits for b's retry; b's retry waits for a to restore the limit.
-    # Without a lock b saves a's lifted 0, converts under the restored
-    # limit and then restores 0 for the whole process.  With one, b waits
-    # for a's restore, and a's short wait for b's retry times out.
-    limit = sys.get_int_max_str_digits()
-    b_failed, b_retries, a_done = (threading.Event() for _ in range(3))
-    results = {}
+def test_conversion_past_the_digit_limit_leaves_the_limit_alone(monkeypatch):
+    # The limit is process-wide: lifting it would switch the guard off for
+    # every other thread and could overwrite a host program's own setting.
+    def refuse(maxdigits):
+        raise AssertionError("the process-wide digit limit was changed")
 
-    def convert_a(calls):
-        calls.append(None)
-        if len(calls) == 1:
-            raise ValueError("too many digits")
-        b.start()
-        b_failed.wait(5)
-        b_retries.wait(0.2)
-        return "a"
-
-    def convert_b(calls):
-        calls.append(None)
-        if len(calls) == 1:
-            b_failed.set()
-            raise ValueError("too many digits")
-        b_retries.set()
-        a_done.wait(5)
-        if sys.get_int_max_str_digits() != 0:
-            raise ValueError("converted under the restored limit")
-        return "b"
-
-    def run_b():
-        try:
-            results["b"] = exact._lift_digit_limit(convert_b, [])
-        except ValueError as exc:
-            results["b"] = exc
-
-    b = threading.Thread(target=run_b)
-    try:
-        results["a"] = exact._lift_digit_limit(convert_a, [])
-        a_done.set()
-        b.join(5)
-        assert not b.is_alive()
-        assert results == {"a": "a", "b": "b"}
-        assert sys.get_int_max_str_digits() == limit
-    finally:
-        sys.set_int_max_str_digits(limit)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    big = 7 * 10**5000 + 1
+    for value, text in ((Fraction(big), PAST_LIMIT),
+                        (Fraction(-big, 3), "-" + PAST_LIMIT + "/3")):
+        assert format_exact(value) == text
+        assert parse_exact(text) == value
 
 
 @given(st.none() | st.text())

@@ -27,6 +27,7 @@ COMMANDS = [
     ("table", "--d-max", "20", "--format", "json"),
     ("eval", "G1", "3"),
     ("eval", "N1", "60"),
+    ("eval", "N0", "572"),
 ]
 
 _PROBE = "import sys; print(sys.implementation.name, sys.version_info[1])"

@@ -18,12 +18,13 @@ per degree, and ``k0_printed`` sums its bracket again at each call;
 NODES (= RCOUNT) and LR are closed forms in N0 and m, proved in
 ``_forms``, and K0 is the paper's assembly over them, which makes it
 12 (N0 - m).
-The loops also keep the scaled counts a = d N0, u = (3d-2) d N0 and
-v = d N1, so a degree costs only big products: T is a bare binomial row
-dotted with u v, and each N0 N0 splitting sum -- N0 itself over 3d-3
-(see ``n0``), 2m and the K0_PRINTED bracket -- is one ``_paired_sum``,
-an ordered row of weights folded onto the unordered pairs and dotted
-with a a.
+The loops also keep the scaled counts a = d N0 and u = (3d-2) d N0, so
+a degree costs only big products: T is the symmetric row C(3d-2, .)
+dotted, over the unordered pairs d1 <= d2, with u(d1) N1(d2) +
+u(d2) N1(d1) (see ``n1``), and each N0 N0 splitting sum -- N0 itself
+over 3d-3 (see ``n0``), 2m and the K0_PRINTED bracket -- is one
+``_paired_sum``, an ordered row of weights folded onto the unordered
+pairs and dotted with a a.
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
 stored.  ``g1`` reads the numerator 8 K1 of ``k1``, and ``g0`` that of
@@ -148,7 +149,7 @@ class InvariantEngine:
     ``n0``/``n1`` at degree d use only degrees below d, and every
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so no stored entry is ever overwritten.
-    The state is all ``int``: N0, N1, T and the scaled counts a, u, v
+    The state is all ``int``: N0, N1, T and the scaled counts a and u
     are lists indexed by degree (entry 0 unused); 2m, the one cached
     O(d) sum, is a dict keyed by degree; the row window holds the rows
     of one degree only (at degree 0, C(-4, .) .. C(-1, .), all empty).
@@ -160,10 +161,9 @@ class InvariantEngine:
         self._n0: list[int] = [0, 1]
         self._n1: list[int] = [0]
         self._t: list[int] = [0]
-        # Scaled counts: a = d N0, u = (3d-2) d N0, v = d N1.
+        # Scaled counts: a = d N0, u = (3d-2) d N0.
         self._a: list[int] = [0, 1]
         self._u: list[int] = [0, 1]
-        self._v: list[int] = [0]
         self._split: dict[int, int] = {}
         self._window: tuple[int, list[list[int]]] = (0, [[]] * 4)
 
@@ -216,23 +216,32 @@ class InvariantEngine:
         The sum is T(d) / 9, so one loop per degree fills both N1 and T,
         and 36 N1 = 3 C(d,3) N0 + 4 T(d) is reduced by exact division
         (an ``ArithmeticError`` naming the degree if N1 is not integral).
-        With u(k) = (3k-2) k N0(k) and v(k) = k N1(k),
+        With u(k) = (3k-2) k N0(k), a term of T is C(3d-1, 3 d1 - 1) u(d1)
+        d2 N1(d2), and the ratio rule C(3d-1, 3 d1 - 1) = (3d-1) C(3d-2,
+        3 d1 - 1) / (3 d2) moves it onto the row C(3d-2, .), which the swap
+        d1 <-> d2 keeps, C(3d-2, 3 d1 - 1) = C(3d-2, 3 d2 - 1).  So
 
-            T(d) = sum_{d1 = 1}^{d-3} C(3d-1, 3 d1 - 1) u(d1) v(d - d1),
+            3 T(d) = (3d-1) sum C(3d-2, 3 d1 - 1) u(d1) N1(d2)
+                   = (3d-1) sum_{d1 <= d2} C(3d-2, 3 d1 - 1)
+                                [u(d1) N1(d2) + u(d2) N1(d1)],
 
-        since N1(1) = N1(2) = 0: the sum needs N1 only below d, so no base
-        value is required, and it is empty for d <= 3.  N0 advances with
-        it, so both read the same row window.
+        the middle pair d1 = d2 once: one binomial product per unordered
+        pair, over the window's row C(3d-2, .), and T by exact division.
+        The sum needs N1 only below d, so no base value is required, and
+        it is 0 for d <= 3, since N1(1) = N1(2) = 0.  N0 advances with it,
+        so both read the same row window.
         """
         _check_degree(d)
-        n0, n1, t, u, v = self._n0, self._n1, self._t, self._u, self._v
+        n0, n1, t, u = self._n0, self._n1, self._t, self._u
         for dd in range(len(n1), d + 1):
             self.n0(dd)
-            m = max(dd - 3, 0)  # d1 = 1 .. m, d2 = d - 1 .. 3
-            high = self._rows(dd)[3][2:3 * m:3]
-            s = sum(map(mul, high, map(mul, u[1:m + 1], v[dd - 1:2:-1])))
+            m, h = (dd - 1) // 2, dd // 2  # pairs d1 < d2, then the middle
+            row = self._rows(dd)[2][2:3 * h:3]
+            pairs = map(add, map(mul, u[1:m + 1], n1[dd - 1:dd - m - 1:-1]),
+                        map(mul, u[dd - 1:dd - m - 1:-1], n1[1:m + 1]))
+            products = [*pairs, *map(mul, u[m + 1:h + 1], n1[m + 1:h + 1])]
+            s = exact_div((3 * dd - 1) * sum(map(mul, row, products)), 3, dd)
             n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * s, 36, dd))
-            v.append(dd * n1[dd])
             t.append(s)
         return ExactScalar(n1[d])
 
@@ -244,7 +253,9 @@ class InvariantEngine:
             T(d) = sum (3 d1 - 2) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2)
 
         over ordered pairs d1 + d2 = d, read from the list the N1 loop
-        stores.
+        stores.  That loop sums it folded over the row C(3d-2, .) (see
+        :meth:`n1`); the audit's second path sums the ordered terms over
+        C(3d-1, .), so the two share neither a row nor a formula.
         """
         self.n1(d)
         return ExactScalar(self._t[d])

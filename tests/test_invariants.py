@@ -249,12 +249,15 @@ class TestClosedForms:
             assert oracle.k0(d) == 12 * (n0 - m), d
 
     def test_the_audit_sums_match_the_engine_at_two_degrees(self, engine):
-        # Both parities of d, so the middle pair d1 = d2 is hit.
+        # Both parities of d, so the middle pair d1 = d2 is hit; T too, the
+        # engine's folded over C(3d-2, .) and the audit's ordered over
+        # C(3d-1, .).
         for d in (40, 41):
-            *_, nodes, rcount, lr, m = audit_second_paths(engine, d)
-            assert (nodes, rcount, lr, m) == (
-                engine.reducible_fibre_count(d), engine.value(InvariantKind.RCOUNT, d),
-                engine.lr(d), engine.m_invariant(d),
+            t, _, _, nodes, rcount, lr, m = audit_second_paths(engine, d)
+            assert (t, nodes, rcount, lr, m) == (
+                engine.t_op(d), engine.reducible_fibre_count(d),
+                engine.value(InvariantKind.RCOUNT, d), engine.lr(d),
+                engine.m_invariant(d),
             )
 
     @pytest.mark.slow
@@ -274,10 +277,45 @@ class TestClosedForms:
             assert engine.k0(d) == Fraction(two_k0, 2), d
 
 
+class TestFoldedT:
+    """T as the engine sums it: the ordered sum over C(3d-1, .) moved by
+    the ratio rule onto the row C(3d-2, .), which the swap d1 <-> d2
+    keeps, and folded onto the unordered pairs (the ``n1`` docstring),
+    against the oracle's own T, the ordered sum as the paper prints it."""
+
+    def test_the_fold_gives_the_oracle_t_from_degree_1_to_60(self, engine):
+        # Both parities of d, so the middle pair d1 = d2 is hit.
+        def u(k):
+            return (3 * k - 2) * k * oracle.n0(k)
+
+        for d in range(1, 61):
+            folded = 0
+            for d1, d2 in oracle.splittings(d):
+                row = oracle.c(3 * d - 2, 3 * d1 - 1)
+                assert 3 * d2 * oracle.c(3 * d - 1, 3 * d1 - 1) == (3 * d - 1) * row
+                assert row == oracle.c(3 * d - 2, 3 * d2 - 1), (d, d1)
+                if d1 < d2:
+                    folded += row * (u(d1) * oracle.n1(d2) + u(d2) * oracle.n1(d1))
+                elif d1 == d2:
+                    folded += row * u(d1) * oracle.n1(d2)
+            t = oracle.t_weighted(3, -2, d)
+            assert 3 * t == (3 * d - 1) * folded, d
+            assert engine.t_op(d) == t, d
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_term_vanishes_up_to_degree_3(self, engine, d):
+        # Every pair has a factor N1(1) = N1(2) = 0, so no base value of
+        # N1 is needed.
+        assert all(
+            oracle.n1(d1) == oracle.n1(d2) == 0 for d1, d2 in oracle.splittings(d)
+        )
+        assert oracle.t_weighted(3, -2, d) == engine.t_op(d) == 0
+
+
 def _assert_untouched(engine):
     """No count, scaled count, T entry or cached sum was computed."""
-    lists = (engine._n0, engine._a, engine._u, engine._n1, engine._v, engine._t)
-    assert lists == ([0, 1], [0, 1], [0, 1], [0], [0], [0])
+    lists = (engine._n0, engine._a, engine._u, engine._n1, engine._t)
+    assert lists == ([0, 1], [0, 1], [0, 1], [0], [0])
     assert engine._split == {}
 
 

@@ -54,19 +54,24 @@ MUTANTS = [
     ("n0_public_d30", "n0", "ExactScalar(n0[d])", "ExactScalar(n0[d] + (d == 30))",
      BLOCKING, 30),
     ("n1_t_weight", "n1", "4 * s", "5 * s", BLOCKING, 12),
-    ("n1_t_row", "n1", "[2:3 * m:3]", "[1:3 * m:3]", BLOCKING, 12),
     ("n1_comb", "n1", "3 * comb(dd, 3)", "39 * comb(dd, 3)", BLOCKING, 12),
+    # T folded onto the unordered pairs over the symmetric row C(3d-2, .):
+    # the row, each side of a pair's two products, the middle pair, and
+    # the ratio rule's factor.
+    ("n1_t_row", "n1", "[2][2:3 * h:3]", "[2][1:3 * h:3]", BLOCKING, 12),
+    ("n1_t_mirror", "n1", "n1[1:m + 1]", "n1[0:m]", BLOCKING, 12),
+    ("n1_t_pair", "n1", "u[1:m + 1]", "u[0:m]", BLOCKING, 12),
+    ("n1_t_middle", "n1", "u[m + 1:h + 1]", "u[h + 1:h + 1]", BLOCKING, 12),
+    ("n1_t_ratio", "n1", "(3 * dd - 1)", "(3 * dd - 2)", BLOCKING, 12),
     ("t_op_read", "t_op", "self._t[d]", "self._t[d - 1]", BLOCKING, 12),
     ("window_reuse", "_rows", "[rows[3] if", "[rows[2] if", BLOCKING, 12),
     ("window_reuse_degree", "_rows", "at == d - 1", "at == d - 2", BLOCKING, 12),
     ("window_seed", "_rows", "pascal_row(3 * d - 4)]", "pascal_row(3 * d - 5)]",
      BLOCKING, 12),
-    # The scaled count lists a = d N0, u = (3d-2) d N0 and v = d N1.
+    # The scaled count lists a = d N0 and u = (3d-2) d N0.
     ("list_a_d20", "n0", "a.append(dd * n0[dd])", "a.append((dd + (dd == 20)) * n0[dd])",
      BLOCKING, 30),
     ("list_u", "n0", "(3 * dd - 2) * a[dd]", "(3 * dd - 1) * a[dd]", BLOCKING, 12),
-    ("list_v", "n1", "v.append(dd * n1[dd])", "v.append((dd + 1) * n1[dd])",
-     BLOCKING, 12),
     # The splitting sums: the one fold of an ordered row onto the pairs,
     # which N0, 2m and the K0_PRINTED bracket share, and their rows.
     ("pair_products", "_paired_sum", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),

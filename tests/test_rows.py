@@ -70,7 +70,7 @@ class TestRowWindow:
         engine = InvariantEngine()
         engine.n1(200)
         # No other attribute may hold binomial rows.
-        lists = {"_n0", "_n1", "_t", "_a", "_u", "_v"}
+        lists = {"_n0", "_n1", "_t", "_a", "_u"}
         assert set(vars(engine)) == lists | {"_split", "_window"}
         assert engine._split == {}
         d, rows = engine._window
@@ -122,10 +122,9 @@ def test_scaled_lists_follow_the_counts_in_any_query_order(queries):
     for name, d in queries:
         value = getattr(engine, name)(d) if name.islower() else engine.value(name, d)
         assert value == _fresh_value(InvariantKind(name.upper()), d), (name, d)
-    n0, n1 = engine._n0, engine._n1
+    n0 = engine._n0
     assert engine._a == [k * x for k, x in enumerate(n0)]
     assert engine._u == [(3 * k - 2) * k * x for k, x in enumerate(n0)]
-    assert engine._v == [k * x for k, x in enumerate(n1)]
 
 
 class TestRowBuilds:

@@ -36,11 +36,15 @@ so a bad degree is a ``ValueError`` that leaves the state untouched.
 read a window of the four full Pascal rows C(3d-4, .) .. C(3d-1, .) of
 one degree d, stepped by additions and seeded by ``exact.pascal_row``
 only after a non-sequential query.
+Only one degree's working set is alive at a time: the T fold streams
+its products into the sum, and a step frees the old degree's rows
+before it builds the next ones, publishing the empty window in between.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain
 from math import comb
 from operator import add, mul
 from typing import NamedTuple
@@ -152,7 +156,8 @@ class InvariantEngine:
     The state is all ``int``: N0, N1, T and the scaled counts a and u
     are lists indexed by degree (entry 0 unused); 2m, the one cached
     O(d) sum, is a dict keyed by degree; the row window holds the rows
-    of one degree only (at degree 0, C(-4, .) .. C(-1, .), all empty).
+    of one degree only (at degree 0, C(-4, .) .. C(-1, .), all empty,
+    which it also holds while a step builds the next degree's rows).
     Every other value is rebuilt per call: an O(1) assembly over these,
     or for ``k0_printed`` one more sum over the window.
     """
@@ -170,10 +175,14 @@ class InvariantEngine:
     def _rows(self, d: int) -> list[list[int]]:
         """Rows C(3d-4, .) .. C(3d-1, .), the window's only rows.
         The next degree reuses C(3d-1, .); any other degree rebuilds from
-        one multiplicative row.  Either way three addition steps follow."""
+        one multiplicative row.  Either way three addition steps follow.
+        The empty degree-0 window is published before the steps, so the
+        old degree's other rows are freed before the new ones are built;
+        a reader that meets it mid-step seeds rows of its own."""
         at, rows = self._window
         if at != d:
             rows = [rows[3] if at == d - 1 else pascal_row(3 * d - 4)]
+            self._window = (0, [[]] * 4)
             for _ in range(3):
                 rows.append(pascal_step(rows[-1]))
             self._window = (d, rows)
@@ -227,6 +236,8 @@ class InvariantEngine:
 
         the middle pair d1 = d2 once: one binomial product per unordered
         pair, over the window's row C(3d-2, .), and T by exact division.
+        The products stream into the sum, so none of them is held in a
+        list alongside the rows.
         The sum needs N1 only below d, so no base value is required, and
         it is 0 for d <= 3, since N1(1) = N1(2) = 0.  N0 advances with it,
         so both read the same row window.
@@ -239,7 +250,7 @@ class InvariantEngine:
             row = self._rows(dd)[2][2:3 * h:3]
             pairs = map(add, map(mul, u[1:m + 1], n1[dd - 1:dd - m - 1:-1]),
                         map(mul, u[dd - 1:dd - m - 1:-1], n1[1:m + 1]))
-            products = [*pairs, *map(mul, u[m + 1:h + 1], n1[m + 1:h + 1])]
+            products = chain(pairs, map(mul, u[m + 1:h + 1], n1[m + 1:h + 1]))
             s = exact_div((3 * dd - 1) * sum(map(mul, row, products)), 3, dd)
             n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * s, 36, dd))
             t.append(s)

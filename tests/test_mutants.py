@@ -195,6 +195,13 @@ ENGINE_EQUIVALENT = [
      "2m is summed again at each call, into the same int"),
     ("window_rebuild_d20", "_rows", "if at != d:", "if at != d or d == 20:",
      "the rows of degree 20 are rebuilt into the same ints"),
+    # The working-set rule: the T products held in a list, and the old
+    # window kept published while the next rows are built.
+    ("products_list", "n1", "chain(pairs, map(mul, u[m + 1:h + 1], n1[m + 1:h + 1]))",
+     "[*pairs, *map(mul, u[m + 1:h + 1], n1[m + 1:h + 1])]",
+     "the same ints; the working-set test pins it"),
+    ("window_unpublish", "_rows", "self._window = (0, [[]] * 4)", "pass",
+     "the same ints; the working-set test pins it"),
 ]
 EXACT_EQUIVALENT = [
     ("div_guard_one", "exact_div", "if remainder:", "if remainder > 1:",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import tracemalloc
 from functools import lru_cache
 from math import comb
 
@@ -77,6 +78,47 @@ class TestRowWindow:
         assert d == 200
         assert [len(row) for row in rows] == [597, 598, 599, 600]
         assert {len(getattr(engine, name)) for name in lists} == {201}
+
+    @pytest.mark.parametrize(
+        "method, d", [("n1", 200), pytest.param("n0", 572, marks=pytest.mark.slow)]
+    )
+    def test_a_fill_holds_under_two_rows_beyond_what_it_keeps(self, method, d):
+        # The traced peak of a fill less what the engine keeps is the
+        # largest working set of one step: the T fold streams its
+        # products into the sum, and the old degree's rows are freed
+        # before the next ones are built.  Counted in rows C(3d-1, .),
+        # it is 1.4 for n1(200) and 1.3 for n0(572); with the products
+        # in a list and the old window kept through the step, 4.9 and 3.7.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            row = pascal_row(3 * d - 1)
+            row_size = tracemalloc.get_traced_memory()[0] - before
+            del row
+            engine = InvariantEngine()
+            tracemalloc.reset_peak()
+            getattr(engine, method)(d)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < 2 * row_size, (peak - kept) / row_size
+
+    def test_a_step_builds_the_next_rows_with_the_empty_window_published(
+        self, monkeypatch
+    ):
+        # The old window is unpublished before every step, so that its
+        # rows are free while the next ones are built, and the new one is
+        # published whole after the last step; a jump seeds and steps alike.
+        engine = InvariantEngine()
+
+        def check(row):
+            assert engine._window == (0, [[]] * 4), len(row)
+
+        steps = _count_calls(monkeypatch, "pascal_step", pascal_step, check)
+        engine.n1(30)
+        engine._rows(60)
+        assert steps[0] == 3 * 31
+        _assert_window_rows(engine, 60)
 
     @pytest.mark.slow
     def test_every_row_up_to_the_ceiling(self):
@@ -197,6 +239,8 @@ def test_a_filled_engine_reads_alike_from_four_threads():
     # Reads of a filled engine still fill 2m and re-seed the window (every
     # K0_PRINTED does), each built locally and published by one
     # assignment; a short switch interval interleaves the threads often.
+    # A reader may also meet the empty window that a step publishes while
+    # it builds the next rows, and then seeds rows of its own.
     engine = InvariantEngine()
     build_records(engine, 40)
     fresh = InvariantEngine()

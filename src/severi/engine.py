@@ -19,12 +19,14 @@ NODES (= RCOUNT) and LR are closed forms in N0 and m, proved in
 ``_forms``, and K0 is the paper's assembly over them, which makes it
 12 (N0 - m).
 The loops also keep the scaled counts a = d N0 and u = (3d-2) d N0, so
-a degree costs only big products: T is the symmetric row C(3d-2, .)
-dotted, over the unordered pairs d1 <= d2, with u(d1) N1(d2) +
-u(d2) N1(d1) (see ``n1``), and each N0 N0 splitting sum -- N0 itself
-over 3d-3 (see ``n0``), 2m and the K0_PRINTED bracket -- is one
-``_paired_sum``, an ordered row of weights folded onto the unordered
-pairs and dotted with a a.
+a degree costs only big products.  Every sum of degree d reads one
+binomial half row, R(i) = C(3d-2, 3i-1) for 1 <= i <= d/2, which the
+symmetry C(3d-2, 3i-1) = C(3d-2, 3j-1), j = d - i, makes the row of
+every unordered pair i <= j.  Pascal's ratio rule moves each sum's own
+binomials onto R: T dots it with u(i) N1(j) + u(j) N1(i) (see ``n1``),
+and each N0 N0 splitting sum -- N0 itself (see ``n0``), 2m and the
+K0_PRINTED bracket -- is one ``_pair_sum`` of pair weights times R
+dotted with a(i) a(j).
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
 stored.  ``g1`` reads the numerator 8 K1 of ``k1``, and ``g0`` that of
@@ -32,13 +34,14 @@ stored.  ``g1`` reads the numerator 8 K1 of ``k1``, and ``g0`` that of
 public per-degree method checks its degree before any arithmetic on it,
 so a bad degree is a ``ValueError`` that leaves the state untouched.
 
-``n0``, ``n1`` (which advances N0 in lockstep) and the splitting sums
-read a window of the four full Pascal rows C(3d-4, .) .. C(3d-1, .) of
-one degree d, stepped by additions and seeded by ``exact.pascal_row``
-only after a non-sequential query.
-Only one degree's working set is alive at a time: the T fold streams
-its products into the sum, and a step frees the old degree's rows
-before it builds the next ones, publishing the empty window in between.
+Each degree builds its half row anew, one small-by-big product and
+division per entry, C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) /
+((k+1)(k+2)(k+3)) from C(n, 2), n = 3d-2, k = 3i-1 (see ``_row``).  No
+``exact.pascal_*`` row is built: those are the audit's, so its second
+paths share no row-building code with the engine.
+Only one degree's half row is alive between builds, and a build holds
+the old and the new one only: no loop binds a row or a weight list to
+a local that outlives its degree.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from math import comb
 from operator import add, mul
 from typing import NamedTuple
 
-from .exact import ExactScalar, exact_div, pascal_row, pascal_step
+from .exact import ExactScalar, exact_div
 
 # Largest degree any query may ask for, checked before any work starts.
 # It lies just past d = 572, where N0 first passes 4300 decimal digits
@@ -59,16 +62,17 @@ from .exact import ExactScalar, exact_div, pascal_row, pascal_step
 MAX_DEGREE = 600
 
 
-def _paired_sum(row: list[int], a: list[int], d: int) -> int:
-    """Sum row[d1 - 1] a(d1) a(d2) over ordered pairs d1 + d2 = d, with
-    a(k) = k N0(k): the row, which has exactly d - 1 entries, is folded
-    onto the unordered pairs d1 <= d2, middle term once, so each product
-    a(d1) a(d2) is taken once.  Every N0 N0 splitting sum of the engine
-    goes through it: N0 itself (``n0``), 2m (``_two_m``) and the
-    K0_PRINTED bracket (``k0_printed``)."""
-    m, h = (d - 1) // 2, d // 2
-    folded = [*map(add, row[:m], row[::-1]), *row[m:h]]
-    return sum(map(mul, folded, map(mul, a[1:h + 1], a[d - 1:d - h - 1:-1])))
+def _pair_sum(weights: list[int], a: list[int], d: int) -> int:
+    """Sum weights[i - 1] a(i) a(j) over the unordered pairs i <= j = d - i,
+    with a(k) = k N0(k), where ``weights`` (one per pair, d // 2 of them)
+    holds each pair's terms of both orders: the middle pair i = j, which
+    has one order only, is halved here, exactly, as it is twice a term.
+    Every N0 N0 splitting sum of the engine goes through it: N0 itself
+    (``n0``), 2m (``_two_m``) and the K0_PRINTED bracket (``k0_printed``)."""
+    h = d // 2
+    if d % 2 == 0:
+        weights[-1] //= 2
+    return sum(map(mul, weights, map(mul, a[1:h + 1], a[d - 1:d - h - 1:-1])))
 
 
 class InvariantKind(str, Enum):
@@ -155,11 +159,10 @@ class InvariantEngine:
     already-defined quantities, so no stored entry is ever overwritten.
     The state is all ``int``: N0, N1, T and the scaled counts a and u
     are lists indexed by degree (entry 0 unused); 2m, the one cached
-    O(d) sum, is a dict keyed by degree; the row window holds the rows
-    of one degree only (at degree 0, C(-4, .) .. C(-1, .), all empty,
-    which it also holds while a step builds the next degree's rows).
-    Every other value is rebuilt per call: an O(1) assembly over these,
-    or for ``k0_printed`` one more sum over the window.
+    O(d) sum, is a dict keyed by degree; the window holds the half row
+    of one degree only (at degree 0, empty).  Every other value is
+    rebuilt per call: an O(1) assembly over these, or for ``k0_printed``
+    one more sum over the half row.
     """
 
     def __init__(self) -> None:
@@ -170,23 +173,24 @@ class InvariantEngine:
         self._a: list[int] = [0, 1]
         self._u: list[int] = [0, 1]
         self._split: dict[int, int] = {}
-        self._window: tuple[int, list[list[int]]] = (0, [[]] * 4)
+        self._window: tuple[int, list[int]] = (0, [])
 
-    def _rows(self, d: int) -> list[list[int]]:
-        """Rows C(3d-4, .) .. C(3d-1, .), the window's only rows.
-        The next degree reuses C(3d-1, .); any other degree rebuilds from
-        one multiplicative row.  Either way three addition steps follow.
-        The empty degree-0 window is published before the steps, so the
-        old degree's other rows are freed before the new ones are built;
-        a reader that meets it mid-step seeds rows of its own."""
-        at, rows = self._window
+    def _row(self, d: int) -> list[int]:
+        """The half row R(i) = C(n, 3i-1), n = 3d-2, for 1 <= i <= d // 2,
+        the window's only row.  A degree other than the window's builds it
+        from C(n, 2), one entry at a time, by C(n, k+3) = C(n, k)
+        (n-k)(n-k-1)(n-k-2) / ((k+1)(k+2)(k+3)), k = 3i-1: one small-by-big
+        product and division per entry.  It is built locally and
+        published with its degree by one assignment."""
+        at, row = self._window
         if at != d:
-            rows = [rows[3] if at == d - 1 else pascal_row(3 * d - 4)]
-            self._window = (0, [[]] * 4)
-            for _ in range(3):
-                rows.append(pascal_step(rows[-1]))
-            self._window = (d, rows)
-        return rows
+            n = 3 * d - 2
+            row = [n * (n - 1) // 2] if d > 1 else []
+            for k in range(2, 3 * (d // 2) - 1, 3):  # the last entry's k
+                row.append(row[-1] * ((n - k) * (n - k - 1) * (n - k - 2))
+                           // ((k + 1) * (k + 2) * (k + 3)))
+            self._window = (d, row)
+        return row
 
     # -- recursive counts ----------------------------------------------
 
@@ -202,16 +206,25 @@ class InvariantEngine:
         d2 C(n, 3d1-2) - d1 C(n, 3d1-1) = (3d1-d) C(n+1, 3d1-1) / (n+1),
         n = 3d-4, by Pascal's ratio rule, so that
 
-            (3d-3) N(d) = sum d1 (3d1-d) C(3d-3, 3d1-1) a(d1) a(d2),
+            (3d-3) N(d) = sum d1 (3d1-d) C(3d-3, 3d1-1) a(d1) a(d2).
 
-        one more :func:`_paired_sum`, over the window's row C(3d-3, .).
+        The ratio rule once more, C(3d-3, 3d1-1) = (3d2-1) R(d1) / (3d-2)
+        with R(d1) = C(3d-2, 3d1-1) = R(d2), moves it onto the half row;
+        the two orders of a pair then weigh d1 (3d1-d)(3d2-1) +
+        d2 (3d2-d)(3d1-1) = (3d+6) d1 d2 - 2d^2, so that
+
+            (3d-3)(3d-2) N(d) = sum_{d1 <= d2} ((3d+6) d1 d2 - 2d^2)
+                                               R(d1) a(d1) a(d2),
+
+        the middle pair d1 = d2 at half weight: one :func:`_pair_sum`.
         """
         _check_degree(d)
         n0, a, u = self._n0, self._a, self._u
         for dd in range(len(n0), d + 1):
-            row = self._rows(dd)[1][2::3]
-            weights = [d1 * (3 * d1 - dd) * c for d1, c in zip(range(1, dd), row)]
-            n0.append(exact_div(_paired_sum(weights, a, dd), 3 * dd - 3, dd))
+            c, e = 3 * dd + 6, 2 * dd * dd
+            s = _pair_sum([(c * i * (dd - i) - e) * r
+                           for i, r in enumerate(self._row(dd), 1)], a, dd)
+            n0.append(exact_div(s, (3 * dd - 3) * (3 * dd - 2), dd))
             a.append(dd * n0[dd])
             u.append((3 * dd - 2) * a[dd])
         return ExactScalar(n0[d])
@@ -235,23 +248,22 @@ class InvariantEngine:
                                 [u(d1) N1(d2) + u(d2) N1(d1)],
 
         the middle pair d1 = d2 once: one binomial product per unordered
-        pair, over the window's row C(3d-2, .), and T by exact division.
-        The products stream into the sum, so none of them is held in a
-        list alongside the rows.
+        pair, the half row R(d1) = C(3d-2, 3 d1 - 1) read as it stands,
+        and T by exact division.  The products stream into the sum, so
+        none of them is held in a list alongside the row.
         The sum needs N1 only below d, so no base value is required, and
         it is 0 for d <= 3, since N1(1) = N1(2) = 0.  N0 advances with it,
-        so both read the same row window.
+        so both read the same half row.
         """
         _check_degree(d)
         n0, n1, t, u = self._n0, self._n1, self._t, self._u
         for dd in range(len(n1), d + 1):
             self.n0(dd)
             m, h = (dd - 1) // 2, dd // 2  # pairs d1 < d2, then the middle
-            row = self._rows(dd)[2][2:3 * h:3]
             pairs = map(add, map(mul, u[1:m + 1], n1[dd - 1:dd - m - 1:-1]),
                         map(mul, u[dd - 1:dd - m - 1:-1], n1[1:m + 1]))
             products = chain(pairs, map(mul, u[m + 1:h + 1], n1[m + 1:h + 1]))
-            s = exact_div((3 * dd - 1) * sum(map(mul, row, products)), 3, dd)
+            s = exact_div((3 * dd - 1) * sum(map(mul, self._row(dd), products)), 3, dd)
             n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * s, 36, dd))
             t.append(s)
         return ExactScalar(n1[d])
@@ -264,9 +276,10 @@ class InvariantEngine:
             T(d) = sum (3 d1 - 2) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2)
 
         over ordered pairs d1 + d2 = d, read from the list the N1 loop
-        stores.  That loop sums it folded over the row C(3d-2, .) (see
-        :meth:`n1`); the audit's second path sums the ordered terms over
-        C(3d-1, .), so the two share neither a row nor a formula.
+        stores.  That loop sums it folded over the half row C(3d-2, 3 d1 - 1)
+        (see :meth:`n1`); the audit's second path sums the ordered terms
+        over its own Pascal row C(3d-1, .), so the two share neither a row,
+        a binomial nor a formula.
         """
         self.n1(d)
         return ExactScalar(self._t[d])
@@ -274,11 +287,27 @@ class InvariantEngine:
     # -- derived invariants ----------------------------------------------
 
     def _two_m(self, d: int) -> int:
-        """2m at degree d (see :meth:`m_invariant`), summed once from the window."""
+        """2m at degree d (see :meth:`m_invariant`), summed once from the
+        half row.  With n = 3d-2, k = 3 d1 - 1, the ratio rule twice gives
+        C(n-2, k-1) = k (n-k) C(n, k) / (n (n-1)), that is
+
+            (3d-2)(3d-3) C(3d-4, 3 d1 - 2) = (3 d1 - 1)(3 d2 - 1) R(d1),
+
+        a weight the swap d1 <-> d2 keeps, so the two orders of a pair
+        weigh twice it:
+
+            (3d-2)(3d-3) 2m = sum_{d1 <= d2} 2 (3 d1 - 1)(3 d2 - 1)
+                                              R(d1) a(d1) a(d2),
+
+        the middle pair at half weight.  At d = 1 the sum is empty and the
+        divisor 0, hence the branch."""
         _check_degree(d)  # before the lookup: True and 3.0 hash like 1 and 3
         if d not in self._split:
             self.n0(d)
-            self._split[d] = _paired_sum(self._rows(d)[0][1::3], self._a, d)
+            weights = [(6 * i - 2) * (3 * (d - i) - 1) * r
+                       for i, r in enumerate(self._row(d), 1)]
+            s = _pair_sum(weights, self._a, d)
+            self._split[d] = exact_div(s, (3 * d - 2) * (3 * d - 3), d) if d > 1 else 0
         return self._split[d]
 
     def _forms(self, d: int) -> tuple[int, int]:
@@ -386,10 +415,20 @@ class InvariantEngine:
 
         Audit-only evaluator: it yields -60 at d = 3 against the anchor
         24 and is kept verbatim so the discrepancy stays reproducible.
+        The second sum is 3m; the bracket's first, over the half row, uses
+        the ratio rule C(3d-2, 3 d1 - 2) = (3 d1 - 1) R(d1) / (3 d2).  The
+        two orders of a pair weigh
+
+            (3 d2 - 2) C(3d-2, 3 d1 - 2) + (3 d1 - 2) C(3d-2, 3 d2 - 2)
+                = (3 (3d+2) d1 d2 - 2d (3d-1)) R(d1) / (3 d1 d2),
+
+        exact as a sum of two integers, and the middle pair half that.
         """
-        two_m, c2 = self._two_m(d), self._rows(d)[2]  # C(3d-2, .)
-        row = [(3 * (d - d1) - 2) * c for d1, c in zip(range(1, d), c2[1::3])]
-        s = _paired_sum(row, self._a, d)
+        two_m, row = self._two_m(d), self._row(d)
+        c, e = 3 * (3 * d + 2), 2 * d * (3 * d - 1)
+        weights = [(c * i * (d - i) - e) * r // (3 * i * (d - i))
+                   for i, r in enumerate(row, 1)]
+        s = _pair_sum(weights, self._a, d)
         return ExactScalar(6 * self._n0[d] - 2 * s + 3 * two_m, 2)
 
     def k1(self, d: int) -> ExactScalar:

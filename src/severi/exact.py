@@ -11,9 +11,9 @@ Binomial rows come two ways: ``pascal_row`` builds C(n, .) by a
 multiplicative recurrence, and ``pascal_step`` derives C(n + 1, .) from
 C(n, .) by additions only.  Both compute the first half of a row and
 mirror it, so the mirrored half shares its ints with the first; callers
-see only full rows.  The engine steps its row window with additions and
-seeds it with ``pascal_row`` only after a non-sequential query; the
-audit steps one ``pascal_row`` three times per audited degree.
+see only full rows.  Only the audit builds them, for its second paths:
+one ``pascal_row`` per audited degree, stepped three times.  The engine
+uses neither; it builds its own half row by exact ratios.
 
 Text conversion never reads or changes Python's process-wide int<->str
 digit limit (3.11+): a part too long for ``str`` and ``int`` is written

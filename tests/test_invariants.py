@@ -211,8 +211,50 @@ def _proof_sums(d):
 class TestClosedForms:
     """NODES = RCOUNT = (3d + 6) m - 9 N0 and LR = 3 d m - 3 N0, the forms
     the engine evaluates, and K0 = 12 (N0 - m), which the paper's assembly
-    over them gives, against sums that share no code with them; and the
-    steps of their proof in the ``_forms`` docstring, with the same sums."""
+    over them gives, against sums that share no code with them; the
+    steps of their proof in the ``_forms`` docstring, with the same sums;
+    and the identities that move N0, 2m, T and the K0_PRINTED bracket onto
+    the engine's half row, with the ratio rule that builds it."""
+
+    def test_the_half_row_identities_hold_from_degree_2_to_60(self):
+        # Each sum over R(d1) = C(3d-2, 3 d1 - 1) against the oracle's own
+        # value, summed over its own binomials, as the docstrings of n0,
+        # _two_m, n1 and k0_printed derive it.
+        for d in range(2, 61):
+            n = 3 * d - 2
+
+            def r(i):
+                return oracle.c(n, 3 * i - 1)
+
+            def a(k):
+                return k * oracle.n0(k)
+
+            n0_sum = m_sum = t_sum = bracket = 0
+            for i, j in oracle.splittings(d):
+                k = 3 * i - 1
+                assert r(i) == r(j), (d, i)
+                assert (3 * d - 2) * oracle.c(n - 1, k) == (3 * j - 1) * r(i)
+                assert (3 * d - 2) * (3 * d - 3) * oracle.c(n - 2, k - 1) == (
+                    (3 * i - 1) * (3 * j - 1) * r(i)
+                )
+                assert 3 * j * oracle.c(n, k - 1) == (3 * i - 1) * r(i)
+                # The extension by one entry.
+                assert oracle.c(n, k + 3) * (k + 1) * (k + 2) * (k + 3) == (
+                    r(i) * (n - k) * (n - k - 1) * (n - k - 2)
+                )
+                p = r(i) * a(i) * a(j)
+                n0_sum += ((3 * d + 6) * i * j - 2 * d * d) * p
+                m_sum += (3 * i - 1) * (3 * j - 1) * p
+                t_sum += r(i) * (3 * i - 2) * i * oracle.n0(i) * oracle.n1(j)
+                if i <= j:
+                    both = (3 * (3 * d + 2) * i * j - 2 * d * (3 * d - 1)) * r(i)
+                    assert both % (3 * i * j) == 0, (d, i)
+                    bracket += both // (3 * i * j) * a(i) * a(j) // (1 + (i == j))
+            n0, two_m = oracle.n0(d), 2 * oracle.m_invariant(d)
+            assert 2 * (3 * d - 3) * (3 * d - 2) * n0 == n0_sum, d
+            assert (3 * d - 2) * (3 * d - 3) * two_m == m_sum, d
+            assert 3 * oracle.t_weighted(3, -2, d) == (3 * d - 1) * t_sum, d
+            assert oracle.k0_printed(d) == 3 * n0 - bracket + Fraction(3, 2) * two_m, d
 
     def test_the_proof_steps_hold_from_degree_2_to_60(self):
         for d in range(2, 61):

@@ -3,12 +3,13 @@
 
 Each mutant is a module's source with one token changed inside one
 function, executed as a fresh module of the ``severi`` package.  An
-``exact`` mutant is bound to the engine by standing in for
-``severi.exact`` in ``sys.modules`` while the engine's source is
-executed, so it reaches the engine's row window and divisions but not
-the audit's own rows.  An engine built from an ``engine`` or ``exact``
-mutant goes through the real ``run_full_audit``; an ``audit`` mutant's
-own ``run_full_audit`` audits a real engine.  Each runs at d_max 12
+``exact`` mutant stands in for ``severi.exact`` in ``sys.modules`` while
+fresh engine and audit modules are executed, so it reaches the engine's
+divisions and the audit's own Pascal rows (the engine builds none), but
+not the real modules.  An engine built from an ``engine`` mutant goes
+through the real ``run_full_audit``; an ``audit`` mutant's own
+``run_full_audit`` audits a real engine, and an ``exact`` mutant's fresh
+audit module audits an engine of its fresh engine module.  Each runs at d_max 12
 and, if no FAIL counts there, at 30.  A mutant must end in a blocking
 FAIL (the audit exits 1), or, where it sits in code that only a
 discrepancy probe runs, in a probe FAIL.
@@ -46,42 +47,46 @@ BLOCKING, PROBE = "blocking", "probe"
 
 # (id, function, token, replacement, outcome, first d_max that catches it)
 MUTANTS = [
-    # The recursions and the row window.
-    ("n0_weight", "n0", "(3 * d1 - dd)", "(3 * d1 - dd + 1)", BLOCKING, 12),
-    ("n0_row", "n0", "[1][2::3]", "[1][1::3]", BLOCKING, 12),
-    ("n0_range", "n0", "zip(range(1, dd)", "zip(range(2, dd)", BLOCKING, 12),
-    ("n0_div", "n0", "3 * dd - 3, dd)", "3 * dd - 2, dd)", BLOCKING, 12),
+    # The recursions over the half row: N0's pair weight, each constant,
+    # and its divisor.
+    ("n0_slope", "n0", "3 * dd + 6", "3 * dd + 5", BLOCKING, 12),
+    ("n0_const", "n0", "2 * dd * dd", "3 * dd * dd", BLOCKING, 12),
+    ("n0_div", "n0", "(3 * dd - 2), dd)", "(3 * dd - 1), dd)", BLOCKING, 12),
     ("n0_public_d30", "n0", "ExactScalar(n0[d])", "ExactScalar(n0[d] + (d == 30))",
      BLOCKING, 30),
     ("n1_t_weight", "n1", "4 * s", "5 * s", BLOCKING, 12),
     ("n1_comb", "n1", "3 * comb(dd, 3)", "39 * comb(dd, 3)", BLOCKING, 12),
-    # T folded onto the unordered pairs over the symmetric row C(3d-2, .):
-    # the row, each side of a pair's two products, the middle pair, and
-    # the ratio rule's factor.
-    ("n1_t_row", "n1", "[2][2:3 * h:3]", "[2][1:3 * h:3]", BLOCKING, 12),
+    # T folded onto the unordered pairs over the half row C(3d-2, 3 d1 - 1):
+    # the row's order, each side of a pair's two products, the middle
+    # pair, and the ratio rule's factor.
+    ("n1_t_row", "n1", "self._row(dd), products", "self._row(dd)[::-1], products",
+     BLOCKING, 12),
     ("n1_t_mirror", "n1", "n1[1:m + 1]", "n1[0:m]", BLOCKING, 12),
     ("n1_t_pair", "n1", "u[1:m + 1]", "u[0:m]", BLOCKING, 12),
     ("n1_t_middle", "n1", "u[m + 1:h + 1]", "u[h + 1:h + 1]", BLOCKING, 12),
     ("n1_t_ratio", "n1", "(3 * dd - 1)", "(3 * dd - 2)", BLOCKING, 12),
     ("t_op_read", "t_op", "self._t[d]", "self._t[d - 1]", BLOCKING, 12),
-    ("window_reuse", "_rows", "[rows[3] if", "[rows[2] if", BLOCKING, 12),
-    ("window_reuse_degree", "_rows", "at == d - 1", "at == d - 2", BLOCKING, 12),
-    ("window_seed", "_rows", "pascal_row(3 * d - 4)]", "pascal_row(3 * d - 5)]",
-     BLOCKING, 12),
+    # The half row: the extension's factor (numerator and denominator)
+    # and its start C(n, 2).
+    ("row_extend_num", "_row", "(n - k - 2))", "(n - k - 3))", BLOCKING, 12),
+    ("row_extend_den", "_row", "(k + 3))", "(k + 4))", BLOCKING, 12),
+    ("row_start", "_row", "n * (n - 1) // 2", "n * (n + 1) // 2", BLOCKING, 12),
     # The scaled count lists a = d N0 and u = (3d-2) d N0.
     ("list_a_d20", "n0", "a.append(dd * n0[dd])", "a.append((dd + (dd == 20)) * n0[dd])",
      BLOCKING, 30),
     ("list_u", "n0", "(3 * dd - 2) * a[dd]", "(3 * dd - 1) * a[dd]", BLOCKING, 12),
-    # The splitting sums: the one fold of an ordered row onto the pairs,
-    # which N0, 2m and the K0_PRINTED bracket share, and their rows.
-    ("pair_products", "_paired_sum", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),
-    ("paired_fold", "_paired_sum", "row[::-1]", "row[::1]", BLOCKING, 12),
-    ("paired_middle", "_paired_sum", "*row[m:h]", "*row[h:h]", BLOCKING, 12),
-    ("m_row", "_two_m", "[0][1::3]", "[0][2::3]", BLOCKING, 12),
+    # The splitting sums: the one pair sum, which N0, 2m and the
+    # K0_PRINTED bracket share (its products and the middle pair's
+    # halving), 2m's pair weight and divisor, and the bracket's.
+    ("pair_products", "_pair_sum", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),
+    ("pair_middle", "_pair_sum", "weights[-1] //= 2", "weights[-1] //= 1", BLOCKING, 12),
+    ("m_weight", "_two_m", "(6 * i - 2)", "(6 * i - 1)", BLOCKING, 12),
+    ("m_div", "_two_m", "(3 * d - 3), d)", "(3 * d - 4), d)", BLOCKING, 12),
     ("k0_printed_sum", "k0_printed", "- 2 * s", "- 3 * s", PROBE, 12),
     ("k0_printed_den", "k0_printed", "two_m, 2)", "two_m, 1)", PROBE, 12),
-    ("k0_printed_weight", "k0_printed", "(3 * (d - d1) - 2)", "(3 * (d - d1) - 1)",
-     PROBE, 12),
+    ("k0_printed_weight", "k0_printed", "3 * (3 * d + 2)", "3 * (3 * d + 1)", PROBE, 12),
+    ("k0_printed_pair_den", "k0_printed", "// (3 * i * (d - i))",
+     "// (3 * i * (d - i) + 1)", PROBE, 12),
     # The closed forms in N0 and 2m, and the read of NODES.
     ("form_nodes_slope", "_forms", "(3 * d + 6)", "(3 * d + 5)", BLOCKING, 12),
     ("form_nodes_n0", "_forms", "18 * n0", "19 * n0", BLOCKING, 12),
@@ -113,7 +118,8 @@ MUTANTS = [
     ("g1num_const", "g1", "+ 48", "+ 47", BLOCKING, 12),
 ]
 
-# The same, in severi/exact.py: the binomial rows and the exact division.
+# The same, in severi/exact.py: the audit's binomial rows, the engine's
+# exact division, and the audit's integrality test.
 EXACT_MUTANTS = [
     ("row_seed", "pascal_row", "[1] if n >= 0", "[2] if n >= 0", BLOCKING, 12),
     ("row_numerator", "pascal_row", "(n - k)", "(n - k + 1)", BLOCKING, 12),
@@ -124,9 +130,12 @@ EXACT_MUTANTS = [
     ("step_shift", "pascal_step", "row[1:", "row[0:", BLOCKING, 12),
     ("step_mirror", "pascal_step", "[1 - len(row) % 2:]", "[len(row) % 2:]",
      BLOCKING, 12),
-    # A fault first made at d = 14, in the step from C(39, .) to C(40, .).
-    ("step_len40", "pascal_step", "[1, *map", "[1 + (len(row) == 40), *map",
-     BLOCKING, 30),
+    # A fault first made at d = 14, in the step from C(39, .) to C(40, .):
+    # every entry from C(40, 2) on is wrong.  (A fault of its leading 1
+    # reaches only the end entries of C(40, .) and C(41, .), which no
+    # direct sum reads.)
+    ("step_len40", "pascal_step", "[1, *map(add, row,",
+     "[1, *map(add, row[:len(row) == 40] + row,", BLOCKING, 30),
     ("div_guard", "exact_div", "if remainder:", "if not remainder:", BLOCKING, 12),
     ("div_quotient", "exact_div", "return quotient", "return quotient + 1",
      BLOCKING, 12),
@@ -193,14 +202,11 @@ AUDIT_MUTANTS = [
 ENGINE_EQUIVALENT = [
     ("two_m_always", "_two_m", "if d not in self._split:", "if True:",
      "2m is summed again at each call, into the same int"),
-    ("window_rebuild_d20", "_rows", "if at != d:", "if at != d or d == 20:",
-     "the rows of degree 20 are rebuilt into the same ints"),
-    # The working-set rule: the T products held in a list, and the old
-    # window kept published while the next rows are built.
+    ("row_always", "_row", "if at != d:", "if True:",
+     "the half row is built again at each read, into the same ints"),
+    # The working-set rule: the T products held in a list.
     ("products_list", "n1", "chain(pairs, map(mul, u[m + 1:h + 1], n1[m + 1:h + 1]))",
      "[*pairs, *map(mul, u[m + 1:h + 1], n1[m + 1:h + 1])]",
-     "the same ints; the working-set test pins it"),
-    ("window_unpublish", "_rows", "self._window = (0, [[]] * 4)", "pass",
      "the same ints; the working-set test pins it"),
 ]
 EXACT_EQUIVALENT = [
@@ -226,6 +232,11 @@ AUDIT_BLIND = [
     ("form_d1_k0", "_forms", "return 0, 0", "return 0, 2", (), "k0"),
     ("m_den", "m_invariant", "_two_m(d), 2)", "_two_m(d), 1)", ("integrality_m",),
      "m_invariant"),
+    # The K0_PRINTED bracket's weights one entry too long, so that the
+    # halving misses the middle pair d1 = d2, which only even degrees
+    # have; the probe reads d = 3 only.
+    ("k0_printed_middle", "k0_printed", "_pair_sum(weights,", "_pair_sum(weights + [0],",
+     (), "k0_printed"),
 ]
 
 # (module, function, why no mutant above names it): with the lists above,
@@ -238,8 +249,8 @@ UNMUTATED = [
     ("engine", "value", "the kind dispatcher; the golden tests pin each kind"),
     ("engine", "evaluate", "no check reads it; the domain tests pin it"),
     ("exact", "__init__", "InexactDivision's fields; TestCorruptedEngine pins them"),
-    ("exact", "is_integral", "an exact mutant reaches only the engine, which never "
-     "calls it; the integrality tests pin it"),
+    ("exact", "is_integral", "an exact mutant reaches it only through the audit's "
+     "integrality scans, whose FAILs do not block; the integrality tests pin it"),
     ("exact", "format_exact", "text conversion; the round-trip tests pin it, past "
      "the digit limit the 5001-digit round trip, the no-limit test and the N0 572 digest"),
     ("exact", "parse_exact", "text conversion; the round-trip tests pin it, past "
@@ -286,11 +297,14 @@ def _module(name: str, mutation: tuple[str, str, str] | None = None):
     return module
 
 
-def _mutant_engine(function: str, token: str, replacement: str,
-                   name: str = "engine") -> InvariantEngine:
-    """An engine with one mutation in module ``name`` (engine or exact)."""
-    if name == "engine":
-        return _module("engine", (function, token, replacement)).InvariantEngine()
+def _mutant_engine(function: str, token: str, replacement: str) -> InvariantEngine:
+    """An engine with one mutation in its module."""
+    return _module("engine", (function, token, replacement)).InvariantEngine()
+
+
+def _exact_bound(function: str, token: str, replacement: str):
+    """Fresh engine and audit modules, executed with one mutation of
+    ``exact`` standing in for ``severi.exact``."""
     exact = _module("exact", (function, token, replacement))
     # One exception class, so that the audit still catches a failed
     # division that the mutant raises.
@@ -298,7 +312,7 @@ def _mutant_engine(function: str, token: str, replacement: str,
     saved = sys.modules["severi.exact"]
     sys.modules["severi.exact"] = exact
     try:
-        return _module("engine").InvariantEngine()
+        return _module("engine"), _module("audit")
     finally:
         sys.modules["severi.exact"] = saved
 
@@ -307,12 +321,16 @@ def _mutant_audit(function: str, token: str, replacement: str, name: str,
                   d_max: int):
     """A full audit at ``d_max`` with one mutation in module ``name``, and
     the audit module that made it: the real ``run_full_audit`` on an engine
-    built from an engine or exact mutant, or an audit mutant's own
-    ``run_full_audit`` on a real engine."""
+    built from an engine mutant, an audit mutant's own ``run_full_audit``
+    on a real engine, or, for an exact mutant, the fresh audit module's on
+    an engine of the fresh engine module."""
     if name == "audit":
         audit = _module("audit", (function, token, replacement))
         return audit.run_full_audit(InvariantEngine(), d_max), audit
-    engine = _mutant_engine(function, token, replacement, name)
+    if name == "exact":
+        engine, audit = _exact_bound(function, token, replacement)
+        return audit.run_full_audit(engine.InvariantEngine(), d_max), audit
+    engine = _mutant_engine(function, token, replacement)
     return run_full_audit(engine, d_max), audit_module
 
 
@@ -339,10 +357,11 @@ def test_the_unmutated_source_passes_the_audit():
 
 
 def test_the_unmutated_exact_source_passes_the_audit():
-    engine = _mutant_engine("exact_div", "return quotient", "return quotient", "exact")
-    report = run_full_audit(engine, 30)
+    report, audit = _mutant_audit(
+        "exact_div", "return quotient", "return quotient", "exact", 30
+    )
     assert report.to_text() == run_full_audit(InvariantEngine(), 30).to_text()
-    assert report.summary["FAIL"] == 0
+    assert report.summary["FAIL"] == 0 and _outcome(report, audit) is None
 
 
 def test_the_unmutated_audit_source_audits_like_the_module():
@@ -355,9 +374,11 @@ def test_the_unmutated_audit_source_audits_like_the_module():
     assert report.summary["FAIL"] == 0 and _outcome(report, audit) is None
 
 
-def test_an_exact_mutant_reaches_the_engine_and_nothing_else():
-    engine = _mutant_engine("exact_div", "return quotient", "return quotient + 1", "exact")
-    assert engine.n0(3) != InvariantEngine().n0(3)
+def test_an_exact_mutant_reaches_the_fresh_engine_and_audit_and_nothing_else():
+    engine, _ = _exact_bound("exact_div", "return quotient", "return quotient + 1")
+    assert engine.InvariantEngine().n0(3) != InvariantEngine().n0(3)
+    _, audit = _exact_bound("pascal_row", "[1] if n >= 0", "[2] if n >= 0")
+    assert audit.pascal_row(5) != exact_module.pascal_row(5)
     assert sys.modules["severi.exact"] is exact_module
     assert audit_module.pascal_row is exact_module.pascal_row
 

@@ -1,9 +1,10 @@
-"""The engine's binomial row window and the audit's independent rows.
+"""The engine's binomial half row and the audit's independent rows.
 
-The window serves the four Pascal rows C(3d-4, .) .. C(3d-1, .) for
-one degree at a time; ``exact.pascal_row`` seeds it after a non-sequential
-query.  The audit builds the same four rows anew at every audited degree
-for its direct T and splitting sums, from one ``pascal_row`` and three
+The window serves the half row R(i) = C(3d-2, 3i-1), 1 <= i <= d // 2,
+for one degree at a time, built anew by exact ratios at each degree; the
+engine builds no ``exact.pascal_*`` row.  The audit builds the Pascal
+rows C(3d-4, .) .. C(3d-1, .) anew at every audited degree for its
+direct T and splitting sums, from one ``pascal_row`` and three
 ``exact.pascal_step`` calls.  Every row is compared with ``math.comb``.
 """
 
@@ -35,12 +36,10 @@ def _comb_row(n):
     return half + half[::-1][1 - n % 2:] if n >= 0 else []
 
 
-def _assert_window_rows(engine, d):
-    rows = engine._rows(d)
-    assert engine._window == (d, rows)
-    assert len(rows) == 4
-    for k, row in enumerate(rows):
-        assert row == _comb_row(3 * d - 4 + k), 3 * d - 4 + k
+def _assert_window_row(engine, d):
+    row = engine._row(d)
+    assert engine._window == (d, row)
+    assert row == [comb(3 * d - 2, 3 * i - 1) for i in range(1, d // 2 + 1)], d
 
 
 class TestPascalRows:
@@ -56,16 +55,16 @@ class TestRowWindow:
     def test_every_served_row_up_to_degree_100_in_sequence(self):
         engine = InvariantEngine()
         for d in range(1, 101):
-            _assert_window_rows(engine, d)
+            _assert_window_row(engine, d)
 
     @pytest.mark.parametrize("d", [200, 572, 600])
     def test_rows_after_a_jump(self, d):
         engine = InvariantEngine()
-        engine._rows(7)
-        _assert_window_rows(engine, d)
-        _assert_window_rows(engine, d - 1)
-        _assert_window_rows(engine, d)
-        _assert_window_rows(engine, 1)
+        engine._row(7)
+        _assert_window_row(engine, d)
+        _assert_window_row(engine, d - 1)
+        _assert_window_row(engine, d)
+        _assert_window_row(engine, 1)
 
     def test_n1_leaves_one_degree_of_rows_behind(self):
         engine = InvariantEngine()
@@ -74,21 +73,22 @@ class TestRowWindow:
         lists = {"_n0", "_n1", "_t", "_a", "_u"}
         assert set(vars(engine)) == lists | {"_split", "_window"}
         assert engine._split == {}
-        d, rows = engine._window
+        d, row = engine._window
         assert d == 200
-        assert [len(row) for row in rows] == [597, 598, 599, 600]
+        assert len(row) == 100
         assert {len(getattr(engine, name)) for name in lists} == {201}
 
     @pytest.mark.parametrize(
         "method, d", [("n1", 200), pytest.param("n0", 572, marks=pytest.mark.slow)]
     )
-    def test_a_fill_holds_under_two_rows_beyond_what_it_keeps(self, method, d):
+    def test_a_fill_holds_under_one_row_beyond_what_it_keeps(self, method, d):
         # The traced peak of a fill less what the engine keeps is the
-        # largest working set of one step: the T fold streams its
-        # products into the sum, and the old degree's rows are freed
-        # before the next ones are built.  Counted in rows C(3d-1, .),
-        # it is 1.4 for n1(200) and 1.3 for n0(572); with the products
-        # in a list and the old window kept through the step, 4.9 and 3.7.
+        # largest working set of one degree: the old and the new half row
+        # and one weight list, each a sixth of a full row's entries, and
+        # the T fold streams its products into the sum.  Counted in rows
+        # C(3d-1, .), it is 0.44 for n1(200) and 0.39 for n0(572); with
+        # the old half row bound to n1's locals while n0 builds the next, 0.75,
+        # and with the four-row Pascal window, 1.4 and 1.3.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -101,34 +101,21 @@ class TestRowWindow:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - kept < 2 * row_size, (peak - kept) / row_size
-
-    def test_a_step_builds_the_next_rows_with_the_empty_window_published(
-        self, monkeypatch
-    ):
-        # The old window is unpublished before every step, so that its
-        # rows are free while the next ones are built, and the new one is
-        # published whole after the last step; a jump seeds and steps alike.
-        engine = InvariantEngine()
-
-        def check(row):
-            assert engine._window == (0, [[]] * 4), len(row)
-
-        steps = _count_calls(monkeypatch, "pascal_step", pascal_step, check)
-        engine.n1(30)
-        engine._rows(60)
-        assert steps[0] == 3 * 31
-        _assert_window_rows(engine, 60)
+        assert peak - kept < row_size, (peak - kept) / row_size
 
     @pytest.mark.slow
     def test_every_row_up_to_the_ceiling(self):
-        # n = 3d - 4 .. 3d - 1 for d <= 600 reaches n = 1799; the
-        # multiplicative pascal_row is checked over the same range.
+        # The half row for every d <= 600; the audit's rows C(3d-4, .) ..
+        # C(3d-1, .) for d <= 600 reach n = 1799, and both the
+        # multiplicative pascal_row and pascal_step, from C(-1, .), are
+        # checked over that range.
         engine = InvariantEngine()
         for d in range(1, 601):
-            _assert_window_rows(engine, d)
-            for n in range(max(3 * d - 4, 0), 3 * d):
-                assert pascal_row(n) == _comb_row(n), n
+            _assert_window_row(engine, d)
+        row = []
+        for n in range(0, 1800):
+            row = pascal_step(row)
+            assert pascal_row(n) == row == _comb_row(n), n
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +129,7 @@ _QUERY = st.tuples(st.sampled_from(list(InvariantKind)), st.integers(1, 30))
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_QUERY, min_size=1, max_size=12))
 def test_any_query_order_gives_the_values_of_fresh_engines(queries):
-    # Jumps, rebuilds and lockstep steps of the window must not change
+    # Jumps, revisits and lockstep moves of the window must not change
     # any value.
     engine = InvariantEngine()
     for kind, d in queries:
@@ -170,42 +157,56 @@ def test_scaled_lists_follow_the_counts_in_any_query_order(queries):
 
 
 class TestRowBuilds:
-    """``pascal_row`` seeds the window only after a non-sequential query,
-    and the audit's rows once per audited degree; sequential queries and
-    the audit's other three rows step."""
+    """Only the audit builds Pascal rows: one ``pascal_row`` and three
+    steps per audited degree.  The engine builds its half row once per
+    change of degree."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counters of the engine's and the audit's ``pascal_row`` calls,
-        then of the audit's ``pascal_step`` calls."""
+        """Counters of the audit's ``pascal_row`` and ``pascal_step`` calls."""
         return [
-            _count_calls(monkeypatch, name, function, module=module)
-            for name, function, module in (
-                ("pascal_row", pascal_row, engine_module),
-                ("pascal_row", pascal_row, audit_module),
-                ("pascal_step", pascal_step, audit_module),
-            )
+            _count_calls(monkeypatch, name, function, module=audit_module)
+            for name, function in (("pascal_row", pascal_row), ("pascal_step", pascal_step))
         ]
 
+    @pytest.fixture
+    def moves(self, monkeypatch):
+        """The (from, to) degrees of every build of the engine's half row."""
+        moves, row = [], engine_module.InvariantEngine._row
+
+        def recording(engine, d):
+            if engine._window[0] != d:
+                moves.append((engine._window[0], d))
+            return row(engine, d)
+
+        monkeypatch.setattr(engine_module.InvariantEngine, "_row", recording)
+        return moves
+
     def test_full_audit_builds_one_row_and_three_steps_per_audited_degree(
-        self, calls
+        self, calls, moves
     ):
-        # 4 window seeds: d = 1, 2, 3, then d = 3 again when the K0_PRINTED
-        # probe reads the window after d = 100; at each of d = 3..100 the
-        # row C(3d-4, .), stepped to C(3d-1, .) for the direct T and the
-        # direct splitting sums.
+        # At each of d = 3..100, the row C(3d-4, .), stepped to C(3d-1, .)
+        # for the direct T and the direct splitting sums.  The engine
+        # builds its half row at d = 2..5 for the N0 anchors (N0(1) is the
+        # seed), at d = 1..5 when the N1 anchors start T, at d = 3..100
+        # from K0(3) on, and at d = 3 again when the K0_PRINTED probe
+        # reads it after d = 100: once per degree of each pass.
         run_full_audit(InvariantEngine(), 100)
-        assert [count[0] for count in calls] == [4, 98, 3 * 98]
+        assert [count[0] for count in calls] == [98, 3 * 98]
+        assert [d for _, d in moves] == [
+            *range(2, 6), *range(1, 6), *range(3, 101), 3
+        ]
 
     def test_the_recursions_build_none(self, calls):
+        assert not {"pascal_row", "pascal_step"} & set(vars(engine_module))
         InvariantEngine().n1(200)
-        assert [count[0] for count in calls] == [0, 0, 0]
-
-    def test_a_table_takes_three_steps_per_degree(self, monkeypatch):
-        # The splitting sums read the window's rows and step none of their own.
-        steps = _count_calls(monkeypatch, "pascal_step", pascal_step)
         build_records(InvariantEngine(), 100)
-        assert steps[0] == 3 * 100
+        assert [count[0] for count in calls] == [0, 0]
+
+    def test_a_table_builds_the_half_row_once_per_degree(self, moves):
+        # Every invariant of a degree reads the same half row.
+        build_records(InvariantEngine(), 100)
+        assert moves == [(d - 1, d) for d in range(1, 101)]
 
 
 def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
@@ -220,14 +221,14 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
     # N0 is summed once per degree, d = 2..100; 2m once per degree,
     # d = 3..100 in the audit and d = 1..100 in a table; the K0_PRINTED
     # bracket at each call, d = 3 only in the audit and d = 1..100 in a
-    # table: 99 + 98 + 1 and 99 + 100 + 100.  Each sum runs over a row
-    # of exactly d - 1 entries, which is what lets _paired_sum fold the
-    # row with row[::-1].
-    def check_row(row, a, d):
-        assert len(row) == d - 1, (d, len(row))
+    # table: 99 + 98 + 1 and 99 + 100 + 100.  Each sum has exactly one
+    # weight per unordered pair, d // 2, which is what lets _pair_sum
+    # halve the last one as the middle pair's at even d.
+    def check_weights(weights, a, d):
+        assert len(weights) == d // 2, (d, len(weights))
 
     calls = _count_calls(
-        monkeypatch, "_paired_sum", engine_module._paired_sum, check_row
+        monkeypatch, "_pair_sum", engine_module._pair_sum, check_weights
     )
     for entry_point, expected in ((run_full_audit, 198), (build_records, 299)):
         calls[0] = 0
@@ -236,11 +237,10 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
 
 
 def test_a_filled_engine_reads_alike_from_four_threads():
-    # Reads of a filled engine still fill 2m and re-seed the window (every
-    # K0_PRINTED does), each built locally and published by one
-    # assignment; a short switch interval interleaves the threads often.
-    # A reader may also meet the empty window that a step publishes while
-    # it builds the next rows, and then seeds rows of its own.
+    # Reads of a filled engine still fill 2m and move the window (a read
+    # at another degree builds that degree's half row), each built
+    # locally and published with its degree by one assignment; a short
+    # switch interval interleaves the threads often.
     engine = InvariantEngine()
     build_records(engine, 40)
     fresh = InvariantEngine()

@@ -71,10 +71,13 @@ class AuditReport:
 
     @property
     def has_blocking_failure(self) -> bool:
-        """True if any ANCHOR or IDENTITY check failed (drives exit 1)."""
+        """True if any ANCHOR, IDENTITY or INTEGRALITY check failed (drives
+        exit 1).  Only N0, N1, K0, K1 and G0, the counts that must be
+        integral, have INTEGRALITY checks that can fail; a discrepancy
+        probe's FAIL never blocks."""
         return any(
             check.status is CheckStatus.FAIL
-            and check.kind in (CheckKind.ANCHOR, CheckKind.IDENTITY)
+            and check.kind in (CheckKind.ANCHOR, CheckKind.IDENTITY, CheckKind.INTEGRALITY)
             for check in self.checks
         )
 
@@ -292,7 +295,9 @@ def run_identity_suite(
     ``rcount_equals_nodes`` compares the engine's RCOUNT, a closed form in
     N0 and m, with the direct NODES sum; ``g0_two_path`` compares
     ``engine.g0``, from the paper's assembly of K0 over the engine's forms
-    and 2m, with the same assembly over the direct sums.  Appends to
+    and 2m, with the same assembly over the direct sums; the engine's 2m
+    is its own NODES sum read back through the NODES form, so this is
+    also the check of 2m.  Appends to
     ``checks`` and trusts ``d_max``, as :func:`run_anchor_suite` does."""
     n0, n1 = [0], [0]
     for d in range(3, d_max + 1):

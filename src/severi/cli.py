@@ -7,8 +7,9 @@ Verbs::
                  [--output PATH]
     severi audit --d-max N [--format text|json] [--output PATH]
 
-Exit codes: 0 success (and no blocking audit failure), 1 audit FAIL
-present, 2 usage, I/O or arithmetic error (a corrupted engine), 3 an
+Exit codes: 0 success (and no blocking audit failure), 1 an anchor,
+identity or integrality FAIL present (a discrepancy probe's FAIL does
+not block), 2 usage, I/O or arithmetic error (a corrupted engine), 3 an
 internal error (any other exception: a fault in this package, never
 a check's verdict).
 Identical commands produce byte-identical output.

@@ -13,10 +13,10 @@ The engine computes, for each degree d >= 1:
 
 All values are exact.  The recursions and the splitting sums run on
 plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
-carried as 36 N1 and reduced by exact division, T and 2m are one int
-per degree, and ``k0_printed`` sums its bracket again at each call;
-NODES (= RCOUNT) and LR are closed forms in N0 and m, proved in
-``_forms``, and K0 is the paper's assembly over them, which makes it
+carried as 36 N1 and reduced by exact division, T is one int per
+degree, and 2m and the K0_PRINTED bracket are two ints per degree from
+one pass; NODES (= RCOUNT) and LR are closed forms in N0 and m, proved
+in ``_forms``, and K0 is the paper's assembly over them, which makes it
 12 (N0 - m).
 The loops also keep the scaled counts a = d N0 and u = (3d-2) d N0, so
 a degree costs only big products.  Every sum of degree d reads one
@@ -24,9 +24,10 @@ binomial half row, R(i) = C(3d-2, 3i-1) for 1 <= i <= d/2, which the
 symmetry C(3d-2, 3i-1) = C(3d-2, 3j-1), j = d - i, makes the row of
 every unordered pair i <= j.  Pascal's ratio rule moves each sum's own
 binomials onto R: T dots it with u(i) N1(j) + u(j) N1(i) (see ``n1``),
-and each N0 N0 splitting sum -- N0 itself (see ``n0``), 2m and the
-K0_PRINTED bracket -- is one ``_pair_sum`` of pair weights times R
-dotted with a(i) a(j).
+N0 is one ``_pair_sum`` of pair weights times R dotted with a(i) a(j)
+(see ``n0``), and 2m and the K0_PRINTED bracket both come from the
+moments S_0 = sum q and S_1 = sum i j q of one pair product
+q = R(i) N0(i) N0(j), summed in one pass (see ``_two_m``).
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
 stored.  ``g1`` reads the numerator 8 K1 of ``k1``, and ``g0`` that of
@@ -41,7 +42,8 @@ division per entry, C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) /
 paths share no row-building code with the engine.
 Only one degree's half row is alive between builds, and a build holds
 the old and the new one only: no loop binds a row or a weight list to
-a local that outlives its degree.
+a local that outlives its degree, and the T fold and the moment pass
+stream their products into their sums.
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ def _pair_sum(weights: list[int], a: list[int], d: int) -> int:
     with a(k) = k N0(k), where ``weights`` (one per pair, d // 2 of them)
     holds each pair's terms of both orders: the middle pair i = j, which
     has one order only, is halved here, exactly, as it is twice a term.
-    Every N0 N0 splitting sum of the engine goes through it: N0 itself
-    (``n0``), 2m (``_two_m``) and the K0_PRINTED bracket (``k0_printed``)."""
+    N0's splitting sum (``n0``) goes through it; 2m and the K0_PRINTED
+    bracket come from the moment pass of ``_two_m``, which takes no
+    weight list."""
     h = d // 2
     if d % 2 == 0:
         weights[-1] //= 2
@@ -128,7 +131,11 @@ def domain_status(kind: InvariantKind | str, d: int) -> str | None:
     ``BELOW_MIN_DEGREE`` or ``DEGENERATE_GEOMETRY``, or None inside it.  The
     formula still evaluates there (it is total); the reason says why the
     value carries no geometric weight.  A pure function of its inputs."""
-    kind = InvariantKind(kind)
+    return _domain_status(InvariantKind(kind), d)
+
+
+def _domain_status(kind: InvariantKind, d: int) -> str | None:
+    """``domain_status`` of a kind already converted to its member."""
     _check_degree(d)
     if kind is InvariantKind.K0 and d < 3:
         # One-cuspidal rational curves need degree >= 3; below that the
@@ -158,11 +165,11 @@ class InvariantEngine:
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so no stored entry is ever overwritten.
     The state is all ``int``: N0, N1, T and the scaled counts a and u
-    are lists indexed by degree (entry 0 unused); 2m, the one cached
-    O(d) sum, is a dict keyed by degree; the window holds the half row
-    of one degree only (at degree 0, empty).  Every other value is
-    rebuilt per call: an O(1) assembly over these, or for ``k0_printed``
-    one more sum over the half row.
+    are lists indexed by degree (entry 0 unused); 2m and the K0_PRINTED
+    bracket's first sum, the two ints of the one cached O(d) pass per
+    degree, are dicts keyed by degree; the window holds the half row of
+    one degree only (at degree 0, empty).  Every other value is rebuilt
+    per call, as an O(1) assembly over these.
     """
 
     def __init__(self) -> None:
@@ -173,6 +180,7 @@ class InvariantEngine:
         self._a: list[int] = [0, 1]
         self._u: list[int] = [0, 1]
         self._split: dict[int, int] = {}
+        self._bracket: dict[int, int] = {}
         self._window: tuple[int, list[int]] = (0, [])
 
     def _row(self, d: int) -> list[int]:
@@ -287,27 +295,42 @@ class InvariantEngine:
     # -- derived invariants ----------------------------------------------
 
     def _two_m(self, d: int) -> int:
-        """2m at degree d (see :meth:`m_invariant`), summed once from the
-        half row.  With n = 3d-2, k = 3 d1 - 1, the ratio rule twice gives
-        C(n-2, k-1) = k (n-k) C(n, k) / (n (n-1)), that is
+        """2m at degree d (see :meth:`m_invariant`), and with it the first
+        sum B of the K0_PRINTED bracket (see :meth:`k0_printed`), from one
+        pass over the half row, both cached per degree.  Over ordered
+        pairs d1 + d2 = d, with q = R(d1) N0(d1) N0(d2), R(d1) = C(3d-2,
+        3 d1 - 1), let S_k = sum (d1 d2)^k q.  S_1 is the ordered sum of
+        ``reducible_fibre_count``, 2 NODES, so the NODES form of ``_forms``
+        read backwards, and the pair weight of the bracket, give
 
-            (3d-2)(3d-3) C(3d-4, 3 d1 - 2) = (3 d1 - 1)(3 d2 - 1) R(d1),
+            (3d + 6) 2m = S_1 + 18 N0,
+            6 B = 3 (3d + 2) S_1 - 2d (3d - 1) S_0.
 
-        a weight the swap d1 <-> d2 keeps, so the two orders of a pair
-        weigh twice it:
-
-            (3d-2)(3d-3) 2m = sum_{d1 <= d2} 2 (3 d1 - 1)(3 d2 - 1)
-                                              R(d1) a(d1) a(d2),
-
-        the middle pair at half weight.  At d = 1 the sum is empty and the
-        divisor 0, hence the branch."""
+        The pass adds q and d1 d2 q once per unordered pair d1 <= d2 and
+        doubles both sums; the middle pair d1 = d2, which has one order
+        only, is then taken off once.  The products q stream into the two
+        sums, so none of them is held in a list.  At d = 1 the sums are
+        empty, and N0(1) = 1 is the recursion's seed, so the form gives
+        2m = 2 where the sum of ``m_invariant`` is empty: hence the branch.
+        B is stored before 2m, so a reader that finds 2m finds B.
+        2m thus leans on the NODES form: the audit's ``g0_two_path``
+        compares it, through G0, with the audit's direct 2m sum, and
+        ``rcount_equals_nodes`` the form with the direct NODES sum."""
         _check_degree(d)  # before the lookup: True and 3.0 hash like 1 and 3
         if d not in self._split:
             self.n0(d)
-            weights = [(6 * i - 2) * (3 * (d - i) - 1) * r
-                       for i, r in enumerate(self._row(d), 1)]
-            s = _pair_sum(weights, self._a, d)
-            self._split[d] = exact_div(s, (3 * d - 2) * (3 * d - 3), d) if d > 1 else 0
+            n0, h = self._n0, d // 2
+            products = map(mul, self._row(d), map(mul, n0[1:h + 1], n0[d - 1:d - h - 1:-1]))
+            s0 = s1 = 0
+            for i, q in enumerate(products, 1):
+                s0 += q
+                s1 += i * (d - i) * q
+            s0, s1 = 2 * s0, 2 * s1
+            if d % 2 == 0:  # the middle pair d1 = d2 has one order only
+                s0, s1 = s0 - q, s1 - h * h * q
+            self._bracket[d] = exact_div(
+                3 * (3 * d + 2) * s1 - 2 * d * (3 * d - 1) * s0, 6, d)
+            self._split[d] = exact_div(s1 + 18 * n0[d], 3 * d + 6, d) if d > 1 else 0
         return self._split[d]
 
     def _forms(self, d: int) -> tuple[int, int]:
@@ -341,7 +364,9 @@ class InvariantEngine:
         but the recursion does not hold there (N0(1) = 1 is its seed)
         and the forms give NODES = -9 and LR = -3: hence the branch.
         A search found no form of this kind for 2m or for the K0_PRINTED
-        bracket, so both stay sums.
+        bracket.  But 2 NODES is the moment S_1 of ``_two_m``, which reads
+        2m from the NODES form backwards, so the bracket's S_0 is the one
+        new sum.
         """
         two_m, n0 = self._two_m(d), self._n0[d]
         if d == 1:
@@ -357,15 +382,17 @@ class InvariantEngine:
         one-parameter elliptic family (equivalently, the Euler number of
         the relatively minimal elliptic surface).
         """
-        n0 = self.n0(d).numerator
-        return ExactScalar((d - 1) * (d - 2) * n0, 24)
+        _check_degree(d)
+        if d >= len(self._n0):
+            self.n0(d)
+        return ExactScalar((d - 1) * (d - 2) * self._n0[d], 24)
 
     def m_invariant(self, d: int) -> ExactScalar:
         """Negative self-intersection of a marked-point section:
 
             2m = sum N0(d1) N0(d2) d1 d2 C(3d-4, 3 d1 - 2).
 
-        Empty sum (hence 0) at d = 1.
+        Empty sum (hence 0) at d = 1.  Read from ``_two_m``.
         """
         return ExactScalar(self._two_m(d), 2)
 
@@ -415,21 +442,20 @@ class InvariantEngine:
 
         Audit-only evaluator: it yields -60 at d = 3 against the anchor
         24 and is kept verbatim so the discrepancy stays reproducible.
-        The second sum is 3m; the bracket's first, over the half row, uses
-        the ratio rule C(3d-2, 3 d1 - 2) = (3 d1 - 1) R(d1) / (3 d2).  The
-        two orders of a pair weigh
+        The second sum is 3m; the bracket's first, B, over the half row,
+        uses the ratio rule C(3d-2, 3 d1 - 2) = (3 d1 - 1) R(d1) / (3 d2).
+        The two orders of a pair weigh
 
             (3 d2 - 2) C(3d-2, 3 d1 - 2) + (3 d1 - 2) C(3d-2, 3 d2 - 2)
                 = (3 (3d+2) d1 d2 - 2d (3d-1)) R(d1) / (3 d1 d2),
 
-        exact as a sum of two integers, and the middle pair half that.
+        so with q = R(d1) N0(d1) N0(d2) a pair adds (3 (3d+2) d1 d2 -
+        2d (3d-1)) q / 3, and over the ordered pairs 6 B = 3 (3d+2) S_1 -
+        2d (3d-1) S_0, in the moments of ``_two_m``, which caches B with
+        2m: an O(1) assembly.
         """
-        two_m, row = self._two_m(d), self._row(d)
-        c, e = 3 * (3 * d + 2), 2 * d * (3 * d - 1)
-        weights = [(c * i * (d - i) - e) * r // (3 * i * (d - i))
-                   for i, r in enumerate(row, 1)]
-        s = _pair_sum(weights, self._a, d)
-        return ExactScalar(6 * self._n0[d] - 2 * s + 3 * two_m, 2)
+        two_m = self._two_m(d)
+        return ExactScalar(6 * self._n0[d] - 2 * self._bracket[d] + 3 * two_m, 2)
 
     def k1(self, d: int) -> ExactScalar:
         """One-cuspidal elliptic curves through 3d-1 points:
@@ -482,8 +508,9 @@ class InvariantEngine:
     def evaluate(self, kind: InvariantKind, d: int) -> tuple[ExactScalar, str | None]:
         """Value together with its ``domain_status`` reason; the kind and
         degree are checked before any work."""
-        reason = domain_status(kind, d)
-        return self.value(kind, d), reason
+        kind = InvariantKind(kind)
+        reason = _domain_status(kind, d)
+        return getattr(self, KIND_SPEC[kind].method)(d), reason
 
 
 __all__ = [

@@ -108,6 +108,18 @@ class TestIdentitySuite:
             (f"integrality_{name}", d) for name in ("k0", "g0") for d in (3, 4)
         }
 
+    def test_an_integrality_fail_blocks_and_an_info_row_does_not(self):
+        info = AuditCheck(
+            "integrality_g1", 3, CheckKind.INTEGRALITY, Fraction(5, 4),
+            status=CheckStatus.INFO, detail="non-integral",
+        )
+        fail = AuditCheck(
+            "integrality_n1", 3, CheckKind.INTEGRALITY, Fraction(1, 2),
+            status=CheckStatus.FAIL,
+        )
+        assert not AuditReport(3, [info]).has_blocking_failure
+        assert AuditReport(3, [info, fail]).has_blocking_failure
+
     def test_g1_reported_non_integral_at_degree_three(self, engine):
         checks = _appended(run_identity_suite, engine, 3)
         g1_info = [c for c in checks if c.id == "integrality_g1"]

@@ -390,6 +390,20 @@ class TestCorruptedEngine:
         ) in out
 
 
+def test_an_integrality_fail_alone_exits_one(run_cli, monkeypatch):
+    # Every count that must be integral reads as non-integral: only the
+    # INTEGRALITY checks FAIL, and they block as an anchor or an identity
+    # does.
+    from severi import audit
+
+    monkeypatch.setattr(audit, "is_integral", lambda value: False)
+    code, out, _ = run_cli("audit", "--d-max", "3")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 5
+    assert all(line.startswith("[FAIL] INTEGRALITY") for line in failed)
+
+
 class TestInternalError:
     """Any other exception is a fault of the program, not a usage error and
     not an audit FAIL: one stderr line and exit 3, in every verb."""

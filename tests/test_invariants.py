@@ -213,13 +213,15 @@ class TestClosedForms:
     the engine evaluates, and K0 = 12 (N0 - m), which the paper's assembly
     over them gives, against sums that share no code with them; the
     steps of their proof in the ``_forms`` docstring, with the same sums;
-    and the identities that move N0, 2m, T and the K0_PRINTED bracket onto
-    the engine's half row, with the ratio rule that builds it."""
+    the identities that move N0, T and the K0_PRINTED bracket onto the
+    engine's half row, with the ratio rule that builds it; and 2m and the
+    bracket from the two moments S_0 and S_1 of one pair product."""
 
     def test_the_half_row_identities_hold_from_degree_2_to_60(self):
         # Each sum over R(d1) = C(3d-2, 3 d1 - 1) against the oracle's own
-        # value, summed over its own binomials, as the docstrings of n0,
-        # _two_m, n1 and k0_printed derive it.
+        # value, summed over its own binomials, as the docstrings of n0
+        # and n1 derive it, and the ratio rule that gives the bracket's
+        # pair weight in k0_printed's docstring.
         for d in range(2, 61):
             n = 3 * d - 2
 
@@ -229,31 +231,37 @@ class TestClosedForms:
             def a(k):
                 return k * oracle.n0(k)
 
-            n0_sum = m_sum = t_sum = bracket = 0
+            n0_sum = t_sum = 0
             for i, j in oracle.splittings(d):
                 k = 3 * i - 1
                 assert r(i) == r(j), (d, i)
                 assert (3 * d - 2) * oracle.c(n - 1, k) == (3 * j - 1) * r(i)
-                assert (3 * d - 2) * (3 * d - 3) * oracle.c(n - 2, k - 1) == (
-                    (3 * i - 1) * (3 * j - 1) * r(i)
-                )
                 assert 3 * j * oracle.c(n, k - 1) == (3 * i - 1) * r(i)
                 # The extension by one entry.
                 assert oracle.c(n, k + 3) * (k + 1) * (k + 2) * (k + 3) == (
                     r(i) * (n - k) * (n - k - 1) * (n - k - 2)
                 )
-                p = r(i) * a(i) * a(j)
-                n0_sum += ((3 * d + 6) * i * j - 2 * d * d) * p
-                m_sum += (3 * i - 1) * (3 * j - 1) * p
+                n0_sum += ((3 * d + 6) * i * j - 2 * d * d) * r(i) * a(i) * a(j)
                 t_sum += r(i) * (3 * i - 2) * i * oracle.n0(i) * oracle.n1(j)
-                if i <= j:
-                    both = (3 * (3 * d + 2) * i * j - 2 * d * (3 * d - 1)) * r(i)
-                    assert both % (3 * i * j) == 0, (d, i)
-                    bracket += both // (3 * i * j) * a(i) * a(j) // (1 + (i == j))
-            n0, two_m = oracle.n0(d), 2 * oracle.m_invariant(d)
-            assert 2 * (3 * d - 3) * (3 * d - 2) * n0 == n0_sum, d
-            assert (3 * d - 2) * (3 * d - 3) * two_m == m_sum, d
+            assert 2 * (3 * d - 3) * (3 * d - 2) * oracle.n0(d) == n0_sum, d
             assert 3 * oracle.t_weighted(3, -2, d) == (3 * d - 1) * t_sum, d
+
+    def test_the_moment_identities_hold_from_degree_2_to_60(self):
+        # S_k = sum (d1 d2)^k q over ordered pairs, q = R(d1) N0(d1) N0(d2),
+        # as _two_m sums them, against the oracle's own 2m and NODES and a
+        # bracket summed over its own binomials C(3d-2, 3 d1 - 2).
+        for d in range(2, 61):
+            s0 = s1 = bracket = 0
+            for i, j in oracle.splittings(d):
+                p = oracle.n0(i) * oracle.n0(j)
+                q = oracle.c(3 * d - 2, 3 * i - 1) * p
+                s0 += q
+                s1 += i * j * q
+                bracket += i * j * p * (3 * j - 2) * oracle.c(3 * d - 2, 3 * i - 2)
+            n0, two_m = oracle.n0(d), 2 * oracle.m_invariant(d)
+            assert s1 == 2 * oracle.nodes(d), d
+            assert (3 * d + 6) * two_m == s1 + 18 * n0, d
+            assert 6 * bracket == 3 * (3 * d + 2) * s1 - 2 * d * (3 * d - 1) * s0, d
             assert oracle.k0_printed(d) == 3 * n0 - bracket + Fraction(3, 2) * two_m, d
 
     def test_the_proof_steps_hold_from_degree_2_to_60(self):

@@ -75,18 +75,23 @@ MUTANTS = [
     ("list_a_d20", "n0", "a.append(dd * n0[dd])", "a.append((dd + (dd == 20)) * n0[dd])",
      BLOCKING, 30),
     ("list_u", "n0", "(3 * dd - 2) * a[dd]", "(3 * dd - 1) * a[dd]", BLOCKING, 12),
-    # The splitting sums: the one pair sum, which N0, 2m and the
-    # K0_PRINTED bracket share (its products and the middle pair's
-    # halving), 2m's pair weight and divisor, and the bracket's.
+    # N0's pair sum: its products and the middle pair's halving.
     ("pair_products", "_pair_sum", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),
     ("pair_middle", "_pair_sum", "weights[-1] //= 2", "weights[-1] //= 1", BLOCKING, 12),
-    ("m_weight", "_two_m", "(6 * i - 2)", "(6 * i - 1)", BLOCKING, 12),
-    ("m_div", "_two_m", "(3 * d - 3), d)", "(3 * d - 4), d)", BLOCKING, 12),
-    ("k0_printed_sum", "k0_printed", "- 2 * s", "- 3 * s", PROBE, 12),
+    # The moment pass of _two_m, which gives 2m and the K0_PRINTED bracket
+    # from S_0 and S_1: the d1 d2 weight of S_1, the middle pair taken off
+    # once, the 18 N0 term and the divisor of 2m, and the bracket's
+    # constants and divisor; then the assembly of K0_PRINTED.
+    ("m_weight", "_two_m", "i * (d - i) * q", "i * (d - i + 1) * q", BLOCKING, 12),
+    ("k0_printed_middle", "_two_m", "if d % 2 == 0:", "if d % 2 == 2:", BLOCKING, 12),
+    ("m_n0", "_two_m", "18 * n0[d]", "17 * n0[d]", BLOCKING, 12),
+    ("m_div", "_two_m", "3 * d + 6, d)", "3 * d + 5, d)", BLOCKING, 12),
+    ("k0_printed_weight", "_two_m", "3 * (3 * d + 2)", "3 * (3 * d + 1)", PROBE, 12),
+    ("k0_printed_s0", "_two_m", "(3 * d - 1) * s0", "(3 * d - 2) * s0", PROBE, 12),
+    ("k0_printed_pair_den", "_two_m", "* s0, 6, d)", "* s0, 3, d)", PROBE, 12),
+    ("k0_printed_sum", "k0_printed", "- 2 * self._bracket[d]", "- 3 * self._bracket[d]",
+     PROBE, 12),
     ("k0_printed_den", "k0_printed", "two_m, 2)", "two_m, 1)", PROBE, 12),
-    ("k0_printed_weight", "k0_printed", "3 * (3 * d + 2)", "3 * (3 * d + 1)", PROBE, 12),
-    ("k0_printed_pair_den", "k0_printed", "// (3 * i * (d - i))",
-     "// (3 * i * (d - i) + 1)", PROBE, 12),
     # The closed forms in N0 and 2m, and the read of NODES.
     ("form_nodes_slope", "_forms", "(3 * d + 6)", "(3 * d + 5)", BLOCKING, 12),
     ("form_nodes_n0", "_forms", "18 * n0", "19 * n0", BLOCKING, 12),
@@ -140,6 +145,7 @@ EXACT_MUTANTS = [
     ("div_quotient", "exact_div", "return quotient", "return quotient + 1",
      BLOCKING, 12),
     ("div_numerator", "exact_div", "divmod(n, m)", "divmod(n + 1, m)", BLOCKING, 12),
+    ("integral_test", "is_integral", "== 1", "== 2", BLOCKING, 12),
 ]
 
 # The same, in severi/audit.py: the second paths of the two-path checks,
@@ -201,7 +207,7 @@ AUDIT_MUTANTS = [
 # (id, function, token, replacement, why the audit cannot see it)
 ENGINE_EQUIVALENT = [
     ("two_m_always", "_two_m", "if d not in self._split:", "if True:",
-     "2m is summed again at each call, into the same int"),
+     "2m and the bracket are summed again at each call, into the same ints"),
     ("row_always", "_row", "if at != d:", "if True:",
      "the half row is built again at each read, into the same ints"),
     # The working-set rule: the T products held in a list.
@@ -232,11 +238,6 @@ AUDIT_BLIND = [
     ("form_d1_k0", "_forms", "return 0, 0", "return 0, 2", (), "k0"),
     ("m_den", "m_invariant", "_two_m(d), 2)", "_two_m(d), 1)", ("integrality_m",),
      "m_invariant"),
-    # The K0_PRINTED bracket's weights one entry too long, so that the
-    # halving misses the middle pair d1 = d2, which only even degrees
-    # have; the probe reads d = 3 only.
-    ("k0_printed_middle", "k0_printed", "_pair_sum(weights,", "_pair_sum(weights + [0],",
-     (), "k0_printed"),
 ]
 
 # (module, function, why no mutant above names it): with the lists above,
@@ -246,11 +247,11 @@ UNMUTATED = [
     ("engine", "__init__", "test_invariants._assert_untouched pins its seed lists"),
     ("engine", "_check_degree", "the degree refusal tests pin it"),
     ("engine", "domain_status", "no check reads it; the domain tests pin it"),
+    ("engine", "_domain_status", "no check reads it; the domain tests pin it, "
+     "through domain_status and evaluate"),
     ("engine", "value", "the kind dispatcher; the golden tests pin each kind"),
     ("engine", "evaluate", "no check reads it; the domain tests pin it"),
     ("exact", "__init__", "InexactDivision's fields; TestCorruptedEngine pins them"),
-    ("exact", "is_integral", "an exact mutant reaches it only through the audit's "
-     "integrality scans, whose FAILs do not block; the integrality tests pin it"),
     ("exact", "format_exact", "text conversion; the round-trip tests pin it, past "
      "the digit limit the 5001-digit round trip, the no-limit test and the N0 572 digest"),
     ("exact", "parse_exact", "text conversion; the round-trip tests pin it, past "

@@ -21,8 +21,8 @@ from typing import Iterator, NamedTuple, TextIO
 
 from ._version import __version__
 from .exact import (
-    ExactScalar, InexactDivision, emit, format_exact, is_integral, json_string,
-    pascal_row, pascal_step,
+    ExactScalar, InexactDivision, emit, exact_div, format_exact, is_integral,
+    json_string, pascal_row, pascal_step,
 )
 from .engine import InvariantEngine, InvariantKind, _check_degree
 
@@ -357,10 +357,20 @@ def _ramification_residual(engine: InvariantEngine, d: int) -> ExactScalar:
     under the "9" reading of its ambiguous middle coefficient, as printed,
     from the engine's public values.  With omega = (d-1)(d-2)/24 N0, the
     formula of ``engine.g1`` gives 2 (2 g1 - 2 - K1) = (6d - 8) omega -
-    9 N1 + T, so the residual is (3d + 1) omega / 2 (2015/2 at d = 4)."""
-    g1, k1 = engine.g1(d), engine.k1(d)
-    omega, n1, t = engine.omega(d), engine.n1(d), engine.t_op(d)
-    return 2 * g1 - 2 - k1 - ((3 * d - 9) * omega - 9 * n1 + t) / 2
+    9 N1 + T, so the residual is (3d + 1) omega / 2 (2015/2 at d = 4).
+
+    The identity is evaluated in ints, as 48 times the residual over 48:
+    g1 and K1 are scaled by 48, and omega, N1 and T, which the identity
+    halves, by 24, each exactly (a public value whose denominator does
+    not divide its scale is an ``InexactDivision``, as a corrupted engine's
+    division is)."""
+    g1, k1, omega, n1, t = (
+        exact_div(scale * x.numerator, x.denominator, d) for scale, x in (
+            (48, engine.g1(d)), (48, engine.k1(d)), (24, engine.omega(d)),
+            (24, engine.n1(d)), (24, engine.t_op(d)),
+        )
+    )
+    return ExactScalar(2 * g1 - 2 * 48 - k1 - ((3 * d - 9) * omega - 9 * n1 + t), 48)
 
 
 def run_discrepancy_probes(

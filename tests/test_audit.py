@@ -10,7 +10,7 @@ import oracle
 from severi import InvariantEngine, __version__
 from severi import audit as audit_module
 from severi.engine import KIND_SPEC
-from severi.exact import format_exact
+from severi.exact import InexactDivision, format_exact
 from severi.audit import (
     AuditCheck,
     AuditReport,
@@ -250,6 +250,15 @@ class TestDiscrepancyProbes:
         checks = _appended(run_discrepancy_probes, engine, 4)
         probe = next(c for c in checks if c.id == "ramification_residual")
         assert probe.status is CheckStatus.FAIL
+
+    def test_a_value_off_the_residual_scale_is_an_inexact_division(self, engine):
+        # The residual scales g1 by 48 exactly: a g1 in sevenths can only
+        # come from a corrupted engine, and fails as its divisions do.
+        g1 = engine.g1
+        engine.g1 = lambda d: g1(d) + Fraction(1, 7)
+        with pytest.raises(InexactDivision) as raised:
+            _appended(run_discrepancy_probes, engine, 4)
+        assert raised.value.degree == 4
 
     def test_the_residual_is_three_d_plus_one_halves_of_omega(self, engine):
         # The formula of g1 has (6d - 8) omega where the identity has

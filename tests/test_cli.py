@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import importlib
 import json
 import os
 import time
@@ -8,7 +10,7 @@ from subprocess import PIPE
 
 import pytest
 
-from conftest import spawn_python
+from conftest import SRC, spawn_python
 from severi import InvariantEngine, InvariantKind
 from severi import cli
 from severi.exact import format_exact, parse_exact
@@ -355,6 +357,69 @@ class TestDeterminism:
             assert child.returncode == 0
         assert outputs[0] == outputs[1]
         assert outputs[0].decode().startswith("d,N0,N1,")
+
+
+# A main that leaves an open file in a reference cycle, which only the
+# collection at exit can find, and exits 0 through entry().
+_LEAKY_ENTRY = """
+import os, sys
+from severi import cli
+def leaky():
+    cycle = [open(os.devnull)]
+    cycle.append(cycle)
+    return 0
+cli.main = leaky
+sys.exit(cli.entry())
+"""
+
+
+class TestEntry:
+    def test_every_console_script_is_the_function_python_m_severi_runs(
+        self, monkeypatch
+    ):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = tomllib.loads(pyproject)["project"]["scripts"]
+        dunder_main = (SRC / "severi" / "__main__.py").read_text(encoding="utf-8")
+        assert scripts
+        for name, target in scripts.items():
+            module_name, _, attribute = target.partition(":")
+            module = importlib.import_module(module_name)
+            assert callable(getattr(module, attribute)), name
+            calls = []
+            monkeypatch.setattr(module, attribute, lambda: calls.append(name) or 7)
+            namespace = {"__name__": "__main__", "__package__": "severi"}
+            with pytest.raises(SystemExit) as exit_:
+                exec(compile(dunder_main, "__main__.py", "exec"), namespace)
+            assert (exit_.value.code, calls) == (7, [name])
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--version"], ["eval", "N1", "12"], ["table", "--d-max", "12"],
+         ["audit", "--d-max", "12"], ["eval", "N0", "0"]],
+        ids=["version", "eval", "table", "audit", "error"],
+    )
+    def test_main_in_process_freezes_nothing(self, run_cli, argv):
+        frozen = gc.get_freeze_count()
+        run_cli(*argv)
+        assert gc.get_freeze_count() == frozen
+
+    def test_entry_freezes_once_before_main_and_returns_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 4)
+        assert cli.entry() == 4
+        assert calls == ["freeze", "main"]
+
+    def test_a_cycle_that_main_makes_is_still_finalized_at_exit(self):
+        # Frozen objects are never collected, so a freeze after main would
+        # leave this file unclosed and silent; frozen before main, the
+        # collection at exit finds the cycle and the file warns.
+        child = spawn_python("-c", _LEAKY_ENTRY, stdout=PIPE, stderr=PIPE, text=True)
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 0
+        assert "ResourceWarning: unclosed file" in err
 
 
 class TestCorruptedEngine:

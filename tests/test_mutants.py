@@ -193,7 +193,7 @@ AUDIT_MUTANTS = [
     ("lists_n1", "run_identity_suite", "engine.n1(k)", "engine.n0(k)", BLOCKING, 12),
     # The ramification residual, which only its probe runs.
     ("res_g1", "_ramification_residual", "2 * g1", "3 * g1", PROBE, 12),
-    ("res_const", "_ramification_residual", "- 2 - k1", "- 1 - k1", PROBE, 12),
+    ("res_const", "_ramification_residual", "- 2 * 48 - k1", "- 1 * 48 - k1", PROBE, 12),
     ("res_k1", "_ramification_residual", "- k1 -", "+ k1 -", PROBE, 12),
     ("res_omega_coeff", "_ramification_residual", "(3 * d - 9)", "(3 * d - 8)",
      PROBE, 12),
@@ -201,7 +201,9 @@ AUDIT_MUTANTS = [
      PROBE, 12),
     ("res_n1", "_ramification_residual", "9 * n1", "8 * n1", PROBE, 12),
     ("res_t", "_ramification_residual", "+ t)", "- t)", PROBE, 12),
-    ("res_den", "_ramification_residual", ") / 2", ") / 3", PROBE, 12),
+    ("res_den", "_ramification_residual", "(24, engine.t_op(d))", "(48, engine.t_op(d))",
+     PROBE, 12),
+    ("res_scale", "_ramification_residual", "t), 48)", "t), 96)", PROBE, 12),
 ]
 
 # (id, function, token, replacement, why the audit cannot see it)

@@ -217,11 +217,12 @@ def _t_direct(n0: list[int], n1: list[int], d: int, row: list[int]) -> int:
     term by term over the ordered pairs from N0 and N1 below d and
     ``row``, C(3d-1, .), as the paper prints it.  The engine's stored T is
     a different formula over different binomials: the ratio rule moves it
-    onto the half row C(3d-2, 3 d1 - 1) of its window, where it is folded
-    onto the unordered pairs and divided by 3 (see ``InvariantEngine.n1``).
-    So the two paths share neither a binomial nor a formula's text, nor
-    the code that builds their rows: the engine builds its half row by
-    exact ratios, and only the audit calls ``exact.pascal_row`` and
+    onto the engine's pair row, the half row C(3d-2, 3 d1 - 1) with the
+    middle pair at half weight, where it is folded onto the unordered
+    pairs and divided by 3 (see ``InvariantEngine.n1``).  So the two paths
+    share neither a binomial nor a formula's text, nor the code that
+    builds their rows: the engine builds its pair row by exact ratios,
+    and only the audit calls ``exact.pascal_row`` and
     ``exact.pascal_step``."""
     return sum(
         (3 * d1 - 2) * d1 * (d - d1) * row[3 * d1 - 1] * n0[d1] * n1[d - d1]

@@ -15,11 +15,12 @@ a check's verdict).
 Identical commands produce byte-identical output.
 
 ``entry()`` is the process entry of every launch: ``python -m severi``,
-the ``severi`` console script and ``python -m severi.cli``.  It
-freezes the heap that the imports built (``gc.freeze``), so that the
-collections at interpreter exit no longer walk it, then returns
-``main()``'s exit code.  ``main()`` changes no process-wide state, so an
-in-process caller keeps a heap the collector can free.
+the ``severi`` console script and ``python -m severi.cli``.  It puts a
+stand-in for a stderr closed at start, freezes the heap that the
+imports built (``gc.freeze``), so that the collections at interpreter
+exit no longer walk it, then returns ``main()``'s exit code.  ``main()``
+changes no process-wide state, so an in-process caller keeps a heap the
+collector can free.
 """
 
 from __future__ import annotations
@@ -198,8 +199,6 @@ def _cmd_audit(args: SimpleNamespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if sys.stderr is None:  # closed at start; argparse would use stdout
-        sys.stderr = io.StringIO()
     try:
         args = _parse_fast(argv) or build_parser().parse_args(argv, SimpleNamespace())
         if args.command == "--version":
@@ -228,7 +227,12 @@ def entry() -> int:
     The objects alive now (about 12,000 after ``import severi.cli``) live
     until exit, where each finalizing collection would walk them again.
     Everything ``main`` makes stays collectable: a cycle that holds an
-    open file is still found and finalized at exit, and its data flushed."""
+    open file is still found and finalized at exit, and its data flushed.
+    A stderr closed at start, which Python makes None, is replaced by a
+    stand-in first, as argparse would otherwise print its errors on
+    stdout."""
+    if sys.stderr is None:
+        sys.stderr = io.StringIO()
     gc.freeze()
     return main()
 

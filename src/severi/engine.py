@@ -14,20 +14,21 @@ The engine computes, for each degree d >= 1:
 All values are exact.  The recursions and the splitting sums run on
 plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
 carried as 36 N1 and reduced by exact division, T is one int per
-degree, and 2m and the K0_PRINTED bracket are two ints per degree from
-one pass; NODES (= RCOUNT) and LR are closed forms in N0 and m, proved
-in ``_forms``, and K0 is the paper's assembly over them, which makes it
-12 (N0 - m).
+degree, and 2m and the K0_PRINTED bracket are one pair of ints per
+degree from one pass; NODES (= RCOUNT) and LR are closed forms in N0
+and m, proved in ``_forms``, and K0 is the paper's assembly over them,
+which makes it 12 (N0 - m).
 The loops also keep the scaled counts a = d N0 and u = (3d-2) d N0, so
 a degree costs only big products.  Every sum of degree d reads one
-binomial half row, R(i) = C(3d-2, 3i-1) for 1 <= i <= d/2, which the
+pair row: the half row R(i) = C(3d-2, 3i-1), 1 <= i <= d/2, which the
 symmetry C(3d-2, 3i-1) = C(3d-2, 3j-1), j = d - i, makes the row of
-every unordered pair i <= j.  Pascal's ratio rule moves each sum's own
-binomials onto R: T dots it with u(i) N1(j) + u(j) N1(i) (see ``n1``),
-N0 is one ``_pair_sum`` of pair weights times R dotted with a(i) a(j)
-(see ``n0``), and 2m and the K0_PRINTED bracket both come from the
-moments S_0 = sum q and S_1 = sum i j q of one pair product
-q = R(i) N0(i) N0(j), summed in one pass (see ``_two_m``).
+every unordered pair i <= j, with the middle pair i = j of an even d,
+which has one order only, at half weight (see ``_row``).  Pascal's
+ratio rule moves each sum's own binomials onto it, and each sum is one
+plain dot product over i <= d/2: T with u(i) N1(j) + u(j) N1(i) (see
+``n1``), N0 with small weights times a(i) a(j) (see ``n0``), and 2m
+and the K0_PRINTED bracket with N0(i) N0(j), in one moment pass (see
+``_two_m``).
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
 stored.  ``g1`` reads the numerator 8 K1 of ``k1``, and ``g0`` that of
@@ -41,15 +42,14 @@ division per entry, C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) /
 ``exact.pascal_*`` row is built: those are the audit's, so its second
 paths share no row-building code with the engine.
 Only one degree's half row is alive between builds, and a build holds
-the old and the new one only: no loop binds a row or a weight list to
-a local that outlives its degree, and the T fold and the moment pass
-stream their products into their sums.
+the old and the new one only: no loop binds a row to a local that
+outlives its degree, and N0, the T fold and the moment pass stream
+their products into their sums.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
 from math import comb
 from operator import add, mul
 from typing import NamedTuple
@@ -62,20 +62,6 @@ from .exact import ExactScalar, exact_div
 # (``eval N0 572`` takes about 3 s on a 2-core Xeon VM, Python 3.11), so
 # degrees far beyond the ceiling would run for hours.
 MAX_DEGREE = 600
-
-
-def _pair_sum(weights: list[int], a: list[int], d: int) -> int:
-    """Sum weights[i - 1] a(i) a(j) over the unordered pairs i <= j = d - i,
-    with a(k) = k N0(k), where ``weights`` (one per pair, d // 2 of them)
-    holds each pair's terms of both orders: the middle pair i = j, which
-    has one order only, is halved here, exactly, as it is twice a term.
-    N0's splitting sum (``n0``) goes through it; 2m and the K0_PRINTED
-    bracket come from the moment pass of ``_two_m``, which takes no
-    weight list."""
-    h = d // 2
-    if d % 2 == 0:
-        weights[-1] //= 2
-    return sum(map(mul, weights, map(mul, a[1:h + 1], a[d - 1:d - h - 1:-1])))
 
 
 class InvariantKind(str, Enum):
@@ -167,9 +153,10 @@ class InvariantEngine:
     The state is all ``int``: N0, N1, T and the scaled counts a and u
     are lists indexed by degree (entry 0 unused); 2m and the K0_PRINTED
     bracket's first sum, the two ints of the one cached O(d) pass per
-    degree, are dicts keyed by degree; the window holds the half row of
-    one degree only (at degree 0, empty).  Every other value is rebuilt
-    per call, as an O(1) assembly over these.
+    degree, are one pair per degree in one dict, stored by one
+    assignment; the window holds the pair row of one degree only (at
+    degree 0, empty).  Every other value is rebuilt per call, as an
+    O(1) assembly over these.
     """
 
     def __init__(self) -> None:
@@ -179,17 +166,21 @@ class InvariantEngine:
         # Scaled counts: a = d N0, u = (3d-2) d N0.
         self._a: list[int] = [0, 1]
         self._u: list[int] = [0, 1]
-        self._split: dict[int, int] = {}
-        self._bracket: dict[int, int] = {}
+        self._split: dict[int, tuple[int, int]] = {}
         self._window: tuple[int, list[int]] = (0, [])
 
     def _row(self, d: int) -> list[int]:
-        """The half row R(i) = C(n, 3i-1), n = 3d-2, for 1 <= i <= d // 2,
-        the window's only row.  A degree other than the window's builds it
-        from C(n, 2), one entry at a time, by C(n, k+3) = C(n, k)
-        (n-k)(n-k-1)(n-k-2) / ((k+1)(k+2)(k+3)), k = 3i-1: one small-by-big
-        product and division per entry.  It is built locally and
-        published with its degree by one assignment."""
+        """The pair row, the window's only row: the half row R(i) =
+        C(n, 3i-1), n = 3d-2, 1 <= i <= d // 2, with the middle pair of an
+        even d, which has one order only, at half weight.  That entry is
+        the central binomial C(6h-2, 3h-1), h = d/2, so even.  Each entry
+        is the binomial weight of one unordered pair, and no engine sum
+        has a middle-pair case of its own.  A degree other than the
+        window's builds it from C(n, 2), one entry at a time, by
+        C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) / ((k+1)(k+2)(k+3)),
+        k = 3i-1: one small-by-big product and division per entry.  It is
+        built locally, halved, and published with its degree by one
+        assignment."""
         at, row = self._window
         if at != d:
             n = 3 * d - 2
@@ -197,6 +188,8 @@ class InvariantEngine:
             for k in range(2, 3 * (d // 2) - 1, 3):  # the last entry's k
                 row.append(row[-1] * ((n - k) * (n - k - 1) * (n - k - 2))
                            // ((k + 1) * (k + 2) * (k + 3)))
+            if d % 2 == 0:  # the middle pair d1 = d2 has one order only
+                row[-1] //= 2
             self._window = (d, row)
         return row
 
@@ -224,14 +217,16 @@ class InvariantEngine:
             (3d-3)(3d-2) N(d) = sum_{d1 <= d2} ((3d+6) d1 d2 - 2d^2)
                                                R(d1) a(d1) a(d2),
 
-        the middle pair d1 = d2 at half weight: one :func:`_pair_sum`.
+        the middle pair d1 = d2 at half weight, as the pair row of ``_row``
+        holds it: the row times the small weights, dotted with a(d1) a(d2).
         """
         _check_degree(d)
         n0, a, u = self._n0, self._a, self._u
         for dd in range(len(n0), d + 1):
-            c, e = 3 * dd + 6, 2 * dd * dd
-            s = _pair_sum([(c * i * (dd - i) - e) * r
-                           for i, r in enumerate(self._row(dd), 1)], a, dd)
+            c, e, h = 3 * dd + 6, 2 * dd * dd, dd // 2
+            weights = (c * i * (dd - i) - e for i in range(1, h + 1))
+            pairs = map(mul, a[1:h + 1], a[dd - 1:dd - h - 1:-1])
+            s = sum(map(mul, map(mul, self._row(dd), weights), pairs))
             n0.append(exact_div(s, (3 * dd - 3) * (3 * dd - 2), dd))
             a.append(dd * n0[dd])
             u.append((3 * dd - 2) * a[dd])
@@ -255,23 +250,22 @@ class InvariantEngine:
                    = (3d-1) sum_{d1 <= d2} C(3d-2, 3 d1 - 1)
                                 [u(d1) N1(d2) + u(d2) N1(d1)],
 
-        the middle pair d1 = d2 once: one binomial product per unordered
-        pair, the half row R(d1) = C(3d-2, 3 d1 - 1) read as it stands,
-        and T by exact division.  The products stream into the sum, so
-        none of them is held in a list alongside the row.
+        the middle pair d1 = d2 once, as its two equal products over the
+        halved entry of the pair row of ``_row``: one dot product and an
+        exact division.  The products stream into the sum, so none of
+        them is held in a list alongside the row.
         The sum needs N1 only below d, so no base value is required, and
         it is 0 for d <= 3, since N1(1) = N1(2) = 0.  N0 advances with it,
-        so both read the same half row.
+        so both read the same pair row.
         """
         _check_degree(d)
         n0, n1, t, u = self._n0, self._n1, self._t, self._u
         for dd in range(len(n1), d + 1):
             self.n0(dd)
-            m, h = (dd - 1) // 2, dd // 2  # pairs d1 < d2, then the middle
-            pairs = map(add, map(mul, u[1:m + 1], n1[dd - 1:dd - m - 1:-1]),
-                        map(mul, u[dd - 1:dd - m - 1:-1], n1[1:m + 1]))
-            products = chain(pairs, map(mul, u[m + 1:h + 1], n1[m + 1:h + 1]))
-            s = exact_div((3 * dd - 1) * sum(map(mul, self._row(dd), products)), 3, dd)
+            h = dd // 2
+            pairs = map(add, map(mul, u[1:h + 1], n1[dd - 1:dd - h - 1:-1]),
+                        map(mul, u[dd - 1:dd - h - 1:-1], n1[1:h + 1]))
+            s = exact_div((3 * dd - 1) * sum(map(mul, self._row(dd), pairs)), 3, dd)
             n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * s, 36, dd))
             t.append(s)
         return ExactScalar(n1[d])
@@ -284,8 +278,8 @@ class InvariantEngine:
             T(d) = sum (3 d1 - 2) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2)
 
         over ordered pairs d1 + d2 = d, read from the list the N1 loop
-        stores.  That loop sums it folded over the half row C(3d-2, 3 d1 - 1)
-        (see :meth:`n1`); the audit's second path sums the ordered terms
+        stores.  That loop sums it folded over the pair row of C(3d-2,
+        3 d1 - 1) (see :meth:`n1`); the audit's second path sums the ordered terms
         over its own Pascal row C(3d-1, .), so the two share neither a row,
         a binomial nor a formula.
         """
@@ -297,22 +291,23 @@ class InvariantEngine:
     def _two_m(self, d: int) -> int:
         """2m at degree d (see :meth:`m_invariant`), and with it the first
         sum B of the K0_PRINTED bracket (see :meth:`k0_printed`), from one
-        pass over the half row, both cached per degree.  Over ordered
-        pairs d1 + d2 = d, with q = R(d1) N0(d1) N0(d2), R(d1) = C(3d-2,
-        3 d1 - 1), let S_k = sum (d1 d2)^k q.  S_1 is the ordered sum of
-        ``reducible_fibre_count``, 2 NODES, so the NODES form of ``_forms``
-        read backwards, and the pair weight of the bracket, give
+        pass over the pair row r of ``_row``, cached per degree as the
+        pair (2m, B).  Over the unordered pairs d1 <= d2 = d - d1, with
+        q = r(d1) N0(d1) N0(d2), let s_k = sum (d1 d2)^k q: half the
+        ordered sum over the full weight C(3d-2, 3 d1 - 1), as the halved
+        middle entry of r counts the middle pair once.  2 s_1 is the
+        ordered sum of ``reducible_fibre_count``, 2 NODES, so the NODES
+        form of ``_forms`` read backwards, and the pair weight of the
+        bracket, give
 
-            (3d + 6) 2m = S_1 + 18 N0,
-            6 B = 3 (3d + 2) S_1 - 2d (3d - 1) S_0.
+            (3d + 6) 2m = 2 s_1 + 18 N0,
+            3 B = 3 (3d + 2) s_1 - 2d (3d - 1) s_0.
 
-        The pass adds q and d1 d2 q once per unordered pair d1 <= d2 and
-        doubles both sums; the middle pair d1 = d2, which has one order
-        only, is then taken off once.  The products q stream into the two
-        sums, so none of them is held in a list.  At d = 1 the sums are
-        empty, and N0(1) = 1 is the recursion's seed, so the form gives
-        2m = 2 where the sum of ``m_invariant`` is empty: hence the branch.
-        B is stored before 2m, so a reader that finds 2m finds B.
+        The products q stream into the two sums, so none of them is held
+        in a list.  At d = 1 the sums are empty, and N0(1) = 1 is the
+        recursion's seed, so the form gives 2m = 2 where the sum of
+        ``m_invariant`` is empty: hence the branch.  The pair is stored by
+        one assignment, so a reader that finds 2m finds B.
         2m thus leans on the NODES form: the audit's ``g0_two_path``
         compares it, through G0, with the audit's direct 2m sum, and
         ``rcount_equals_nodes`` the form with the direct NODES sum."""
@@ -325,13 +320,10 @@ class InvariantEngine:
             for i, q in enumerate(products, 1):
                 s0 += q
                 s1 += i * (d - i) * q
-            s0, s1 = 2 * s0, 2 * s1
-            if d % 2 == 0:  # the middle pair d1 = d2 has one order only
-                s0, s1 = s0 - q, s1 - h * h * q
-            self._bracket[d] = exact_div(
-                3 * (3 * d + 2) * s1 - 2 * d * (3 * d - 1) * s0, 6, d)
-            self._split[d] = exact_div(s1 + 18 * n0[d], 3 * d + 6, d) if d > 1 else 0
-        return self._split[d]
+            two_m = exact_div(2 * s1 + 18 * n0[d], 3 * d + 6, d) if d > 1 else 0
+            self._split[d] = (
+                two_m, exact_div(3 * (3 * d + 2) * s1 - 2 * d * (3 * d - 1) * s0, 3, d))
+        return self._split[d][0]
 
     def _forms(self, d: int) -> tuple[int, int]:
         """(2 NODES, 2 LR) at degree d, from N0 and 2m alone:
@@ -364,8 +356,8 @@ class InvariantEngine:
         but the recursion does not hold there (N0(1) = 1 is its seed)
         and the forms give NODES = -9 and LR = -3: hence the branch.
         A search found no form of this kind for 2m or for the K0_PRINTED
-        bracket.  But 2 NODES is the moment S_1 of ``_two_m``, which reads
-        2m from the NODES form backwards, so the bracket's S_0 is the one
+        bracket.  But NODES is the moment s_1 of ``_two_m``, which reads
+        2m from the NODES form backwards, so the bracket's s_0 is the one
         new sum.
         """
         two_m, n0 = self._two_m(d), self._n0[d]
@@ -450,12 +442,13 @@ class InvariantEngine:
                 = (3 (3d+2) d1 d2 - 2d (3d-1)) R(d1) / (3 d1 d2),
 
         so with q = R(d1) N0(d1) N0(d2) a pair adds (3 (3d+2) d1 d2 -
-        2d (3d-1)) q / 3, and over the ordered pairs 6 B = 3 (3d+2) S_1 -
-        2d (3d-1) S_0, in the moments of ``_two_m``, which caches B with
-        2m: an O(1) assembly.
+        2d (3d-1)) q / 3, the middle pair at half weight, and 3 B =
+        3 (3d+2) s_1 - 2d (3d-1) s_0 in the moments of ``_two_m`` over the
+        pair row, which caches B with 2m: an O(1) assembly.
         """
-        two_m = self._two_m(d)
-        return ExactScalar(6 * self._n0[d] - 2 * self._bracket[d] + 3 * two_m, 2)
+        self._two_m(d)
+        two_m, bracket = self._split[d]
+        return ExactScalar(6 * self._n0[d] - 2 * bracket + 3 * two_m, 2)
 
     def k1(self, d: int) -> ExactScalar:
         """One-cuspidal elliptic curves through 3d-1 points:

@@ -3,8 +3,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import importlib
+import io
 import json
 import os
+import sys
 import time
 from subprocess import PIPE
 
@@ -294,6 +296,13 @@ D100_DIGESTS = {
     ("audit", "json"): "777e5d6366bbfd1ea77465c842d759c1a693b545fb2749dc3d8b30541f61ad46",
 }
 
+# The table at d = 300, recorded at commit 859ef89: past the d = 100
+# bytes, every even degree's sums still read their middle pair alike.
+D300_DIGESTS = {
+    "csv": "f4c5e3a2bbbcc59c1a20c5c9e561245b110bb43ed0e1b7916bd06a6eb7d0e379",
+    "json": "0b7ca8423c2fed7d00195ffe665655767fe10c6ab478e610221c6c663656ae87",
+}
+
 # The same for the column subset ``--invariants k0,N1,G1`` at d = 12,
 # recorded at commit 931f1b7.
 SUBSET_DIGESTS = {
@@ -325,6 +334,13 @@ class TestDeterminism:
         code, out, _ = run_cli(command, "--d-max", "100", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == D100_DIGESTS[command, fmt]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("fmt", sorted(D300_DIGESTS))
+    def test_degree_three_hundred_table_matches_recorded_digest(self, run_cli, fmt):
+        code, out, _ = run_cli("table", "--d-max", "300", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == D300_DIGESTS[fmt]
 
     @pytest.mark.parametrize("fmt", sorted(SUBSET_DIGESTS))
     def test_column_subset_output_matches_recorded_digest(self, run_cli, fmt):
@@ -411,6 +427,32 @@ class TestEntry:
         monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 4)
         assert cli.entry() == 4
         assert calls == ["freeze", "main"]
+
+    def test_entry_replaces_a_closed_stderr_before_main(self, monkeypatch):
+        # Python makes a stderr closed at start None; main itself does not
+        # touch sys.stderr, so the stand-in is entry's.
+        seen = []
+        monkeypatch.setattr(sys, "stderr", None)
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        monkeypatch.setattr(cli, "main", lambda: seen.append(sys.stderr) or 0)
+        assert cli.entry() == 0
+        assert isinstance(seen[0], io.StringIO)
+
+    def test_entry_leaves_an_open_stderr_in_place(self, monkeypatch):
+        stderr = io.StringIO()
+        seen = []
+        monkeypatch.setattr(sys, "stderr", stderr)
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        monkeypatch.setattr(cli, "main", lambda: seen.append(sys.stderr) or 0)
+        assert cli.entry() == 0
+        assert seen == [stderr] and sys.stderr is stderr
+
+    def test_main_in_process_leaves_a_closed_stderr_none(self, monkeypatch, capsys):
+        # The stand-in is entry's alone: main changes no process-wide state.
+        monkeypatch.setattr(sys, "stderr", None)
+        assert cli.main(["eval", "N1", "12"]) == 0
+        assert sys.stderr is None
+        assert capsys.readouterr().out != ""
 
     def test_a_cycle_that_main_makes_is_still_finalized_at_exit(self):
         # Frozen objects are never collected, so a freeze after main would

@@ -215,7 +215,8 @@ class TestClosedForms:
     steps of their proof in the ``_forms`` docstring, with the same sums;
     the identities that move N0, T and the K0_PRINTED bracket onto the
     engine's half row, with the ratio rule that builds it; and 2m and the
-    bracket from the two moments S_0 and S_1 of one pair product."""
+    bracket from the two moments S_0 and S_1 of one pair product, twice
+    those of the engine's pair row."""
 
     def test_the_half_row_identities_hold_from_degree_2_to_60(self):
         # Each sum over R(d1) = C(3d-2, 3 d1 - 1) against the oracle's own
@@ -248,21 +249,29 @@ class TestClosedForms:
 
     def test_the_moment_identities_hold_from_degree_2_to_60(self):
         # S_k = sum (d1 d2)^k q over ordered pairs, q = R(d1) N0(d1) N0(d2),
-        # as _two_m sums them, against the oracle's own 2m and NODES and a
-        # bracket summed over its own binomials C(3d-2, 3 d1 - 2).
+        # against the oracle's own 2m and NODES and a bracket summed over
+        # its own binomials C(3d-2, 3 d1 - 2); and the moments s_k that
+        # _two_m sums over the unordered pairs, the middle pair at half
+        # weight as the pair row holds it, are exactly half of them.
         for d in range(2, 61):
             s0 = s1 = bracket = 0
+            half = [0, 0]
             for i, j in oracle.splittings(d):
                 p = oracle.n0(i) * oracle.n0(j)
                 q = oracle.c(3 * d - 2, 3 * i - 1) * p
                 s0 += q
                 s1 += i * j * q
                 bracket += i * j * p * (3 * j - 2) * oracle.c(3 * d - 2, 3 * i - 2)
+                if i <= j:
+                    weight = Fraction(1, 2) if i == j else 1
+                    half[0] += weight * q
+                    half[1] += weight * i * j * q
             n0, two_m = oracle.n0(d), 2 * oracle.m_invariant(d)
             assert s1 == 2 * oracle.nodes(d), d
             assert (3 * d + 6) * two_m == s1 + 18 * n0, d
             assert 6 * bracket == 3 * (3 * d + 2) * s1 - 2 * d * (3 * d - 1) * s0, d
             assert oracle.k0_printed(d) == 3 * n0 - bracket + Fraction(3, 2) * two_m, d
+            assert [2 * x for x in half] == [s0, s1], d
 
     def test_the_proof_steps_hold_from_degree_2_to_60(self):
         for d in range(2, 61):

@@ -56,41 +56,39 @@ MUTANTS = [
      BLOCKING, 30),
     ("n1_t_weight", "n1", "4 * s", "5 * s", BLOCKING, 12),
     ("n1_comb", "n1", "3 * comb(dd, 3)", "39 * comb(dd, 3)", BLOCKING, 12),
-    # T folded onto the unordered pairs over the half row C(3d-2, 3 d1 - 1):
-    # the row's order, each side of a pair's two products, the middle
-    # pair, and the ratio rule's factor.
-    ("n1_t_row", "n1", "self._row(dd), products", "self._row(dd)[::-1], products",
+    # T folded onto the unordered pairs over the pair row: the row's order,
+    # each side of a pair's two products, and the ratio rule's factor.
+    ("n1_t_row", "n1", "self._row(dd), pairs", "self._row(dd)[::-1], pairs",
      BLOCKING, 12),
-    ("n1_t_mirror", "n1", "n1[1:m + 1]", "n1[0:m]", BLOCKING, 12),
-    ("n1_t_pair", "n1", "u[1:m + 1]", "u[0:m]", BLOCKING, 12),
-    ("n1_t_middle", "n1", "u[m + 1:h + 1]", "u[h + 1:h + 1]", BLOCKING, 12),
+    ("n1_t_mirror", "n1", "n1[1:h + 1]", "n1[0:h]", BLOCKING, 12),
+    ("n1_t_pair", "n1", "u[1:h + 1]", "u[0:h]", BLOCKING, 12),
     ("n1_t_ratio", "n1", "(3 * dd - 1)", "(3 * dd - 2)", BLOCKING, 12),
     ("t_op_read", "t_op", "self._t[d]", "self._t[d - 1]", BLOCKING, 12),
-    # The half row: the extension's factor (numerator and denominator)
-    # and its start C(n, 2).
+    # The pair row: the extension's factor (numerator and denominator),
+    # its start C(n, 2), and the middle pair's halving, which every sum
+    # over the row reads, and the parity that picks the degrees it halves.
     ("row_extend_num", "_row", "(n - k - 2))", "(n - k - 3))", BLOCKING, 12),
     ("row_extend_den", "_row", "(k + 3))", "(k + 4))", BLOCKING, 12),
     ("row_start", "_row", "n * (n - 1) // 2", "n * (n + 1) // 2", BLOCKING, 12),
+    ("row_middle", "_row", "row[-1] //= 2", "row[-1] //= 1", BLOCKING, 12),
+    ("row_middle_parity", "_row", "if d % 2 == 0:", "if d % 2 == 1:", BLOCKING, 12),
     # The scaled count lists a = d N0 and u = (3d-2) d N0.
     ("list_a_d20", "n0", "a.append(dd * n0[dd])", "a.append((dd + (dd == 20)) * n0[dd])",
      BLOCKING, 30),
     ("list_u", "n0", "(3 * dd - 2) * a[dd]", "(3 * dd - 1) * a[dd]", BLOCKING, 12),
-    # N0's pair sum: its products and the middle pair's halving.
-    ("pair_products", "_pair_sum", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),
-    ("pair_middle", "_pair_sum", "weights[-1] //= 2", "weights[-1] //= 1", BLOCKING, 12),
+    # N0's pair products.
+    ("pair_products", "n0", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),
     # The moment pass of _two_m, which gives 2m and the K0_PRINTED bracket
-    # from S_0 and S_1: the d1 d2 weight of S_1, the middle pair taken off
-    # once, the 18 N0 term and the divisor of 2m, and the bracket's
-    # constants and divisor; then the assembly of K0_PRINTED.
+    # from s_0 and s_1: the d1 d2 weight of s_1, the 18 N0 term and the
+    # divisor of 2m, and the bracket's constants and divisor; then the
+    # assembly of K0_PRINTED.
     ("m_weight", "_two_m", "i * (d - i) * q", "i * (d - i + 1) * q", BLOCKING, 12),
-    ("k0_printed_middle", "_two_m", "if d % 2 == 0:", "if d % 2 == 2:", BLOCKING, 12),
     ("m_n0", "_two_m", "18 * n0[d]", "17 * n0[d]", BLOCKING, 12),
     ("m_div", "_two_m", "3 * d + 6, d)", "3 * d + 5, d)", BLOCKING, 12),
     ("k0_printed_weight", "_two_m", "3 * (3 * d + 2)", "3 * (3 * d + 1)", PROBE, 12),
     ("k0_printed_s0", "_two_m", "(3 * d - 1) * s0", "(3 * d - 2) * s0", PROBE, 12),
-    ("k0_printed_pair_den", "_two_m", "* s0, 6, d)", "* s0, 3, d)", PROBE, 12),
-    ("k0_printed_sum", "k0_printed", "- 2 * self._bracket[d]", "- 3 * self._bracket[d]",
-     PROBE, 12),
+    ("k0_printed_pair_den", "_two_m", "* s0, 3, d)", "* s0, 1, d)", PROBE, 12),
+    ("k0_printed_sum", "k0_printed", "- 2 * bracket", "- 3 * bracket", PROBE, 12),
     ("k0_printed_den", "k0_printed", "two_m, 2)", "two_m, 1)", PROBE, 12),
     # The closed forms in N0 and 2m, and the read of NODES.
     ("form_nodes_slope", "_forms", "(3 * d + 6)", "(3 * d + 5)", BLOCKING, 12),
@@ -213,8 +211,7 @@ ENGINE_EQUIVALENT = [
     ("row_always", "_row", "if at != d:", "if True:",
      "the half row is built again at each read, into the same ints"),
     # The working-set rule: the T products held in a list.
-    ("products_list", "n1", "chain(pairs, map(mul, u[m + 1:h + 1], n1[m + 1:h + 1]))",
-     "[*pairs, *map(mul, u[m + 1:h + 1], n1[m + 1:h + 1])]",
+    ("products_list", "n1", "self._row(dd), pairs)", "self._row(dd), [*pairs])",
      "the same ints; the working-set test pins it"),
 ]
 EXACT_EQUIVALENT = [

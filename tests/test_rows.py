@@ -1,8 +1,9 @@
-"""The engine's binomial half row and the audit's independent rows.
+"""The engine's binomial pair row and the audit's independent rows.
 
-The window serves the half row R(i) = C(3d-2, 3i-1), 1 <= i <= d // 2,
-for one degree at a time, built anew by exact ratios at each degree; the
-engine builds no ``exact.pascal_*`` row.  The audit builds the Pascal
+The window serves the pair row of one degree at a time: the half row
+R(i) = C(3d-2, 3i-1), 1 <= i <= d // 2, with the middle pair of an even
+d at half weight, built anew by exact ratios at each degree; the engine
+builds no ``exact.pascal_*`` row.  The audit builds the Pascal
 rows C(3d-4, .) .. C(3d-1, .) anew at every audited degree for its
 direct T and splitting sums, from one ``pascal_row`` and three
 ``exact.pascal_step`` calls.  Every row is compared with ``math.comb``.
@@ -14,6 +15,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
@@ -37,9 +39,15 @@ def _comb_row(n):
 
 
 def _assert_window_row(engine, d):
+    # At even d the last entry is the middle pair's: exactly half of the
+    # central binomial C(3d-2, 3d/2 - 1), which is even.
     row = engine._row(d)
     assert engine._window == (d, row)
-    assert row == [comb(3 * d - 2, 3 * i - 1) for i in range(1, d // 2 + 1)], d
+    half = [comb(3 * d - 2, 3 * i - 1) for i in range(1, d // 2 + 1)]
+    if d % 2 == 0:
+        assert half[-1] % 2 == 0 and 2 * row[-1] == half[-1], d
+        half[-1] //= 2
+    assert row == half, d
 
 
 class TestPascalRows:
@@ -71,8 +79,8 @@ class TestRowWindow:
         engine.n1(200)
         # No other attribute may hold binomial rows.
         lists = {"_n0", "_n1", "_t", "_a", "_u"}
-        assert set(vars(engine)) == lists | {"_split", "_bracket", "_window"}
-        assert engine._split == engine._bracket == {}
+        assert set(vars(engine)) == lists | {"_split", "_window"}
+        assert engine._split == {}
         d, row = engine._window
         assert d == 200
         assert len(row) == 100
@@ -85,12 +93,13 @@ class TestRowWindow:
     )
     def test_a_fill_holds_under_one_row_beyond_what_it_keeps(self, method, d):
         # The traced peak of a fill less what the engine keeps is the
-        # largest working set of one degree: the old and the new half row
-        # and one weight list, each a sixth of a full row's entries, and
-        # the T fold streams its products into the sum, as the moment
-        # pass of _two_m streams its pair products into S_0 and S_1.
-        # Counted in rows C(3d-1, .), it is 0.44 for n1(200) and 0.39 for
-        # n0(572); with the old half row bound to n1's locals while n0
+        # largest working set of one degree: the old and the new half row,
+        # each a sixth of a full row's entries, while N0 and the T fold
+        # stream their products into their sums, as the moment pass of
+        # _two_m streams its pair products into s_0 and s_1.  Counted in
+        # rows C(3d-1, .), it is 0.38 for n1(200) and 0.34 for n0(572);
+        # with N0's weights multiplied into a list beside the rows, 0.44
+        # and 0.39; with the old half row bound to n1's locals while n0
         # builds the next, 0.75, and with the four-row Pascal window, 1.4
         # and 1.3.  A table's records to 200 are kept, and the values of
         # its last degree, built after its transient, offset it: 0.05,
@@ -115,7 +124,7 @@ class TestRowWindow:
 
     @pytest.mark.slow
     def test_every_row_up_to_the_ceiling(self):
-        # The half row for every d <= 600; the audit's rows C(3d-4, .) ..
+        # The pair row for every d <= 600; the audit's rows C(3d-4, .) ..
         # C(3d-1, .) for d <= 600 reach n = 1799, and both the
         # multiplicative pascal_row and pascal_step, from C(-1, .), are
         # checked over that range.
@@ -168,14 +177,14 @@ def test_scaled_lists_follow_the_counts_in_any_query_order(queries):
 
 class TestRowBuilds:
     """Only the audit builds Pascal rows: one ``pascal_row`` and three
-    steps per audited degree.  The engine builds its half row once per
+    steps per audited degree.  The engine builds its pair row once per
     change of degree."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         """Counters of the audit's ``pascal_row`` and ``pascal_step`` calls."""
         return [
-            _count_calls(monkeypatch, name, function, module=audit_module)
+            _count_calls(monkeypatch, name, function)
             for name, function in (("pascal_row", pascal_row), ("pascal_step", pascal_step))
         ]
 
@@ -197,7 +206,7 @@ class TestRowBuilds:
     ):
         # At each of d = 3..100, the row C(3d-4, .), stepped to C(3d-1, .)
         # for the direct T and the direct splitting sums.  The engine
-        # builds its half row at d = 2..5 for the N0 anchors (N0(1) is the
+        # builds its pair row at d = 2..5 for the N0 anchors (N0(1) is the
         # seed), at d = 1..5 when the N1 anchors start T, and at d = 3..100
         # from K0(3) on: once per degree of each pass.  The K0_PRINTED
         # probe at d = 3, after d = 100, reads the bracket that the moment
@@ -212,7 +221,7 @@ class TestRowBuilds:
         build_records(InvariantEngine(), 100)
         assert [count[0] for count in calls] == [0, 0]
 
-    def test_a_table_builds_the_half_row_once_per_degree(self, moves):
+    def test_a_table_builds_the_pair_row_once_per_degree(self, moves):
         # Every invariant of a degree reads the same half row.
         build_records(InvariantEngine(), 100)
         assert moves == [(d - 1, d) for d in range(1, 101)]
@@ -225,24 +234,30 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
     for name, state in vars(engine).items():
         if name != "_window":
             assert state, name
-            for entry in state.values() if isinstance(state, dict) else state:
-                assert type(entry) is int, (name, entry)
-    # N0 is summed once per degree, d = 2..100, by _pair_sum: 99 calls in
-    # the audit and 99 in a table.  2m and the K0_PRINTED bracket no
-    # longer call it (98 + 1 and 100 + 100 calls more before): one moment
-    # pass per degree gives both, streaming its products, and is cached.
-    # N0's sum has exactly one weight per unordered pair, d // 2, which is
-    # what lets _pair_sum halve the last one as the middle pair's at even d.
-    def check_weights(weights, a, d):
-        assert len(weights) == d // 2, (d, len(weights))
+    lists = [engine._n0, engine._n1, engine._t, engine._a, engine._u]
+    pairs = list(engine._split.values())
+    assert all(len(pair) == 2 for pair in pairs)
+    entries = [x for state in lists + pairs for x in state]
+    assert {type(entry) for entry in entries} == {int}
+    # Each sum of a degree reads the pair row once, and only there: N0 at
+    # d = 2..100 (N0(1) is the seed), N1 and T at d = 1..100, and the
+    # moment pass of 2m and the K0_PRINTED bracket, cached, once per
+    # degree read: d = 3..100 in the audit, whose K0_PRINTED probe at
+    # d = 3 reads the cached pair, and d = 1..100 in a table.
+    readers, row = Counter(), engine_module.InvariantEngine._row
 
-    calls = _count_calls(
-        monkeypatch, "_pair_sum", engine_module._pair_sum, check_weights
-    )
-    for entry_point, expected in ((run_full_audit, 99), (build_records, 99)):
-        calls[0] = 0
+    def counting(engine, d):
+        readers[sys._getframe(1).f_code.co_name] += 1
+        return row(engine, d)
+
+    monkeypatch.setattr(engine_module.InvariantEngine, "_row", counting)
+    for entry_point, expected in (
+        (run_full_audit, {"n0": 99, "n1": 100, "_two_m": 98}),
+        (build_records, {"n0": 99, "n1": 100, "_two_m": 100}),
+    ):
+        readers.clear()
         entry_point(InvariantEngine(), 100)
-        assert calls[0] == expected, entry_point.__name__
+        assert readers == expected, entry_point.__name__
 
 
 def test_a_filled_engine_reads_alike_from_four_threads():
@@ -256,29 +271,12 @@ def test_a_filled_engine_reads_alike_from_four_threads():
 
 def test_an_engine_filled_to_its_counts_fills_its_sums_alike_from_four_threads():
     # N0, N1 and T are filled, 2m and the K0_PRINTED bracket are not: the
-    # threads race to fill them.
+    # threads race to fill them, each degree's pair by one assignment.
     engine = InvariantEngine()
     engine.n1(40)
-    assert engine._split == engine._bracket == {}
+    assert engine._split == {}
     assert _four_thread_mismatches(engine) == {seed: [] for seed in range(4)}
-    assert sorted(engine._split) == sorted(engine._bracket) == list(range(1, 41))
-
-
-def test_the_moment_pass_stores_the_bracket_before_2m():
-    # A reader that finds 2m cached reads the bracket without a lock, so
-    # the bracket must already be there: the order of the two stores,
-    # which a race between threads hits too rarely to pin.
-    engine = InvariantEngine()
-    found_two_m = []
-
-    class Recording(dict):
-        def __setitem__(self, d, value):
-            found_two_m.append(d in engine._split)
-            super().__setitem__(d, value)
-
-    engine._bracket = Recording()
-    build_records(engine, 12)
-    assert found_two_m == [False] * 12
+    assert sorted(engine._split) == list(range(1, 41))
 
 
 def _four_thread_mismatches(engine):
@@ -308,17 +306,13 @@ def _four_thread_mismatches(engine):
     return mismatches
 
 
-def _count_calls(monkeypatch, name, function, check=None, module=engine_module):
-    """Patch ``module.<name>`` (the engine's by default) to count its
-    calls, handing each call's arguments to ``check`` first if given;
-    returns the counter."""
+def _count_calls(monkeypatch, name, function):
+    """Patch the audit's ``<name>`` to count its calls; returns the counter."""
     count = [0]
 
     def counting(*args):
         count[0] += 1
-        if check is not None:
-            check(*args)
         return function(*args)
 
-    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(audit_module, name, counting)
     return count

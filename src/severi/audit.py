@@ -17,6 +17,7 @@ document directly from a template of its fixed schema, byte-identical to
 from __future__ import annotations
 
 from enum import Enum
+from operator import mul
 from typing import Iterator, NamedTuple, TextIO
 
 from ._version import __version__
@@ -64,10 +65,8 @@ class AuditReport:
 
     @property
     def summary(self) -> dict[str, int]:
-        counts = {status.value: 0 for status in CheckStatus}
-        for check in self.checks:
-            counts[check.status.value] += 1
-        return counts
+        statuses = [check.status for check in self.checks]
+        return {status.value: statuses.count(status) for status in CheckStatus}
 
     @property
     def has_blocking_failure(self) -> bool:
@@ -89,20 +88,25 @@ class AuditReport:
         return emit(self._json_pieces(), out)
 
     def _json_pieces(self) -> Iterator[str]:
+        """The document in pieces, its values and enum names formatted as
+        ``_text_lines`` formats them."""
         yield (
             f'{{\n  "engine_version": {json_string(self.engine_version)},\n'
             f'  "d_max": {self.d_max},\n  "checks": [\n'
         )
+        kinds = {kind: kind.value for kind in CheckKind}
+        statuses = {status: status.value for status in CheckStatus}
         separator = ""
-        for check in self.checks:
+        for id_, degree, kind, actual, expected, status, detail in self.checks:
+            text, same = _json_exact(actual), expected is not None and expected == actual
             yield (
-                f'{separator}    {{\n      "id": {json_string(check.id)},\n'
-                f'      "degree": {check.degree},\n'
-                f'      "kind": "{check.kind.value}",\n'
-                f'      "expected": {_json_exact(check.expected)},\n'
-                f'      "actual": {_json_exact(check.actual)},\n'
-                f'      "status": "{check.status.value}",\n'
-                f'      "detail": {json_string(check.detail)}\n'
+                f'{separator}    {{\n      "id": {json_string(id_)},\n'
+                f'      "degree": {degree},\n'
+                f'      "kind": "{kinds[kind]}",\n'
+                f'      "expected": {text if same else _json_exact(expected)},\n'
+                f'      "actual": {text},\n'
+                f'      "status": "{statuses[status]}",\n'
+                f'      "detail": {json_string(detail)}\n'
                 "    }"
             )
             separator = ",\n"
@@ -115,21 +119,25 @@ class AuditReport:
         return emit(self._text_lines(), out)
 
     def _text_lines(self) -> Iterator[str]:
+        """The report in lines.  A value is formatted once where expected
+        equals actual, decided by comparing the two, never by the status.
+        The enum names are read once per render, each (status, kind) prefix
+        built from the members' values: ``format`` of a str-mixin enum
+        changed in 3.12."""
         yield f"severi audit (engine {self.engine_version}, degrees up to {self.d_max})"
         yield "\n\n"
-        for check in self.checks:
-            parts = [
-                f"[{check.status.value}]",
-                f"{check.kind.value:<17}",
-                f"d={check.degree:<3}",
-                f"{check.id:<28}",
-                f"actual={format_exact(check.actual)}",
-            ]
-            if check.expected is not None:
-                parts.append(f"expected={format_exact(check.expected)}")
-            if check.detail:
-                parts.append(f"({check.detail})")
-            yield " ".join(parts) + "\n"
+        prefixes = {
+            (status, kind): f"[{status.value}] {kind.value:<17} d="
+            for status in CheckStatus for kind in CheckKind
+        }
+        for id_, degree, kind, actual, expected, status, detail in self.checks:
+            text = format_exact(actual)
+            line = f"{prefixes[status, kind]}{degree:<3} {id_:<28} actual={text}"
+            if expected is not None:
+                line += " expected=" + (text if expected == actual else format_exact(expected))
+            if detail:
+                line += f" ({detail})"
+            yield line + "\n"
         counts = self.summary
         yield (
             f"\nsummary: {counts['PASS']} PASS, {counts['FAIL']} FAIL, "
@@ -138,7 +146,9 @@ class AuditReport:
 
 
 def _json_exact(x: ExactScalar | None) -> str:
-    return json_string(None if x is None else format_exact(x))
+    """``json_string`` of ``format_exact``: digits, ``-`` and ``/`` only,
+    quoted as they stand."""
+    return "null" if x is None else f'"{format_exact(x)}"'
 
 
 def _compared(
@@ -202,65 +212,62 @@ def run_anchor_suite(
             ))
 
 
-# The kinds scanned for integrality, in this order: the final counts,
-# where a non-integral value FAILs, then the kinds whose integrality is
-# only reported, as INFO.
-_MUST_BE_INTEGRAL = (
-    InvariantKind.N0, InvariantKind.N1, InvariantKind.K0, InvariantKind.K1,
-    InvariantKind.G0,
-)
-_INTEGRALITY_REPORTED = (InvariantKind.G1, InvariantKind.OMEGA, InvariantKind.M)
+# The integrality scan's check ids, in this order: the final counts N0,
+# N1, K0, K1 and G0, where a non-integral value FAILs, then G1, OMEGA
+# and M, whose integrality is only reported, as INFO.
+_MUST_BE_INTEGRAL = tuple(f"integrality_{kind}" for kind in ("n0", "n1", "k0", "k1", "g0"))
+_INTEGRALITY_REPORTED = tuple(f"integrality_{kind}" for kind in ("g1", "omega", "m"))
 
 
-def _t_direct(n0: list[int], n1: list[int], d: int, row: list[int]) -> int:
+def _t_direct(u: list[int], b: list[int], d: int, row: list[int]) -> int:
     """T(d) = sum (3 d1 - 2) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2), summed
-    term by term over the ordered pairs from N0 and N1 below d and
-    ``row``, C(3d-1, .), as the paper prints it.  The engine's stored T is
-    a different formula over different binomials: the ratio rule moves it
-    onto the engine's pair row, the half row C(3d-2, 3 d1 - 1) with the
-    middle pair at half weight, where it is folded onto the unordered
-    pairs and divided by 3 (see ``InvariantEngine.n1``).  So the two paths
-    share neither a binomial nor a formula's text, nor the code that
-    builds their rows: the engine builds its pair row by exact ratios,
-    and only the audit calls ``exact.pascal_row`` and
-    ``exact.pascal_step``."""
-    return sum(
-        (3 * d1 - 2) * d1 * (d - d1) * row[3 * d1 - 1] * n0[d1] * n1[d - d1]
-        for d1 in range(1, d)
-    )
+    term by term over the ordered pairs, as the paper prints it: a term is
+    C(3d-1, 3 d1 - 1) u(d1) b(d2), with ``row`` C(3d-1, .) and the audit's
+    own lists u(k) = (3k - 2) k N0(k) and b(k) = k N1(k) below d.  The
+    engine's stored T is a different formula over different binomials:
+    the ratio rule moves it onto the engine's pair row, the half row
+    C(3d-2, 3 d1 - 1) with the middle pair at half weight, where it is
+    folded onto the unordered pairs and divided by 3 (see
+    ``InvariantEngine.n1``).  So the two paths share neither a binomial nor
+    a formula's text, nor the code that builds their rows: the engine
+    builds its pair row by exact ratios, and only the audit calls
+    ``exact.pascal_row`` and ``exact.pascal_step``."""
+    return sum(map(mul, map(mul, row[2:3 * d - 3:3], u[1:d]), b[d - 1:0:-1]))
 
 
-def _k1_via_c2(engine: InvariantEngine, t: int, d: int) -> ExactScalar:
+def _k1_via_c2(n1: ExactScalar, omega: ExactScalar, t: int, d: int) -> ExactScalar:
     """Second path for ``k1``, from the Chern-class identity
     K1 + 12 omega + T(1) = 3 N1 + 3 d omega + 3 T(d1) - T(1), where T(u)
     is the splitting convolution weighted by u:
 
         K1 = 3 N1 + (3d - 12) omega + T(3 d1 - 2),
 
-    with ``t`` the direct T(d).  With omega = (d-1)(d-2)/24 N0, the omega
-    term is the same polynomial in d times N0 as the ((d-1)(d-2)(d-4)/8) N0
-    that ``engine.k1`` has inline.  So the two paths differ only in their
-    T and in that this one reads ``engine.omega``: the ``k1_two_path``
-    check adds the omega closed form to what ``t_linearity`` checks, and
-    a wrong omega reaches an exit-1 check."""
-    a, b = engine.omega(d).as_integer_ratio()
-    return ExactScalar((3 * engine.n1(d).numerator + t) * b + (3 * d - 12) * a, b)
+    with ``n1`` and ``omega`` the engine's public values at d and ``t`` the
+    direct T(d).  With omega = (d-1)(d-2)/24 N0, the omega term is the same
+    polynomial in d times N0 as the ((d-1)(d-2)(d-4)/8) N0 that
+    ``engine.k1`` has inline.  So the two paths differ only in their T and
+    in this one's omega, from ``engine.omega``: the ``k1_two_path`` check
+    adds the omega closed form to what ``t_linearity`` checks, and a wrong
+    omega reaches an exit-1 check."""
+    a, b = omega.as_integer_ratio()
+    return ExactScalar((3 * n1.numerator + t) * b + (3 * d - 12) * a, b)
 
 
 def _splitting_sums(
-    n0: list[int], d: int, rows: list[list[int]]
+    a: list[int], d: int, rows: list[list[int]]
 ) -> tuple[int, int, int, int]:
     """(2m, 2 NODES, RCOUNT, LR) at degree d: the sums over ordered pairs
     d1 + d2 = d of w d1 d2 C(n, 3 d1 - k) N0(d1) N0(d2), with (n, k, w) =
-    (3d-4, 2, 1), (3d-2, 1, 1), (3d-3, 2, 1) and (3d-3, 2, d2), from N0
-    below d and ``rows``, C(3d-4, .) .. C(3d-1, .).  (d1, d2) and
-    (d2, d1) share one pair product, the binomial of (d2, d1) read at
-    3 d1 by C(n, j) = C(n, n - j); a middle pair d1 = d2 counts once."""
+    (3d-4, 2, 1), (3d-2, 1, 1), (3d-3, 2, 1) and (3d-3, 2, d2), from the
+    audit's list a(k) = k N0(k) below d and ``rows``, C(3d-4, .) ..
+    C(3d-1, .).  (d1, d2) and (d2, d1) share one pair product, the
+    binomial of (d2, d1) read at 3 d1 by C(n, j) = C(n, n - j); a middle
+    pair d1 = d2 counts once."""
     r4, r3, r2 = rows[:3]
     two_m = two_nodes = rcount = lr = 0
     for d1 in range(1, d // 2 + 1):
         d2, k, mirror = d - d1, 3 * d1, 2 * d1 < d
-        p, twice = d1 * d2 * n0[d1] * n0[d2], 1 + mirror
+        p, twice = a[d1] * a[d2], 1 + mirror
         two_m += twice * r4[k - 2] * p
         two_nodes += twice * r2[k - 1] * p
         rcount += (r3[k - 2] + mirror * r3[k - 1]) * p
@@ -269,15 +276,16 @@ def _splitting_sums(
 
 
 def _g0_from_splitting_sum(
-    engine: InvariantEngine, sums: tuple[int, int, int, int], d: int
+    n0: ExactScalar, sums: tuple[int, int, int, int], d: int
 ) -> ExactScalar:
     """Second path for ``g0``, (K0 - 2m + 2) / 2 with the paper's assembly
     K0 = 3 N0 - 3 d m + 3 LR - RCOUNT - NODES over ``sums``, the direct
-    (2m, 2 NODES, RCOUNT, LR), and N0(d) from ``engine.n0``.  The engine
-    evaluates it over its NODES and LR forms and its own 2m: the two paths
-    share N0 and the formula's text, but no intermediate value."""
-    n0, (two_m, two_nodes, rcount, lr) = engine.n0(d).numerator, sums
-    two_k0 = 6 * n0 - 3 * d * two_m + 6 * lr - 2 * rcount - two_nodes
+    (2m, 2 NODES, RCOUNT, LR), and ``n0``, the engine's public N0(d).  The
+    engine evaluates it over its NODES and LR forms and its own 2m: the
+    two paths share N0 and the formula's text, but no intermediate
+    value."""
+    two_m, two_nodes, rcount, lr = sums
+    two_k0 = 6 * n0.numerator - 3 * d * two_m + 6 * lr - 2 * rcount - two_nodes
     return ExactScalar(two_k0 - 2 * two_m + 4, 4)
 
 
@@ -287,52 +295,52 @@ def run_identity_suite(
     """Two-path equalities, the component-count identity, the stored T
     against a direct sum, and integrality scans, for 3 <= d <= d_max.
 
-    The second paths read only the engine's public methods.  N0 and N1
-    below d come from lists the suite keeps, one entry per degree read
-    through ``engine.n0`` and ``engine.n1`` once ``engine.k1`` has filled
-    the engine to d.  The direct T and the four direct splitting sums are
-    computed once per degree.  The T feeds ``t_linearity``, against T as
-    the N1 loop stores it (``engine.t_op``), and ``k1_two_path``.
-    ``rcount_equals_nodes`` compares the engine's RCOUNT, a closed form in
-    N0 and m, with the direct NODES sum; ``g0_two_path`` compares
-    ``engine.g0``, from the paper's assembly of K0 over the engine's forms
-    and 2m, with the same assembly over the direct sums; the engine's 2m
-    is its own NODES sum read back through the NODES form, so this is
-    also the check of 2m.  Appends to
-    ``checks`` and trusts ``d_max``, as :func:`run_anchor_suite` does."""
-    n0, n1 = [0], [0]
-    for d in range(3, d_max + 1):
-        k1 = engine.k1(d)  # fills the engine to d
-        for k in range(len(n0), d):
-            n0.append(engine.n0(k).numerator)
-            n1.append(engine.n1(k).numerator)
-        rows = [pascal_row(3 * d - 4)]  # C(3d-4, .) .. C(3d-1, .)
-        for _ in range(3):
-            rows.append(pascal_step(rows[-1]))
-        t, sums = _t_direct(n0, n1, d, rows[3]), _splitting_sums(n0, d, rows)
-        pairs = (
-            ("k1_two_path", k1, _k1_via_c2(engine, t, d)),
-            ("rcount_equals_nodes", engine.reducible_fibre_count(d),
-             ExactScalar(sums[1], 2)),
-            ("g0_two_path", engine.g0(d), _g0_from_splitting_sum(engine, sums, d)),
-            ("t_linearity", engine.t_op(d), ExactScalar(t)),
-        )
-        for check_id, one, other in pairs:
-            checks.append(_compared(check_id, d, CheckKind.IDENTITY, one, other))
-        for kind in _MUST_BE_INTEGRAL + _INTEGRALITY_REPORTED:
-            value = engine.value(kind, d)
-            integral = is_integral(value)
-            if kind in _MUST_BE_INTEGRAL:
-                status = CheckStatus.PASS if integral else CheckStatus.FAIL
-                detail = None
-            else:
-                status = CheckStatus.INFO
-                detail = "integral" if integral else "non-integral"
-            checks.append(AuditCheck(
-                id=f"integrality_{kind.value.lower()}", degree=d,
-                kind=CheckKind.INTEGRALITY, actual=value,
-                status=status, detail=detail,
-            ))
+    Each public value of a degree is read once, through the engine's
+    public methods, and serves every check of that degree: ``engine.n1``
+    first, which fills the engine to d.  The second paths read only those
+    values and the suite's own lists a(k) = k N0(k), u(k) = (3k - 2) a(k)
+    and b(k) = k N1(k), one entry per degree from 1 on, appended once the
+    degree's checks are made, so they hold the degrees below d.  The
+    direct T and the four direct splitting sums are computed once per
+    degree.  The T feeds ``t_linearity``, against T as the N1 loop stores
+    it (``engine.t_op``), and ``k1_two_path``.  ``rcount_equals_nodes``
+    compares the engine's RCOUNT, a closed form in N0 and m, with the
+    direct NODES sum; ``g0_two_path`` compares ``engine.g0``, from the
+    paper's assembly of K0 over the engine's forms and 2m, with the same
+    assembly over the direct sums; the engine's 2m is its own NODES sum
+    read back through the NODES form, so this is also the check of 2m.
+    Appends to ``checks`` and trusts ``d_max``, as
+    :func:`run_anchor_suite` does."""
+    a, u, b = [0], [0], [0]
+    for d in range(1, d_max + 1):
+        n1, n0 = engine.n1(d), engine.n0(d)
+        if d > 2:
+            k1, k0, g0, g1 = engine.k1(d), engine.k0(d), engine.g0(d), engine.g1(d)
+            omega, m, t = engine.omega(d), engine.m_invariant(d), engine.t_op(d)
+            nodes = engine.reducible_fibre_count(d)
+            rows = [pascal_row(3 * d - 4)]  # C(3d-4, .) .. C(3d-1, .)
+            for _ in range(3):
+                rows.append(pascal_step(rows[-1]))
+            direct, sums = _t_direct(u, b, d, rows[3]), _splitting_sums(a, d, rows)
+            for check_id, one, other in (
+                ("k1_two_path", k1, _k1_via_c2(n1, omega, direct, d)),
+                ("rcount_equals_nodes", nodes, ExactScalar(sums[1], 2)),
+                ("g0_two_path", g0, _g0_from_splitting_sum(n0, sums, d)),
+                ("t_linearity", t, ExactScalar(direct)),
+            ):
+                checks.append(_compared(check_id, d, CheckKind.IDENTITY, one, other))
+            for check_id, value in zip(_MUST_BE_INTEGRAL, (n0, n1, k0, k1, g0)):
+                status = CheckStatus.PASS if is_integral(value) else CheckStatus.FAIL
+                checks.append(
+                    AuditCheck(check_id, d, CheckKind.INTEGRALITY, value, None, status))
+            for check_id, value in zip(_INTEGRALITY_REPORTED, (g1, omega, m)):
+                detail = "integral" if is_integral(value) else "non-integral"
+                checks.append(AuditCheck(
+                    check_id, d, CheckKind.INTEGRALITY, value, None, CheckStatus.INFO, detail
+                ))
+        a.append(d * n0.numerator)
+        u.append((3 * d - 2) * a[d])
+        b.append(d * n1.numerator)
 
 
 def _probe(

@@ -39,18 +39,20 @@ def audit_rows(d: int) -> list[list[int]]:
 
 def audit_second_paths(engine: InvariantEngine, d: int) -> tuple[Fraction, ...]:
     """T(d), K1(d), G0(d), NODES(d), RCOUNT(d), LR(d) and m(d) from the
-    audit's second paths, with N0 and N1 below d read through the public
-    methods, and the rows of :func:`audit_rows`, as ``run_identity_suite``
-    reads them."""
-    n0 = [0, *(engine.n0(k).numerator for k in range(1, d))]
-    n1 = [0, *(engine.n1(k).numerator for k in range(1, d))]
+    audit's second paths, with the lists a(k) = k N0(k), u(k) =
+    (3k - 2) k N0(k) and b(k) = k N1(k) for k < d, the rows of
+    :func:`audit_rows`, and N0(d), N1(d) and omega(d), all from the public
+    methods, as ``run_identity_suite`` reads them."""
+    a = [0, *(k * engine.n0(k).numerator for k in range(1, d))]
+    u = [(3 * k - 2) * x for k, x in enumerate(a)]
+    b = [0, *(k * engine.n1(k).numerator for k in range(1, d))]
     rows = audit_rows(d)
-    t = audit._t_direct(n0, n1, d, rows[3])
-    sums = audit._splitting_sums(n0, d, rows)
+    t = audit._t_direct(u, b, d, rows[3])
+    sums = audit._splitting_sums(a, d, rows)
     two_m, two_nodes, rcount, lr = sums
     return (
-        Fraction(t), audit._k1_via_c2(engine, t, d),
-        audit._g0_from_splitting_sum(engine, sums, d),
+        Fraction(t), audit._k1_via_c2(engine.n1(d), engine.omega(d), t, d),
+        audit._g0_from_splitting_sum(engine.n0(d), sums, d),
         Fraction(two_nodes, 2), Fraction(rcount), Fraction(lr), Fraction(two_m, 2),
     )
 

@@ -196,8 +196,8 @@ class TestCorruptedEngine:
         assert "[FAIL] IDENTITY" in report.to_text()
 
     def test_a_wrong_omega_fails_k1_two_path_and_the_residual_probe(self):
-        # k1_via_c2 and the residual read omega through engine.omega; k1
-        # has its N0 term inline.  Of the exit-1 checks only k1_two_path
+        # k1_via_c2, fed by the identity suite, and the residual read omega
+        # through engine.omega; k1 has its N0 term inline.  Of the exit-1 checks only k1_two_path
         # sees the change, and not at d = 4, where 3d - 12 = 0.
         engine = InvariantEngine()
         omega = engine.omega
@@ -367,3 +367,55 @@ class TestReport:
             status=CheckStatus.FAIL,
         )
         assert check.expected is not None and check.actual is not None
+
+
+class TestRenderedValues:
+    """Each line prints its own check's two values.  A value is formatted
+    once where expected equals actual, and the renderers decide that from
+    the values, not from the status."""
+
+    @staticmethod
+    def _rendered(report):
+        """(expected, actual) as each renderer printed them, per check:
+        None for an expected value the text omits."""
+        lines = report.to_text().splitlines()[2:2 + len(report.checks)]
+        text = [
+            (line.partition(" expected=")[2].split(" ")[0] or None,
+             line.partition(" actual=")[2].split(" ")[0])
+            for line in lines
+        ]
+        entries = json.loads(report.to_json())["checks"]
+        return text, [(entry["expected"], entry["actual"]) for entry in entries]
+
+    def test_every_line_prints_its_own_expected_value(self):
+        # T(6) off by one, as in the corrupted-basis test: t_linearity and
+        # k1_two_path FAIL at d = 6, each with expected != actual.
+        engine = InvariantEngine()
+        engine.n1(6)
+        engine._t[6] += 1
+        made = run_full_audit(engine, 6)
+        # PASS and FAIL exchanged: a renderer that read equality off the
+        # status would print a former FAIL's actual value as its expected.
+        flip = {CheckStatus.PASS: CheckStatus.FAIL, CheckStatus.FAIL: CheckStatus.PASS}
+        swapped = AuditReport(6, [
+            check._replace(status=flip.get(check.status, check.status))
+            for check in made.checks
+        ])
+        own = [
+            (None if c.expected is None else format_exact(c.expected), format_exact(c.actual))
+            for c in made.checks
+        ]
+        for report in (made, swapped):
+            assert self._rendered(report) == (own, own)
+        failed = {
+            (c.id, c.degree): pair for c, pair in zip(made.checks, own)
+            if c.status is CheckStatus.FAIL
+        }
+        for key in (("t_linearity", 6), ("k1_two_path", 6)):
+            expected, actual = failed[key]
+            assert expected != actual
+        passed = [
+            pair for c, pair in zip(made.checks, own)
+            if c.status is CheckStatus.PASS and c.expected is not None
+        ]
+        assert passed and all(expected == actual for expected, actual in passed)

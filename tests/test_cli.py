@@ -303,6 +303,13 @@ D300_DIGESTS = {
     "json": "0b7ca8423c2fed7d00195ffe665655767fe10c6ab478e610221c6c663656ae87",
 }
 
+# The audit at d = 300, recorded at commit 46aade5: values of up to about
+# 2000 digits, where formatting them is most of the rendering.
+D300_AUDIT_DIGESTS = {
+    "text": "b8352bc3aa7f4fa2b8147337f9667397debe0cc86807fc6ec9a3ba0e8690e47c",
+    "json": "95c52f28c91dee124ae3936206a7aecfb2fde60730374380fad2a4447c0908ab",
+}
+
 # The same for the column subset ``--invariants k0,N1,G1`` at d = 12,
 # recorded at commit 931f1b7.
 SUBSET_DIGESTS = {
@@ -341,6 +348,13 @@ class TestDeterminism:
         code, out, _ = run_cli("table", "--d-max", "300", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == D300_DIGESTS[fmt]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("fmt", sorted(D300_AUDIT_DIGESTS))
+    def test_degree_three_hundred_audit_matches_recorded_digest(self, run_cli, fmt):
+        code, out, _ = run_cli("audit", "--d-max", "300", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == D300_AUDIT_DIGESTS[fmt]
 
     @pytest.mark.parametrize("fmt", sorted(SUBSET_DIGESTS))
     def test_column_subset_output_matches_recorded_digest(self, run_cli, fmt):

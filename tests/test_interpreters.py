@@ -24,6 +24,7 @@ from conftest import spawn_python
 
 COMMANDS = [
     ("audit", "--d-max", "12"),
+    ("audit", "--d-max", "12", "--format", "json"),
     ("table", "--d-max", "20", "--format", "json"),
     ("eval", "G1", "3"),
     ("eval", "N1", "60"),

@@ -326,8 +326,9 @@ class TestClosedForms:
         # assembly of those sums.
         engine.n0(MAX_DEGREE)
         n0 = [0, *(engine.n0(k).numerator for k in range(1, MAX_DEGREE + 1))]
+        a = [k * x for k, x in enumerate(n0)]
         for d in range(2, MAX_DEGREE + 1):
-            two_m, two_nodes, rcount, lr = audit._splitting_sums(n0, d, audit_rows(d))
+            two_m, two_nodes, rcount, lr = audit._splitting_sums(a, d, audit_rows(d))
             two_k0 = 6 * n0[d] - 3 * d * two_m + 6 * lr - 2 * rcount - two_nodes
             assert engine.m_invariant(d) == Fraction(two_m, 2), d
             assert engine.reducible_fibre_count(d) == Fraction(two_nodes, 2), d
@@ -387,13 +388,15 @@ _PER_DEGREE_CALLS = [
       for name in _PER_DEGREE_METHODS),
     *((f"value({kind.value})", lambda engine, d, kind=kind: engine.value(kind, d))
       for kind in KIND_ORDER),
-    # The audit's second paths and probe that read the engine at d; the
+    # The audit's probe, which reads the engine at d, and its second paths
+    # fed with the values of d that run_identity_suite reads for them; the
     # direct sums read only lists below d, and their degree comes from
     # run_identity_suite's range, whose d_max run_full_audit checks first.
-    ("audit._k1_via_c2", lambda engine, d: audit._k1_via_c2(engine, 0, d)),
+    ("audit._k1_via_c2",
+     lambda engine, d: audit._k1_via_c2(engine.n1(d), engine.omega(d), 0, d)),
     ("audit._ramification_residual", audit._ramification_residual),
     ("audit._g0_from_splitting_sum",
-     lambda engine, d: audit._g0_from_splitting_sum(engine, (0, 0, 0, 0), d)),
+     lambda engine, d: audit._g0_from_splitting_sum(engine.n0(d), (0, 0, 0, 0), d)),
 ]
 
 

@@ -146,21 +146,22 @@ EXACT_MUTANTS = [
     ("integral_test", "is_integral", "== 1", "== 2", BLOCKING, 12),
 ]
 
-# The same, in severi/audit.py: the second paths of the two-path checks,
-# the audit's rows, the direct splitting sums (a row or a weight of each)
-# and their assembly, the lists of N0 and N1 that run_identity_suite
-# reads through the engine's public methods, and the ramification
-# probe's identity.
+# The same, in severi/audit.py: the second paths of the two-path checks
+# and the public values run_identity_suite feeds them, the audit's rows,
+# the direct splitting sums (a row or a weight of each) and their
+# assembly, the lists k N0(k), (3k - 2) k N0(k) and k N1(k) that
+# run_identity_suite builds from the engine's public values, and the
+# ramification probe's identity.
 AUDIT_MUTANTS = [
-    ("t_direct_weight", "_t_direct", "(3 * d1 - 2)", "(3 * d1 - 1)", BLOCKING, 12),
-    ("t_direct_row", "_t_direct", "row[3 * d1 - 1]", "row[3 * d1 - 2]", BLOCKING, 12),
+    ("t_direct_weight", "run_identity_suite", "(3 * d - 2) * a[d]", "(3 * d - 1) * a[d]",
+     BLOCKING, 12),
+    ("t_direct_row", "_t_direct", "row[2:", "row[1:", BLOCKING, 12),
     ("rows_seed", "run_identity_suite", "pascal_row(3 * d - 4)", "pascal_row(3 * d - 3)",
      BLOCKING, 12),
     ("rows_step", "run_identity_suite", "pascal_step(rows[-1])", "pascal_step(rows[0])",
      BLOCKING, 12),
-    ("k1c2_n1", "_k1_via_c2", "engine.n1(d)", "engine.n0(d)", BLOCKING, 12),
-    ("k1c2_omega_read", "_k1_via_c2", "a, b = engine.omega", "b, a = engine.omega",
-     BLOCKING, 12),
+    ("k1c2_n1", "run_identity_suite", "_k1_via_c2(n1,", "_k1_via_c2(n0,", BLOCKING, 12),
+    ("k1c2_omega_read", "_k1_via_c2", "a, b = omega", "b, a = omega", BLOCKING, 12),
     ("k1c2_omega_coeff", "_k1_via_c2", "(3 * d - 12) * a", "(3 * d - 13) * a",
      BLOCKING, 12),
     ("k1c2_t_sign", "_k1_via_c2", "+ t)", "- t)", BLOCKING, 12),
@@ -173,9 +174,9 @@ AUDIT_MUTANTS = [
     ("sums_lr_mirror", "_splitting_sums", "mirror * d1 * r3", "mirror * d2 * r3",
      BLOCKING, 12),
     ("sums_middle", "_splitting_sums", "2 * d1 < d", "2 * d1 <= d", BLOCKING, 12),
-    ("sums_pair", "_splitting_sums", "d1 * d2 * n0", "d1 * d1 * n0", BLOCKING, 12),
-    ("g0s_n0_read", "_g0_from_splitting_sum", "engine.n0(d)", "engine.n1(d)",
-     BLOCKING, 12),
+    ("sums_pair", "_splitting_sums", "a[d1] * a[d2]", "a[d1] * a[d1]", BLOCKING, 12),
+    ("g0s_n0_read", "run_identity_suite", "_g0_from_splitting_sum(n0,",
+     "_g0_from_splitting_sum(n1,", BLOCKING, 12),
     ("g0s_m", "_g0_from_splitting_sum", "3 * d * two_m", "3 * (d - 1) * two_m",
      BLOCKING, 12),
     ("g0s_lr", "_g0_from_splitting_sum", "6 * lr", "5 * lr", BLOCKING, 12),
@@ -185,10 +186,10 @@ AUDIT_MUTANTS = [
     ("g0s_const", "_g0_from_splitting_sum", "+ 4, 4)", "+ 2, 4)", BLOCKING, 12),
     ("rcount_vs_nodes_sum", "run_identity_suite", "ExactScalar(sums[1], 2)",
      "ExactScalar(sums[2], 2)", BLOCKING, 12),
-    ("lists_start", "run_identity_suite", "n0, n1 = [0], [0]", "n0, n1 = [0], [0, 0]",
-     BLOCKING, 12),
-    ("lists_n0", "run_identity_suite", "engine.n0(k)", "engine.n1(k)", BLOCKING, 12),
-    ("lists_n1", "run_identity_suite", "engine.n1(k)", "engine.n0(k)", BLOCKING, 12),
+    ("lists_start", "run_identity_suite", "a, u, b = [0], [0], [0]",
+     "a, u, b = [0], [0], [0, 0]", BLOCKING, 12),
+    ("lists_n0", "run_identity_suite", "a.append(d * n0", "a.append(d * n1", BLOCKING, 12),
+    ("lists_n1", "run_identity_suite", "b.append(d * n1", "b.append(d * n0", BLOCKING, 12),
     # The ramification residual, which only its probe runs.
     ("res_g1", "_ramification_residual", "2 * g1", "3 * g1", PROBE, 12),
     ("res_const", "_ramification_residual", "- 2 * 48 - k1", "- 1 * 48 - k1", PROBE, 12),
@@ -220,9 +221,9 @@ EXACT_EQUIVALENT = [
      "remainder of 1 through changes nothing"),
 ]
 AUDIT_EQUIVALENT = [
-    ("lists_ahead", "run_identity_suite", "range(len(n0), d)", "range(len(n0), d + 1)",
-     "the lists then also hold N0(d) and N1(d), which no second path reads, "
-     "read after engine.k1(d) has filled the engine to d"),
+    ("lists_ahead", "_t_direct", "u[1:d]", "u[1:]",
+     "the lists hold the degrees below d only, as run_identity_suite appends "
+     "a degree's entries after its checks, so the slice to their end stops at d"),
     ("sums_m_mirror", "_splitting_sums", "r4[k - 2]", "r4[3 * d2 - 2]",
      "C(3d-4, 3 d2 - 2) = C(3d-4, 3 d1 - 2) since d1 + d2 = d"),
 ]
@@ -366,7 +367,7 @@ def test_the_unmutated_exact_source_passes_the_audit():
 
 def test_the_unmutated_audit_source_audits_like_the_module():
     report, audit = _mutant_audit(
-        "_t_direct", "(3 * d1 - 2)", "(3 * d1 - 2)", "audit", 30
+        "_t_direct", "u[1:d]", "u[1:d]", "audit", 30
     )
     original = run_full_audit(InvariantEngine(), 30)
     assert audit is not audit_module and sys.modules["severi.audit"] is audit_module

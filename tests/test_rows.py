@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from severi import InvariantEngine, InvariantKind
 from severi import audit as audit_module
 from severi import engine as engine_module
-from severi.audit import run_full_audit
+from severi.audit import run_full_audit, run_identity_suite
 from severi.exact import pascal_row, pascal_step
 from severi.tables import build_records
 
@@ -182,7 +182,7 @@ class TestRowBuilds:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counters of the audit's ``pascal_row`` and ``pascal_step`` calls."""
+        """Records of the audit's ``pascal_row`` and ``pascal_step`` calls."""
         return [
             _count_calls(monkeypatch, name, function)
             for name, function in (("pascal_row", pascal_row), ("pascal_step", pascal_step))
@@ -212,19 +212,38 @@ class TestRowBuilds:
         # probe at d = 3, after d = 100, reads the bracket that the moment
         # pass of d = 3 cached with 2m, and builds no row.
         run_full_audit(InvariantEngine(), 100)
-        assert [count[0] for count in calls] == [98, 3 * 98]
+        assert [len(made) for made in calls] == [98, 3 * 98]
         assert [d for _, d in moves] == [*range(2, 6), *range(1, 6), *range(3, 101)]
 
     def test_the_recursions_build_none(self, calls):
         assert not {"pascal_row", "pascal_step"} & set(vars(engine_module))
         InvariantEngine().n1(200)
         build_records(InvariantEngine(), 100)
-        assert [count[0] for count in calls] == [0, 0]
+        assert [len(made) for made in calls] == [0, 0]
 
     def test_a_table_builds_the_pair_row_once_per_degree(self, moves):
         # Every invariant of a degree reads the same half row.
         build_records(InvariantEngine(), 100)
         assert moves == [(d - 1, d) for d in range(1, 101)]
+
+
+def test_the_identity_suite_reads_each_public_value_once_per_degree(monkeypatch):
+    # The reads the suite makes, not those the engine makes inside them
+    # (k1 reads t_op, g0 reads k0): N0 and N1 at every degree, for the
+    # suite's lists, and the rest at each audited degree, d = 3..30.
+    engine, active = InvariantEngine(), []
+    names = (
+        "n0", "n1", "k0", "k1", "g0", "g1", "omega", "m_invariant",
+        "reducible_fibre_count", "t_op",
+    )
+    calls = {
+        name: _count_calls(monkeypatch, name, getattr(engine, name), engine, active)
+        for name in names
+    }
+    run_identity_suite(engine, 30, [])
+    for name, made in calls.items():
+        first = 1 if name in ("n0", "n1") else 3
+        assert [d for d, in made] == list(range(first, 31)), name
 
 
 def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
@@ -306,13 +325,22 @@ def _four_thread_mismatches(engine):
     return mismatches
 
 
-def _count_calls(monkeypatch, name, function):
-    """Patch the audit's ``<name>`` to count its calls; returns the counter."""
-    count = [0]
+def _count_calls(monkeypatch, name, function, target=audit_module, active=None):
+    """Patch ``target``'s ``<name>`` (the audit module's by default) to
+    record the arguments of each call to ``function``; returns the list of
+    them.  Counters that share the list ``active`` record outermost calls
+    only: a call made while another runs (``g0`` reading ``k0``) is left
+    out."""
+    calls, active = [], [] if active is None else active
 
     def counting(*args):
-        count[0] += 1
-        return function(*args)
+        if not active:
+            calls.append(args)
+        active.append(name)
+        try:
+            return function(*args)
+        finally:
+            active.pop()
 
-    monkeypatch.setattr(audit_module, name, counting)
-    return count
+    monkeypatch.setattr(target, name, counting)
+    return calls

@@ -281,9 +281,9 @@ def _g0_from_splitting_sum(
     """Second path for ``g0``, (K0 - 2m + 2) / 2 with the paper's assembly
     K0 = 3 N0 - 3 d m + 3 LR - RCOUNT - NODES over ``sums``, the direct
     (2m, 2 NODES, RCOUNT, LR), and ``n0``, the engine's public N0(d).  The
-    engine evaluates it over its NODES and LR forms and its own 2m: the
-    two paths share N0 and the formula's text, but no intermediate
-    value."""
+    engine evaluates it over its own NODES, the moment s_1 of its pair
+    row, and 2m and LR, read from NODES by their closed forms: the two
+    paths share N0 and the formula's text, but no intermediate value."""
     two_m, two_nodes, rcount, lr = sums
     two_k0 = 6 * n0.numerator - 3 * d * two_m + 6 * lr - 2 * rcount - two_nodes
     return ExactScalar(two_k0 - 2 * two_m + 4, 4)
@@ -304,13 +304,15 @@ def run_identity_suite(
     direct T and the four direct splitting sums are computed once per
     degree.  The T feeds ``t_linearity``, against T as the N1 loop stores
     it (``engine.t_op``), and ``k1_two_path``.  ``rcount_equals_nodes``
-    compares the engine's RCOUNT, a closed form in N0 and m, with the
-    direct NODES sum; ``g0_two_path`` compares ``engine.g0``, from the
-    paper's assembly of K0 over the engine's forms and 2m, with the same
-    assembly over the direct sums; the engine's 2m is its own NODES sum
-    read back through the NODES form, so this is also the check of 2m.
-    Appends to ``checks`` and trusts ``d_max``, as
-    :func:`run_anchor_suite` does."""
+    compares the engine's NODES, the moment s_1 that it sums over its
+    pair row, with the audit's direct sum over its own Pascal row
+    C(3d-2, .): the two share the public N0 and no intermediate value.
+    ``g0_two_path`` compares ``engine.g0``, from the paper's assembly of
+    K0 over the engine's NODES, 2m and LR, with the same assembly over
+    the direct sums.  The engine reads 2m and LR from its NODES by their
+    closed forms, and K0 reads LR through ``engine.lr``, so this is also
+    the check of 2m and of the public LR.  Appends to ``checks`` and
+    trusts ``d_max``, as :func:`run_anchor_suite` does."""
     a, u, b = [0], [0], [0]
     for d in range(1, d_max + 1):
         n1, n0 = engine.n1(d), engine.n0(d)

@@ -14,10 +14,12 @@ The engine computes, for each degree d >= 1:
 All values are exact.  The recursions and the splitting sums run on
 plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
 carried as 36 N1 and reduced by exact division, T is one int per
-degree, and 2m and the K0_PRINTED bracket are one pair of ints per
-degree from one pass; NODES (= RCOUNT) and LR are closed forms in N0
-and m, proved in ``_forms``, and K0 is the paper's assembly over them,
-which makes it 12 (N0 - m).
+degree, and NODES (= RCOUNT), 2m and the K0_PRINTED bracket are one
+triple of ints per degree from one pass: NODES is its moment s_1, 2m
+is read from it by the NODES form (3d + 6) m - 9 N0, proved in
+``_moments``, and LR is one exact division of it, (d + 2) LR =
+d NODES + 6 (d - 1) N0; K0 is the paper's assembly over them, which
+makes it 12 (N0 - m).
 The loops also keep the scaled counts a = d N0 and u = (3d-2) d N0, so
 a degree costs only big products.  Every sum of degree d reads one
 pair row: the half row R(i) = C(3d-2, 3i-1), 1 <= i <= d/2, which the
@@ -26,15 +28,16 @@ every unordered pair i <= j, with the middle pair i = j of an even d,
 which has one order only, at half weight (see ``_row``).  Pascal's
 ratio rule moves each sum's own binomials onto it, and each sum is one
 plain dot product over i <= d/2: T with u(i) N1(j) + u(j) N1(i) (see
-``n1``), N0 with small weights times a(i) a(j) (see ``n0``), and 2m
-and the K0_PRINTED bracket with N0(i) N0(j), in one moment pass (see
-``_two_m``).
+``n1``), N0 with small weights times a(i) a(j) (see ``n0``), and NODES,
+2m and the K0_PRINTED bracket with N0(i) N0(j), in one moment pass
+(see ``_moments``).
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
-stored.  ``g1`` reads the numerator 8 K1 of ``k1``, and ``g0`` that of
-``k0``, so a wrong K0 reaches G0; ``k1`` has its N0 term inline.  Every
-public per-degree method checks its degree before any arithmetic on it,
-so a bad degree is a ``ValueError`` that leaves the state untouched.
+stored.  ``g1`` reads the numerator 8 K1 of ``k1``, ``g0`` that of
+``k0`` and ``k0`` that of ``lr``, so a wrong LR reaches K0 and a wrong
+K0 reaches G0; ``k1`` has its N0 term inline.  Every public per-degree
+method checks its degree before any arithmetic on it, so a bad degree
+is a ``ValueError`` that leaves the state untouched.
 
 Each degree builds its half row anew, one small-by-big product and
 division per entry, C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) /
@@ -151,11 +154,11 @@ class InvariantEngine:
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so no stored entry is ever overwritten.
     The state is all ``int``: N0, N1, T and the scaled counts a and u
-    are lists indexed by degree (entry 0 unused); 2m and the K0_PRINTED
-    bracket's first sum, the two ints of the one cached O(d) pass per
-    degree, are one pair per degree in one dict, stored by one
-    assignment; the window holds the pair row of one degree only (at
-    degree 0, empty).  Every other value is rebuilt per call, as an
+    are lists indexed by degree (entry 0 unused); NODES, 2m and the
+    K0_PRINTED bracket's first sum, the three ints of the one cached
+    O(d) pass per degree, are one triple per degree in one dict, stored
+    by one assignment; the window holds the pair row of one degree only
+    (at degree 0, empty).  Every other value is rebuilt per call, as an
     O(1) assembly over these.
     """
 
@@ -166,7 +169,7 @@ class InvariantEngine:
         # Scaled counts: a = d N0, u = (3d-2) d N0.
         self._a: list[int] = [0, 1]
         self._u: list[int] = [0, 1]
-        self._split: dict[int, tuple[int, int]] = {}
+        self._split: dict[int, tuple[int, int, int]] = {}
         self._window: tuple[int, list[int]] = (0, [])
 
     def _row(self, d: int) -> list[int]:
@@ -281,58 +284,34 @@ class InvariantEngine:
         stores.  That loop sums it folded over the pair row of C(3d-2,
         3 d1 - 1) (see :meth:`n1`); the audit's second path sums the ordered terms
         over its own Pascal row C(3d-1, .), so the two share neither a row,
-        a binomial nor a formula.
+        a binomial nor a formula.  A degree not yet stored fills N1 to it.
         """
-        self.n1(d)
+        _check_degree(d)
+        if d >= len(self._t):
+            self.n1(d)
         return ExactScalar(self._t[d])
 
     # -- derived invariants ----------------------------------------------
 
-    def _two_m(self, d: int) -> int:
-        """2m at degree d (see :meth:`m_invariant`), and with it the first
-        sum B of the K0_PRINTED bracket (see :meth:`k0_printed`), from one
-        pass over the pair row r of ``_row``, cached per degree as the
-        pair (2m, B).  Over the unordered pairs d1 <= d2 = d - d1, with
+    def _moments(self, d: int) -> tuple[int, int, int]:
+        """(NODES, 2m, B) at degree d: NODES = RCOUNT (see
+        :meth:`reducible_fibre_count`), 2m (see :meth:`m_invariant`) and
+        the first sum B of the K0_PRINTED bracket (see :meth:`k0_printed`),
+        from one pass over the pair row r of ``_row``, cached per degree as
+        one triple.  Over the unordered pairs d1 <= d2 = d - d1, with
         q = r(d1) N0(d1) N0(d2), let s_k = sum (d1 d2)^k q: half the
         ordered sum over the full weight C(3d-2, 3 d1 - 1), as the halved
-        middle entry of r counts the middle pair once.  2 s_1 is the
-        ordered sum of ``reducible_fibre_count``, 2 NODES, so the NODES
-        form of ``_forms`` read backwards, and the pair weight of the
-        bracket, give
+        middle entry of r counts the middle pair once.  So s_1 is NODES
+        itself, and the NODES form below read backwards, and the pair
+        weight of the bracket, give
 
             (3d + 6) 2m = 2 s_1 + 18 N0,
             3 B = 3 (3d + 2) s_1 - 2d (3d - 1) s_0.
 
-        The products q stream into the two sums, so none of them is held
-        in a list.  At d = 1 the sums are empty, and N0(1) = 1 is the
-        recursion's seed, so the form gives 2m = 2 where the sum of
-        ``m_invariant`` is empty: hence the branch.  The pair is stored by
-        one assignment, so a reader that finds 2m finds B.
-        2m thus leans on the NODES form: the audit's ``g0_two_path``
-        compares it, through G0, with the audit's direct 2m sum, and
-        ``rcount_equals_nodes`` the form with the direct NODES sum."""
-        _check_degree(d)  # before the lookup: True and 3.0 hash like 1 and 3
-        if d not in self._split:
-            self.n0(d)
-            n0, h = self._n0, d // 2
-            products = map(mul, self._row(d), map(mul, n0[1:h + 1], n0[d - 1:d - h - 1:-1]))
-            s0 = s1 = 0
-            for i, q in enumerate(products, 1):
-                s0 += q
-                s1 += i * (d - i) * q
-            two_m = exact_div(2 * s1 + 18 * n0[d], 3 * d + 6, d) if d > 1 else 0
-            self._split[d] = (
-                two_m, exact_div(3 * (3 * d + 2) * s1 - 2 * d * (3 * d - 1) * s0, 3, d))
-        return self._split[d][0]
-
-    def _forms(self, d: int) -> tuple[int, int]:
-        """(2 NODES, 2 LR) at degree d, from N0 and 2m alone:
-
-            NODES = RCOUNT = (3d + 6) m - 9 N0,   LR = 3 d m - 3 N0.
-
-        Proof, for d >= 2.  Sums run over ordered pairs d1 + d2 = d, with
-        n = 3d-4, p = d1 d2 N0(d1) N0(d2), c0 = C(n, 3d1-2),
-        c- = C(n, 3d1-3), c+ = C(n, 3d1-1), and
+        The form NODES = RCOUNT = (3d + 6) m - 9 N0 holds for d >= 2.
+        Proof.  Sums run over ordered pairs d1 + d2 = d, with n = 3d-4,
+        p = d1 d2 N0(d1) N0(d2), c0 = C(n, 3d1-2), c- = C(n, 3d1-3),
+        c+ = C(n, 3d1-1), and
 
             P_k = sum d2^k c- p,   Q_k = sum d2^k c0 p,   so 2m = Q_0.
 
@@ -350,20 +329,34 @@ class InvariantEngine:
           N0 = sum (d1 d2 c0 - d2^2 c-) p = d^2 m - Q_2 - P_2.
 
         The ratio identity at k = 1 is 3 (P_2 + Q_2) = P_1 + (3d-2) d m,
-        and the recursion makes it P_1 = 2d m - 3 N0.  At k = 0 it is
-        3 P_1 - P_0 = (3d-4) m, so P_0 = (3d+4) m - 9 N0; the forms
-        follow.  At d = 1 every sum is empty, so NODES = RCOUNT = LR = 0,
-        but the recursion does not hold there (N0(1) = 1 is its seed)
-        and the forms give NODES = -9 and LR = -3: hence the branch.
-        A search found no form of this kind for 2m or for the K0_PRINTED
-        bracket.  But NODES is the moment s_1 of ``_two_m``, which reads
-        2m from the NODES form backwards, so the bracket's s_0 is the one
-        new sum.
-        """
-        two_m, n0 = self._two_m(d), self._n0[d]
-        if d == 1:
-            return 0, 0
-        return (3 * d + 6) * two_m - 18 * n0, 3 * d * two_m - 6 * n0
+        and the recursion makes it P_1 = 2d m - 3 N0, which gives LR (see
+        :meth:`lr`).  At k = 0 it is 3 P_1 - P_0 = (3d-4) m, so P_0 =
+        (3d+4) m - 9 N0, and RCOUNT = 2m + P_0 is the form.
+
+        At d = 1 the sums are empty, but the recursion does not hold there
+        (N0(1) = 1 is its seed), so the form gives 2m = 2 where the sum of
+        ``m_invariant`` is empty: hence the branch, the only d = 1 case of
+        the derived values.  A search found no form of this kind for 2m
+        alone or for the K0_PRINTED bracket, so s_0 is the pass's one sum
+        beyond NODES.  The products q stream into the two sums, so none of
+        them is held in a list.  The triple is stored by one assignment,
+        so a reader that finds one of its values finds all three.  The
+        audit's ``rcount_equals_nodes`` compares s_1 with its direct NODES
+        sum, and ``g0_two_path`` compares 2m, through G0, with its direct
+        2m sum."""
+        _check_degree(d)  # before the lookup: True and 3.0 hash like 1 and 3
+        if d not in self._split:
+            self.n0(d)
+            n0, h = self._n0, d // 2
+            products = map(mul, self._row(d), map(mul, n0[1:h + 1], n0[d - 1:d - h - 1:-1]))
+            s0 = s1 = 0
+            for i, q in enumerate(products, 1):
+                s0 += q
+                s1 += i * (d - i) * q
+            two_m = exact_div(2 * s1 + 18 * n0[d], 3 * d + 6, d) if d > 1 else 0
+            bracket = exact_div(3 * (3 * d + 2) * s1 - 2 * d * (3 * d - 1) * s0, 3, d)
+            self._split[d] = (s1, two_m, bracket)
+        return self._split[d]
 
     def omega(self, d: int) -> ExactScalar:
         """One-twelfth of the irreducible nodal fibre count:
@@ -384,9 +377,9 @@ class InvariantEngine:
 
             2m = sum N0(d1) N0(d2) d1 d2 C(3d-4, 3 d1 - 2).
 
-        Empty sum (hence 0) at d = 1.  Read from ``_two_m``.
+        Empty sum (hence 0) at d = 1.  Read from ``_moments``.
         """
-        return ExactScalar(self._two_m(d), 2)
+        return ExactScalar(self._moments(d)[1], 2)
 
     def reducible_fibre_count(self, d: int) -> ExactScalar:
         """Number of reducible (nodal) fibres of the rational family.
@@ -396,19 +389,30 @@ class InvariantEngine:
         is pinned by the degree-3 cuspidal anchor).  It is also RCOUNT =
         sum N0(d1) N0(d2) d1 d2 C(3d-3, 3 d1 - 2), the fibres counted by the
         component through the marked point: each reducible fibre has
-        exactly one component missing it.  Read from ``_forms``.
+        exactly one component missing it.  It is the moment s_1 of
+        ``_moments``, read as it is summed.
         """
-        return ExactScalar(self._forms(d)[0], 2)
+        return ExactScalar(self._moments(d)[0])
 
     def lr(self, d: int) -> ExactScalar:
         """Total plane degree of the blown-down fibre components:
 
-            sum d2 N0(d1) N0(d2) d1 d2 C(3d-3, 3 d1 - 2),
+            LR = sum d2 N0(d1) N0(d2) d1 d2 C(3d-3, 3 d1 - 2),
 
         i.e. the r-component sum weighted by the degree of the blown-down
-        (unmarked) component.  Read from ``_forms``.
+        (unmarked) component.  In the proof of ``_moments``, Pascal's rule
+        gives LR = d m + P_1 and the recursion P_1 = 2d m - 3 N0, so
+        LR = 3d m - 3 N0 for d >= 2.  The NODES form there, 3 (d + 2) m =
+        NODES + 9 N0, turns it into a form in NODES,
+
+            (d + 2) LR = d NODES + 6 (d - 1) N0,
+
+        one exact division of the moment pass's s_1.  It holds at d = 1 as
+        well, where the sum is empty and both sides are 0, so it needs no
+        branch there.
         """
-        return ExactScalar(exact_div(self._forms(d)[1], 2, d))
+        nodes = self._moments(d)[0]
+        return ExactScalar(exact_div(d * nodes + 6 * (d - 1) * self._n0[d], d + 2, d))
 
     def k0(self, d: int) -> ExactScalar:
         """One-cuspidal rational curves through 3d-2 points (authoritative
@@ -416,14 +420,17 @@ class InvariantEngine:
 
             K0 = 3 N0 - 3 d m + 3 LR - RCOUNT - NODES
 
-        in ints over ``_forms`` (RCOUNT = NODES), halved exactly: 12 (N0 - m),
-        and 3 N0 = 3 at d = 1.  The blown-down components are disjoint
-        (-1)-curves, so their sum R has R^2 = -RCOUNT; subtracting the
-        nodal-fibre count from the second Chern class assembly leaves the
-        cusp count.  Anchored by the classical K0(3) = 24.
+        in ints over NODES (= RCOUNT) and 2m of ``_moments`` and LR of the
+        public :meth:`lr`, halved exactly: 12 (N0 - m), and 3 N0 = 3 at
+        d = 1.  As LR is read through its accessor, a wrong LR reaches
+        K0's anchor, integrality and ``g0_two_path`` checks.  The
+        blown-down components are disjoint (-1)-curves, so their sum R has
+        R^2 = -RCOUNT; subtracting the nodal-fibre count from the second
+        Chern class assembly leaves the cusp count.  Anchored by the
+        classical K0(3) = 24.
         """
-        (two_nodes, two_lr), two_m = self._forms(d), self._two_m(d)
-        two_k0 = 6 * self._n0[d] - 3 * d * two_m + 3 * two_lr - 2 * two_nodes
+        (nodes, two_m, _), lr = self._moments(d), self.lr(d).numerator
+        two_k0 = 6 * self._n0[d] - 3 * d * two_m + 6 * lr - 4 * nodes
         return ExactScalar(exact_div(two_k0, 2, d))
 
     def k0_printed(self, d: int) -> ExactScalar:
@@ -443,11 +450,10 @@ class InvariantEngine:
 
         so with q = R(d1) N0(d1) N0(d2) a pair adds (3 (3d+2) d1 d2 -
         2d (3d-1)) q / 3, the middle pair at half weight, and 3 B =
-        3 (3d+2) s_1 - 2d (3d-1) s_0 in the moments of ``_two_m`` over the
-        pair row, which caches B with 2m: an O(1) assembly.
+        3 (3d+2) s_1 - 2d (3d-1) s_0 in the moments of ``_moments`` over
+        the pair row, which caches B with 2m: an O(1) assembly.
         """
-        self._two_m(d)
-        two_m, bracket = self._split[d]
+        _, two_m, bracket = self._moments(d)
         return ExactScalar(6 * self._n0[d] - 2 * bracket + 3 * two_m, 2)
 
     def k1(self, d: int) -> ExactScalar:
@@ -472,7 +478,7 @@ class InvariantEngine:
 
         from the section relation m + 2g - 2 = -m + K0.
         """
-        k0, two_m = self.k0(d).numerator, self._two_m(d)
+        k0, two_m = self.k0(d).numerator, self._moments(d)[1]
         return ExactScalar(k0 - two_m + 2, 2)
 
     def g1(self, d: int) -> ExactScalar:

@@ -208,6 +208,21 @@ class TestCorruptedEngine:
             ("ramification_residual", d) for d in range(4, 9)
         }
 
+    def test_a_wrong_lr_fails_the_k0_and_g0_checks(self):
+        # No check compares LR itself, but k0 reads it through the public
+        # lr, so LR + 1 moves K0 by 3 and G0 by 3/2: the K0 and G0 anchors,
+        # g0_two_path and G0's integrality all FAIL.
+        engine = InvariantEngine()
+        lr = engine.lr
+        engine.lr = lambda d: lr(d) + 1
+        report = run_full_audit(engine, 8)
+        failed = {(c.id, c.degree) for c in report.checks if c.status is CheckStatus.FAIL}
+        assert failed == {("anchor_k0_d3", 3), ("anchor_g0_d3", 3)} | {
+            (check_id, d) for check_id in ("g0_two_path", "integrality_g0")
+            for d in range(3, 9)
+        }
+        assert report.has_blocking_failure
+
 
 class TestDiscrepancyProbes:
     def test_printed_form_probe_reproduces_minus_sixty(self, engine):

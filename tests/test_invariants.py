@@ -195,10 +195,11 @@ class TestGoldenAgreement:
 
 
 def _proof_sums(d):
-    """(P_0, P_1, P_2, Q_0, Q_1, Q_2) of the engine's ``_forms`` proof at
-    degree d, summed from the oracle: P_k = sum d2^k C(n, 3d1-3) p and
-    Q_k = sum d2^k C(n, 3d1-2) p over ordered pairs, n = 3d-4 and
-    p = d1 d2 N0(d1) N0(d2)."""
+    """(P_0, P_1, P_2, Q_0, Q_1, Q_2) of the proof of the NODES and LR
+    forms in the engine's ``_moments`` docstring at degree d, summed from
+    the oracle: P_k = sum d2^k C(n, 3d1-3) p and Q_k = sum d2^k
+    C(n, 3d1-2) p over ordered pairs, n = 3d-4 and p = d1 d2 N0(d1)
+    N0(d2)."""
     n, sums = 3 * d - 4, [0] * 6
     for d1, d2 in oracle.splittings(d):
         p = d1 * d2 * oracle.n0(d1) * oracle.n0(d2)
@@ -210,13 +211,14 @@ def _proof_sums(d):
 
 class TestClosedForms:
     """NODES = RCOUNT = (3d + 6) m - 9 N0 and LR = 3 d m - 3 N0, the forms
+    in m, and (d + 2) LR = d NODES + 6 (d - 1) N0, the form in NODES that
     the engine evaluates, and K0 = 12 (N0 - m), which the paper's assembly
     over them gives, against sums that share no code with them; the
-    steps of their proof in the ``_forms`` docstring, with the same sums;
-    the identities that move N0, T and the K0_PRINTED bracket onto the
-    engine's half row, with the ratio rule that builds it; and 2m and the
-    bracket from the two moments S_0 and S_1 of one pair product, twice
-    those of the engine's pair row."""
+    steps of their proof in the ``_moments`` docstring, with the same
+    sums; the identities that move N0, T and the K0_PRINTED bracket onto
+    the engine's half row, with the ratio rule that builds it; and NODES,
+    2m and the bracket from the two moments S_0 and S_1 of one pair
+    product, twice those of the engine's pair row."""
 
     def test_the_half_row_identities_hold_from_degree_2_to_60(self):
         # Each sum over R(d1) = C(3d-2, 3 d1 - 1) against the oracle's own
@@ -251,7 +253,7 @@ class TestClosedForms:
         # S_k = sum (d1 d2)^k q over ordered pairs, q = R(d1) N0(d1) N0(d2),
         # against the oracle's own 2m and NODES and a bracket summed over
         # its own binomials C(3d-2, 3 d1 - 2); and the moments s_k that
-        # _two_m sums over the unordered pairs, the middle pair at half
+        # _moments sums over the unordered pairs, the middle pair at half
         # weight as the pair row holds it, are exactly half of them.
         for d in range(2, 61):
             s0 = s1 = bracket = 0
@@ -290,22 +292,30 @@ class TestClosedForms:
             )
             assert (3 * d - 3) * n0 == bracket, d
 
-    def test_the_forms_fail_at_degree_1_where_the_engine_branches(self, engine):
+    def test_only_the_forms_in_m_fail_at_degree_1_where_2m_branches(self, engine):
         # Every sum is empty at d = 1, but N0(1) = 1 is the recursion's seed,
-        # not its value, so the forms give NODES = -9 and LR = -3.
+        # not its value, so the forms in m give NODES = -9 and LR = -3, and
+        # read backwards 2m = 2: the engine's 2m branches there.  LR's form
+        # in NODES gives 3 LR = 0 + 0, so lr needs no branch.
         n0, m = oracle.n0(1), oracle.m_invariant(1)
         assert oracle.nodes(1) == oracle.rcount(1) == oracle.lr(1) == m == 0
         assert ((3 + 6) * m - 9 * n0, 3 * m - 3 * n0) == (-9, -3)
-        assert engine.reducible_fibre_count(1) == engine.lr(1) == 0
+        assert 2 * oracle.nodes(1) + 18 * n0 == (3 + 6) * 2
+        assert (1 + 2) * oracle.lr(1) == oracle.nodes(1) + 6 * 0 * n0 == 0
+        assert engine.reducible_fibre_count(1) == engine.lr(1) == engine.m_invariant(1) == 0
+        assert engine.k0(1) == 3 * n0
 
-    def test_the_forms_match_the_oracle_sums_from_degree_2_to_40(self):
+    def test_the_forms_match_the_oracle_sums_up_to_degree_40(self):
         # The engine against the oracle is pinned by the golden and
-        # live-oracle tests; this pins the forms themselves.
-        for d in range(2, 41):
-            n0, m = oracle.n0(d), oracle.m_invariant(d)
-            assert oracle.nodes(d) == oracle.rcount(d) == (3 * d + 6) * m - 9 * n0, d
-            assert oracle.lr(d) == 3 * d * m - 3 * n0, d
-            assert oracle.k0(d) == 12 * (n0 - m), d
+        # live-oracle tests; this pins the forms themselves: LR's form in
+        # NODES from d = 1, the forms in m from d = 2.
+        for d in range(1, 41):
+            n0, m, nodes = oracle.n0(d), oracle.m_invariant(d), oracle.nodes(d)
+            assert (d + 2) * oracle.lr(d) == d * nodes + 6 * (d - 1) * n0, d
+            if d > 1:
+                assert nodes == oracle.rcount(d) == (3 * d + 6) * m - 9 * n0, d
+                assert oracle.lr(d) == 3 * d * m - 3 * n0, d
+                assert oracle.k0(d) == 12 * (n0 - m), d
 
     def test_the_audit_sums_match_the_engine_at_two_degrees(self, engine):
         # Both parities of d, so the middle pair d1 = d2 is hit; T too, the
@@ -321,9 +331,10 @@ class TestClosedForms:
 
     @pytest.mark.slow
     def test_the_forms_match_the_audit_sums_up_to_the_ceiling(self, engine):
-        # The engine's forms against the audit's direct sums at every
-        # degree of the domain, and K0 against the paper's five-term
-        # assembly of those sums.
+        # The engine's NODES, the moment s_1, and 2m and LR, read from it
+        # by their forms, against the audit's direct sums at every degree
+        # of the domain, and K0 against the paper's five-term assembly of
+        # those sums.
         engine.n0(MAX_DEGREE)
         n0 = [0, *(engine.n0(k).numerator for k in range(1, MAX_DEGREE + 1))]
         a = [k * x for k, x in enumerate(n0)]

@@ -16,10 +16,13 @@ discrepancy probe runs, in a probe FAIL.
 Equivalent mutants are listed with the reason the audit cannot tell them
 apart, and their audit bytes are asserted unchanged, so neither list can
 go stale.  Audit-blind mutants change a public accessor that no audit
-check reads: their audit bytes are asserted unchanged too, and the
-retyped oracle is asserted to tell them apart.  Every function of the
-three modules is named by some mutant or listed in ``UNMUTATED`` with the
-tests that pin it instead, so a new function cannot escape the gate.
+check compares with anything: their audit bytes are asserted unchanged
+but for INFO rows, and the retyped oracle is asserted to tell them
+apart.  Only ``m_den`` is blind: the public M reaches only the INFO row
+of its integrality, as G0 reads 2m from the moment pass.  Every
+function of the three modules is named by some mutant or listed in
+``UNMUTATED`` with the tests that pin it instead, so a new function
+cannot escape the gate.
 """
 
 from __future__ import annotations
@@ -78,30 +81,31 @@ MUTANTS = [
     ("list_u", "n0", "(3 * dd - 2) * a[dd]", "(3 * dd - 1) * a[dd]", BLOCKING, 12),
     # N0's pair products.
     ("pair_products", "n0", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),
-    # The moment pass of _two_m, which gives 2m and the K0_PRINTED bracket
-    # from s_0 and s_1: the d1 d2 weight of s_1, the 18 N0 term and the
-    # divisor of 2m, and the bracket's constants and divisor; then the
-    # assembly of K0_PRINTED.
-    ("m_weight", "_two_m", "i * (d - i) * q", "i * (d - i + 1) * q", BLOCKING, 12),
-    ("m_n0", "_two_m", "18 * n0[d]", "17 * n0[d]", BLOCKING, 12),
-    ("m_div", "_two_m", "3 * d + 6, d)", "3 * d + 5, d)", BLOCKING, 12),
-    ("k0_printed_weight", "_two_m", "3 * (3 * d + 2)", "3 * (3 * d + 1)", PROBE, 12),
-    ("k0_printed_s0", "_two_m", "(3 * d - 1) * s0", "(3 * d - 2) * s0", PROBE, 12),
-    ("k0_printed_pair_den", "_two_m", "* s0, 3, d)", "* s0, 1, d)", PROBE, 12),
+    # The moment pass of _moments, which gives NODES as s_1, 2m from it and
+    # the K0_PRINTED bracket from s_0 and s_1: the d1 d2 weight of s_1, the
+    # 18 N0 term and the divisor of 2m, and the bracket's constants and
+    # divisor; then the assembly of K0_PRINTED.
+    ("m_weight", "_moments", "i * (d - i) * q", "i * (d - i + 1) * q", BLOCKING, 12),
+    ("m_n0", "_moments", "18 * n0[d]", "17 * n0[d]", BLOCKING, 12),
+    ("m_div", "_moments", "3 * d + 6, d)", "3 * d + 5, d)", BLOCKING, 12),
+    ("k0_printed_weight", "_moments", "3 * (3 * d + 2)", "3 * (3 * d + 1)", PROBE, 12),
+    ("k0_printed_s0", "_moments", "(3 * d - 1) * s0", "(3 * d - 2) * s0", PROBE, 12),
+    ("k0_printed_pair_den", "_moments", "* s0, 3, d)", "* s0, 1, d)", PROBE, 12),
     ("k0_printed_sum", "k0_printed", "- 2 * bracket", "- 3 * bracket", PROBE, 12),
     ("k0_printed_den", "k0_printed", "two_m, 2)", "two_m, 1)", PROBE, 12),
-    # The closed forms in N0 and 2m, and the read of NODES.
-    ("form_nodes_slope", "_forms", "(3 * d + 6)", "(3 * d + 5)", BLOCKING, 12),
-    ("form_nodes_n0", "_forms", "18 * n0", "19 * n0", BLOCKING, 12),
-    ("form_lr_slope", "_forms", "3 * d * two_m", "3 * (d + 1) * two_m", BLOCKING, 12),
-    ("form_lr_n0", "_forms", "6 * n0", "4 * n0", BLOCKING, 12),
-    ("nodes_read", "reducible_fibre_count", "_forms(d)[0]", "_forms(d)[1]",
+    # The reads of NODES, and LR's form in NODES and N0: each coefficient,
+    # and the divisor.  K0 reads LR through the public lr.
+    ("nodes_read", "reducible_fibre_count", "_moments(d)[0]", "_moments(d)[1]",
      BLOCKING, 12),
-    # The paper's K0 assembly over the forms: each coefficient, and the halving.
+    ("lr_read", "lr", "_moments(d)[0]", "_moments(d)[1]", BLOCKING, 12),
+    ("lr_nodes", "lr", "d * nodes", "(d + 1) * nodes", BLOCKING, 12),
+    ("lr_n0", "lr", "6 * (d - 1)", "5 * (d - 1)", BLOCKING, 12),
+    ("lr_div", "lr", "d + 2, d)", "d + 3, d)", BLOCKING, 12),
+    # The paper's K0 assembly: each coefficient, and the halving.
     ("k0_n0", "k0", "6 * self._n0[d]", "5 * self._n0[d]", BLOCKING, 12),
     ("k0_m", "k0", "3 * d * two_m", "4 * d * two_m", BLOCKING, 12),
-    ("k0_lr", "k0", "3 * two_lr", "2 * two_lr", BLOCKING, 12),
-    ("k0_nodes", "k0", "2 * two_nodes", "3 * two_nodes", BLOCKING, 12),
+    ("k0_lr", "k0", "6 * lr", "5 * lr", BLOCKING, 12),
+    ("k0_nodes", "k0", "4 * nodes", "5 * nodes", BLOCKING, 12),
     ("k0_div", "k0", "two_k0, 2, d)", "two_k0, 1, d)", BLOCKING, 12),
     ("omega_den", "omega", "24)", "12)", BLOCKING, 12),
     # K1.
@@ -110,7 +114,7 @@ MUTANTS = [
     ("k1num_t", "_k1_numerator", "8 * t", "7 * t", BLOCKING, 12),
     ("k1_den", "k1", ", 8)", ", 4)", BLOCKING, 12),
     # The genera.
-    ("g0_two_m", "g0", "self._two_m(d)", "self._two_m(d + 1)", BLOCKING, 12),
+    ("g0_two_m", "g0", "self._moments(d)[1]", "self._moments(d + 1)[1]", BLOCKING, 12),
     ("g0_const", "g0", "two_m + 2,", "two_m + 1,", BLOCKING, 12),
     ("g0_den", "g0", ", 2)", ", 1)", BLOCKING, 12),
     ("g1_den", "g1", ", 48)", ", 24)", BLOCKING, 12),
@@ -207,8 +211,8 @@ AUDIT_MUTANTS = [
 
 # (id, function, token, replacement, why the audit cannot see it)
 ENGINE_EQUIVALENT = [
-    ("two_m_always", "_two_m", "if d not in self._split:", "if True:",
-     "2m and the bracket are summed again at each call, into the same ints"),
+    ("two_m_always", "_moments", "if d not in self._split:", "if True:",
+     "NODES, 2m and the bracket are summed again at each call, into the same ints"),
     ("row_always", "_row", "if at != d:", "if True:",
      "the half row is built again at each read, into the same ints"),
     # The working-set rule: the T products held in a list.
@@ -230,14 +234,12 @@ AUDIT_EQUIVALENT = [
 
 # (id, function, token, replacement, ids of the checks whose rows change,
 # accessor): faults that reach only a public accessor that no audit check
-# compares with anything, or only a degree that no audit check reads, so
-# no audit check can fail on them; only INFO rows may change.  The golden
-# and live-oracle tests in tests/test_invariants.py pin their values.
+# compares with anything, so no audit check can fail on them; only INFO
+# rows may change.  The golden and live-oracle tests in
+# tests/test_invariants.py pin their values.
 AUDIT_BLIND = [
-    ("lr_read", "lr", "_forms(d)[1]", "_forms(d)[0]", (), "lr"),
-    ("form_d1_k0", "_forms", "return 0, 0", "return 0, 2", (), "k0"),
-    ("m_den", "m_invariant", "_two_m(d), 2)", "_two_m(d), 1)", ("integrality_m",),
-     "m_invariant"),
+    ("m_den", "m_invariant", "_moments(d)[1], 2)", "_moments(d)[1], 1)",
+     ("integrality_m",), "m_invariant"),
 ]
 
 # (module, function, why no mutant above names it): with the lists above,

@@ -96,7 +96,7 @@ class TestRowWindow:
         # largest working set of one degree: the old and the new half row,
         # each a sixth of a full row's entries, while N0 and the T fold
         # stream their products into their sums, as the moment pass of
-        # _two_m streams its pair products into s_0 and s_1.  Counted in
+        # _moments streams its pair products into s_0 and s_1.  Counted in
         # rows C(3d-1, .), it is 0.38 for n1(200) and 0.34 for n0(572);
         # with N0's weights multiplied into a list beside the rows, 0.44
         # and 0.39; with the old half row bound to n1's locals while n0
@@ -229,8 +229,9 @@ class TestRowBuilds:
 
 def test_the_identity_suite_reads_each_public_value_once_per_degree(monkeypatch):
     # The reads the suite makes, not those the engine makes inside them
-    # (k1 reads t_op, g0 reads k0): N0 and N1 at every degree, for the
-    # suite's lists, and the rest at each audited degree, d = 3..30.
+    # (k1 reads t_op, g0 reads k0, k0 reads lr): N0 and N1 at every
+    # degree, for the suite's lists, and the rest at each audited degree,
+    # d = 3..30.
     engine, active = InvariantEngine(), []
     names = (
         "n0", "n1", "k0", "k1", "g0", "g1", "omega", "m_invariant",
@@ -246,6 +247,24 @@ def test_the_identity_suite_reads_each_public_value_once_per_degree(monkeypatch)
         assert [d for d, in made] == list(range(first, 31)), name
 
 
+def test_t_k1_and_g1_read_the_stored_t_without_the_public_n1(monkeypatch):
+    # t_op reads T from the list the N1 loop stores and fills N1 only for
+    # a degree not yet stored: on a fresh engine one call fills to its
+    # degree, and then no read of T, K1 or G1 calls the public n1.
+    engine, filled = InvariantEngine(), InvariantEngine()
+    filled.n1(20)
+    made = _count_calls(monkeypatch, "n1", engine.n1, engine)
+    assert engine.t_op(20) == filled.t_op(20)
+    assert made == [(20,)]
+    made.clear()
+    for d in range(1, 21):
+        assert engine.t_op(d) == filled.t_op(d), d
+        assert engine.k1(d) == filled.k1(d), d
+        if d >= 3:
+            assert engine.g1(d) == filled.g1(d), d
+    assert made == []
+
+
 def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
     engine = InvariantEngine()
     run_full_audit(engine, 30)
@@ -254,15 +273,20 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
         if name != "_window":
             assert state, name
     lists = [engine._n0, engine._n1, engine._t, engine._a, engine._u]
-    pairs = list(engine._split.values())
-    assert all(len(pair) == 2 for pair in pairs)
-    entries = [x for state in lists + pairs for x in state]
+    triples = list(engine._split.values())
+    assert all(len(triple) == 3 for triple in triples)
+    entries = [x for state in lists + triples for x in state]
     assert {type(entry) for entry in entries} == {int}
+    # The triple is (NODES, 2m, B): the public NODES and M read its first
+    # two entries as they stand.
+    for d, (nodes, two_m, _) in engine._split.items():
+        assert engine.reducible_fibre_count(d) == nodes, d
+        assert 2 * engine.m_invariant(d) == two_m, d
     # Each sum of a degree reads the pair row once, and only there: N0 at
     # d = 2..100 (N0(1) is the seed), N1 and T at d = 1..100, and the
-    # moment pass of 2m and the K0_PRINTED bracket, cached, once per
-    # degree read: d = 3..100 in the audit, whose K0_PRINTED probe at
-    # d = 3 reads the cached pair, and d = 1..100 in a table.
+    # moment pass of NODES, 2m and the K0_PRINTED bracket, cached, once
+    # per degree read: d = 3..100 in the audit, whose K0_PRINTED probe at
+    # d = 3 reads the cached triple, and d = 1..100 in a table.
     readers, row = Counter(), engine_module.InvariantEngine._row
 
     def counting(engine, d):
@@ -271,8 +295,8 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(engine_module.InvariantEngine, "_row", counting)
     for entry_point, expected in (
-        (run_full_audit, {"n0": 99, "n1": 100, "_two_m": 98}),
-        (build_records, {"n0": 99, "n1": 100, "_two_m": 100}),
+        (run_full_audit, {"n0": 99, "n1": 100, "_moments": 98}),
+        (build_records, {"n0": 99, "n1": 100, "_moments": 100}),
     ):
         readers.clear()
         entry_point(InvariantEngine(), 100)
@@ -289,8 +313,9 @@ def test_a_filled_engine_reads_alike_from_four_threads():
 
 
 def test_an_engine_filled_to_its_counts_fills_its_sums_alike_from_four_threads():
-    # N0, N1 and T are filled, 2m and the K0_PRINTED bracket are not: the
-    # threads race to fill them, each degree's pair by one assignment.
+    # N0, N1 and T are filled, NODES, 2m and the K0_PRINTED bracket are
+    # not: the threads race to fill them, each degree's triple by one
+    # assignment.
     engine = InvariantEngine()
     engine.n1(40)
     assert engine._split == {}

@@ -11,7 +11,7 @@ Exit codes: 0 success (and no blocking audit failure), 1 an anchor,
 identity or integrality FAIL present (a discrepancy probe's FAIL does
 not block), 2 usage, I/O or arithmetic error (a corrupted engine), 3 an
 internal error (any other exception: a fault in this package, never
-a check's verdict).
+a check's verdict), 130 an interrupt (Ctrl-C), reported on one line.
 Identical commands produce byte-identical output.
 
 ``entry()`` is the process entry of every launch: ``python -m severi``,
@@ -52,6 +52,7 @@ EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_INTERRUPTED = 130
 
 _VERSION = f"severi {__version__}"
 
@@ -142,7 +143,9 @@ def _write_output(output: str | None, render, *args) -> None:
     of the output goes to ``os.devnull``, so that the flush at exit cannot
     fail again, and the verb returns its own exit code.  A stdout closed
     before the start (``>&-``), which Python makes None, is an ``OSError``.
-    A failed write or close removes a regular file (not ``/dev/full``)."""
+    A write or close that fails or is interrupted, by any exception,
+    removes a regular file (not ``/dev/full``), so that no partial file is
+    left behind."""
     if output is None:
         if sys.stdout is None:
             raise OSError("standard output is closed")
@@ -156,7 +159,7 @@ def _write_output(output: str | None, render, *args) -> None:
         try:
             with handle:
                 render(*args, handle)
-        except OSError:
+        except BaseException:
             if os.path.isfile(output):
                 os.remove(output)
             raise
@@ -219,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         _to_stderr(f"severi: internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        _to_stderr("severi: interrupted\n")
+        return EXIT_INTERRUPTED
 
 
 def entry() -> int:

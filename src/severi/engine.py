@@ -12,25 +12,24 @@ The engine computes, for each degree d >= 1:
   genera ``g0``/``g1``.
 
 All values are exact.  The recursions and the splitting sums run on
-plain ``int`` as dot products: N0 and N1 are integer lists, N1 is
-carried as 36 N1 and reduced by exact division, T is one int per
-degree, and NODES (= RCOUNT), 2m and the K0_PRINTED bracket are one
-triple of ints per degree from one pass: NODES is its moment s_1, 2m
-is read from it by the NODES form (3d + 6) m - 9 N0, proved in
-``_moments``, and LR is one exact division of it, (d + 2) LR =
-d NODES + 6 (d - 1) N0; K0 is the paper's assembly over them, which
-makes it 12 (N0 - m).
-The loops also keep the scaled counts a = d N0 and u = (3d-2) d N0, so
-a degree costs only big products.  Every sum of degree d reads one
-pair row: the half row R(i) = C(3d-2, 3i-1), 1 <= i <= d/2, which the
-symmetry C(3d-2, 3i-1) = C(3d-2, 3j-1), j = d - i, makes the row of
-every unordered pair i <= j, with the middle pair i = j of an even d,
-which has one order only, at half weight (see ``_row``).  Pascal's
-ratio rule moves each sum's own binomials onto it, and each sum is one
-plain dot product over i <= d/2: T with u(i) N1(j) + u(j) N1(i) (see
-``n1``), N0 with small weights times a(i) a(j) (see ``n0``), and NODES,
-2m and the K0_PRINTED bracket with N0(i) N0(j), in one moment pass
-(see ``_moments``).
+plain ``int``: N0 and N1 are integer lists, N1 is carried as 36 N1 and
+reduced by exact division, T is one int per degree, and NODES
+(= RCOUNT), 2m and the K0_PRINTED bracket are one triple of ints per
+degree.  Every sum of degree d reads one pair row: the half row
+R(i) = C(3d-2, 3i-1), 1 <= i <= d/2, which the symmetry
+C(3d-2, 3i-1) = C(3d-2, 3j-1), j = d - i, makes the row of every
+unordered pair i <= j, with the middle pair i = j of an even d, which
+has one order only, at half weight (see ``_row``).  Pascal's ratio rule
+moves each sum's own binomials onto it.  Every sum over N0(i) N0(j) is
+then a moment s_k = sum (ij)^k q of one pair product q = R(i) N0(i)
+N0(j), and one loop per degree forms each q once and sums s_0, s_1 and
+s_2 (see ``n0``): N0 is one exact division of (3d + 6) s_2 - 2d^2 s_1,
+NODES is s_1, 2m is read from it by the NODES form (3d + 6) m - 9 N0,
+proved in ``_moments``, and the bracket is read from s_0 and s_1.  LR is
+one exact division of NODES, (d + 2) LR = d NODES + 6 (d - 1) N0, and K0
+is the paper's assembly over them, which makes it 12 (N0 - m).  T is
+one dot product over i <= d/2 with u(i) N1(j) + u(j) N1(i), from the
+scaled count u = (3d-2) d N0 that the N0 loop keeps (see ``n1``).
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
 stored.  ``g1`` reads the numerator 8 K1 of ``k1``, ``g0`` that of
@@ -46,8 +45,8 @@ division per entry, C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) /
 paths share no row-building code with the engine.
 Only one degree's half row is alive between builds, and a build holds
 the old and the new one only: no loop binds a row to a local that
-outlives its degree, and N0, the T fold and the moment pass stream
-their products into their sums.
+outlives its degree, and N0's loop and the T fold stream their
+products into their sums.
 """
 
 from __future__ import annotations
@@ -153,23 +152,22 @@ class InvariantEngine:
     ``n0``/``n1`` at degree d use only degrees below d, and every
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so no stored entry is ever overwritten.
-    The state is all ``int``: N0, N1, T and the scaled counts a and u
-    are lists indexed by degree (entry 0 unused); NODES, 2m and the
-    K0_PRINTED bracket's first sum, the three ints of the one cached
-    O(d) pass per degree, are one triple per degree in one dict, stored
-    by one assignment; the window holds the pair row of one degree only
-    (at degree 0, empty).  Every other value is rebuilt per call, as an
-    O(1) assembly over these.
+    The state is all ``int``: N0, N1, T, the scaled count u and the
+    triple (NODES, 2m, B) of splitting sums, B the K0_PRINTED bracket's
+    first sum, are lists indexed by degree (entry 0 unused), the triple
+    filled with N0 by one loop per degree; the window holds the pair row
+    of one degree only (at degree 0, empty).  Every other value is
+    rebuilt per call, as an O(1) assembly over these.
     """
 
     def __init__(self) -> None:
         self._n0: list[int] = [0, 1]
         self._n1: list[int] = [0]
         self._t: list[int] = [0]
-        # Scaled counts: a = d N0, u = (3d-2) d N0.
-        self._a: list[int] = [0, 1]
+        # Scaled count u = (3d-2) d N0, and (NODES, 2m, B): every splitting
+        # sum is empty at d = 1.
         self._u: list[int] = [0, 1]
-        self._split: dict[int, tuple[int, int, int]] = {}
+        self._sums: list[tuple[int, int, int]] = [(0, 0, 0), (0, 0, 0)]
         self._window: tuple[int, list[int]] = (0, [])
 
     def _row(self, d: int) -> list[int]:
@@ -221,18 +219,44 @@ class InvariantEngine:
                                                R(d1) a(d1) a(d2),
 
         the middle pair d1 = d2 at half weight, as the pair row of ``_row``
-        holds it: the row times the small weights, dotted with a(d1) a(d2).
+        holds it.  With q = R(d1) N(d1) N(d2) and the moments
+
+            s_k = sum_{d1 <= d2} (d1 d2)^k q,
+
+        a pair adds ((3d+6) (d1 d2)^2 - 2d^2 d1 d2) q, as a(d1) a(d2) =
+        d1 d2 N(d1) N(d2), so that
+
+            (3d-3)(3d-2) N(d) = (3d+6) s_2 - 2d^2 s_1:
+
+        one exact division of two moments of the pair products.  The same
+        loop sums s_0, and from N(d) it stores u(d) = (3d-2) d N(d) for
+        ``n1`` and the triple (NODES, 2m, B) of ``_moments``, which reads
+        it.  So every sum over N0(d1) N0(d2) forms each pair product once,
+        and the products stream into the three sums, none held in a list.
+        Every division of a degree comes before its appends, so one that
+        fails leaves the lists as they were.
+        At d = 1 every sum is empty and N(1) = 1 is the seed, which the
+        triple (0, 0, 0) of the empty sums joins.
         """
         _check_degree(d)
-        n0, a, u = self._n0, self._a, self._u
+        n0, u, sums = self._n0, self._u, self._sums
         for dd in range(len(n0), d + 1):
-            c, e, h = 3 * dd + 6, 2 * dd * dd, dd // 2
-            weights = (c * i * (dd - i) - e for i in range(1, h + 1))
-            pairs = map(mul, a[1:h + 1], a[dd - 1:dd - h - 1:-1])
-            s = sum(map(mul, map(mul, self._row(dd), weights), pairs))
-            n0.append(exact_div(s, (3 * dd - 3) * (3 * dd - 2), dd))
-            a.append(dd * n0[dd])
-            u.append((3 * dd - 2) * a[dd])
+            h = dd // 2
+            pairs = map(mul, n0[1:h + 1], n0[dd - 1:dd - h - 1:-1])
+            s0 = s1 = s2 = 0
+            for i, q in enumerate(map(mul, self._row(dd), pairs), 1):
+                w = i * (dd - i)
+                s0 += q
+                q *= w
+                s1 += q
+                s2 += w * q
+            n = exact_div((3 * dd + 6) * s2 - 2 * dd * dd * s1,
+                          (3 * dd - 3) * (3 * dd - 2), dd)
+            two_m = exact_div(2 * s1 + 18 * n, 3 * dd + 6, dd)
+            bracket = exact_div(3 * (3 * dd + 2) * s1 - 2 * dd * (3 * dd - 1) * s0, 3, dd)
+            n0.append(n)
+            u.append((3 * dd - 2) * dd * n)
+            sums.append((s1, two_m, bracket))
         return ExactScalar(n0[d])
 
     def n1(self, d: int) -> ExactScalar:
@@ -297,13 +321,12 @@ class InvariantEngine:
         """(NODES, 2m, B) at degree d: NODES = RCOUNT (see
         :meth:`reducible_fibre_count`), 2m (see :meth:`m_invariant`) and
         the first sum B of the K0_PRINTED bracket (see :meth:`k0_printed`),
-        from one pass over the pair row r of ``_row``, cached per degree as
-        one triple.  Over the unordered pairs d1 <= d2 = d - d1, with
-        q = r(d1) N0(d1) N0(d2), let s_k = sum (d1 d2)^k q: half the
-        ordered sum over the full weight C(3d-2, 3 d1 - 1), as the halved
-        middle entry of r counts the middle pair once.  So s_1 is NODES
-        itself, and the NODES form below read backwards, and the pair
-        weight of the bracket, give
+        as the loop of ``n0`` stores them, one triple per degree, from the
+        moments s_k = sum (d1 d2)^k q, q = r(d1) N0(d1) N0(d2), of the pair
+        row r of ``_row``: half the ordered sums over the full weight
+        C(3d-2, 3 d1 - 1), as the halved middle entry of r counts the
+        middle pair once.  So s_1 is NODES itself, and the NODES form below
+        read backwards, and the pair weight of the bracket, give
 
             (3d + 6) 2m = 2 s_1 + 18 N0,
             3 B = 3 (3d + 2) s_1 - 2d (3d - 1) s_0.
@@ -334,29 +357,18 @@ class InvariantEngine:
         (3d+4) m - 9 N0, and RCOUNT = 2m + P_0 is the form.
 
         At d = 1 the sums are empty, but the recursion does not hold there
-        (N0(1) = 1 is its seed), so the form gives 2m = 2 where the sum of
-        ``m_invariant`` is empty: hence the branch, the only d = 1 case of
-        the derived values.  A search found no form of this kind for 2m
-        alone or for the K0_PRINTED bracket, so s_0 is the pass's one sum
-        beyond NODES.  The products q stream into the two sums, so none of
-        them is held in a list.  The triple is stored by one assignment,
-        so a reader that finds one of its values finds all three.  The
-        audit's ``rcount_equals_nodes`` compares s_1 with its direct NODES
-        sum, and ``g0_two_path`` compares 2m, through G0, with its direct
-        2m sum."""
-        _check_degree(d)  # before the lookup: True and 3.0 hash like 1 and 3
-        if d not in self._split:
+        (N0(1) = 1 is its seed), so the form would give 2m = 2 where the
+        sum of ``m_invariant`` is empty: the triple of d = 1 is therefore
+        seeded as (0, 0, 0) with N0(1), not read from the form.  A search
+        found no form of this kind for 2m alone or for the K0_PRINTED
+        bracket, so s_0 is the one sum of the loop that N0 does not need.
+        The audit's ``rcount_equals_nodes`` compares s_1 with its direct
+        NODES sum, and ``g0_two_path`` compares 2m, through G0, with its
+        direct 2m sum."""
+        _check_degree(d)
+        if d >= len(self._sums):
             self.n0(d)
-            n0, h = self._n0, d // 2
-            products = map(mul, self._row(d), map(mul, n0[1:h + 1], n0[d - 1:d - h - 1:-1]))
-            s0 = s1 = 0
-            for i, q in enumerate(products, 1):
-                s0 += q
-                s1 += i * (d - i) * q
-            two_m = exact_div(2 * s1 + 18 * n0[d], 3 * d + 6, d) if d > 1 else 0
-            bracket = exact_div(3 * (3 * d + 2) * s1 - 2 * d * (3 * d - 1) * s0, 3, d)
-            self._split[d] = (s1, two_m, bracket)
-        return self._split[d]
+        return self._sums[d]
 
     def omega(self, d: int) -> ExactScalar:
         """One-twelfth of the irreducible nodal fibre count:
@@ -377,7 +389,7 @@ class InvariantEngine:
 
             2m = sum N0(d1) N0(d2) d1 d2 C(3d-4, 3 d1 - 2).
 
-        Empty sum (hence 0) at d = 1.  Read from ``_moments``.
+        Empty sum (hence 0) at d = 1, the seed.  Read from ``_moments``.
         """
         return ExactScalar(self._moments(d)[1], 2)
 
@@ -389,8 +401,8 @@ class InvariantEngine:
         is pinned by the degree-3 cuspidal anchor).  It is also RCOUNT =
         sum N0(d1) N0(d2) d1 d2 C(3d-3, 3 d1 - 2), the fibres counted by the
         component through the marked point: each reducible fibre has
-        exactly one component missing it.  It is the moment s_1 of
-        ``_moments``, read as it is summed.
+        exactly one component missing it.  It is the moment s_1 of the
+        pair row, read from ``_moments`` as ``n0``'s loop summed it.
         """
         return ExactScalar(self._moments(d)[0])
 
@@ -407,7 +419,7 @@ class InvariantEngine:
 
             (d + 2) LR = d NODES + 6 (d - 1) N0,
 
-        one exact division of the moment pass's s_1.  It holds at d = 1 as
+        one exact division of the moment s_1.  It holds at d = 1 as
         well, where the sum is empty and both sides are 0, so it needs no
         branch there.
         """
@@ -450,8 +462,8 @@ class InvariantEngine:
 
         so with q = R(d1) N0(d1) N0(d2) a pair adds (3 (3d+2) d1 d2 -
         2d (3d-1)) q / 3, the middle pair at half weight, and 3 B =
-        3 (3d+2) s_1 - 2d (3d-1) s_0 in the moments of ``_moments`` over
-        the pair row, which caches B with 2m: an O(1) assembly.
+        3 (3d+2) s_1 - 2d (3d-1) s_0 in the moments of the pair row, which
+        ``n0``'s loop sums and stores B from, with 2m: an O(1) assembly.
         """
         _, two_m, bracket = self._moments(d)
         return ExactScalar(6 * self._n0[d] - 2 * bracket + 3 * two_m, 2)

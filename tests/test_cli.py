@@ -541,6 +541,41 @@ class TestInternalError:
         assert run_cli(*argv) == (3, "", "severi: internal error: IndexError: boom\n")
 
 
+class TestInterrupt:
+    """An interrupt (Ctrl-C) is one stderr line and exit 130, with no
+    traceback, and leaves no partial ``--output`` file."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_interrupted_write_leaves_no_output_file(
+        self, run_cli, monkeypatch, tmp_path, fmt
+    ):
+        target = tmp_path / f"table.{fmt}"
+
+        def interrupted(records, out):
+            out.write("partial\n" * 1000)
+            out.flush()
+            assert target.stat().st_size > 0
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, f"render_{fmt}", interrupted)
+        argv = ("table", "--d-max", "5", "--format", fmt, "--output", str(target))
+        assert run_cli(*argv) == (130, "", "severi: interrupted\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "N0", "3"), ("table", "--d-max", "12"), ("audit", "--d-max", "12")],
+    )
+    def test_an_interrupted_computation_is_one_line_and_exit_130(
+        self, run_cli, monkeypatch, argv
+    ):
+        def interrupted(self, d):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(InvariantEngine, "n0", interrupted)
+        assert run_cli(*argv) == (130, "", "severi: interrupted\n")
+
+
 class TestBrokenPipe:
     @pytest.mark.parametrize(
         "argv",

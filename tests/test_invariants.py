@@ -193,6 +193,17 @@ class TestGoldenAgreement:
         for d in range(13, 41):
             assert accessor(engine, d) == reference(d), (name, d)
 
+    @pytest.mark.slow
+    def test_every_kind_equals_the_oracle_up_to_degree_300(self, engine):
+        # Past d = 60 the tier-1 tests compare the engine with digests it
+        # recorded itself; this holds every kind, N0 from its moments
+        # included, to the oracle's retyped sums over full binomials.
+        for d in range(1, 301):
+            for kind in KIND_ORDER:
+                name = _GOLDEN_NAME[kind]
+                reference = getattr(oracle, "m_invariant" if name == "m" else name)
+                assert engine.value(kind, d) == reference(d), (kind, d)
+
 
 def _proof_sums(d):
     """(P_0, P_1, P_2, Q_0, Q_1, Q_2) of the proof of the NODES and LR
@@ -216,9 +227,10 @@ class TestClosedForms:
     over them gives, against sums that share no code with them; the
     steps of their proof in the ``_moments`` docstring, with the same
     sums; the identities that move N0, T and the K0_PRINTED bracket onto
-    the engine's half row, with the ratio rule that builds it; and NODES,
-    2m and the bracket from the two moments S_0 and S_1 of one pair
-    product, twice those of the engine's pair row."""
+    the engine's half row, with the ratio rule that builds it; NODES, 2m
+    and the bracket from the two moments S_0 and S_1 of one pair product,
+    twice those of the engine's pair row; N0 from its moments s_1 and s_2;
+    and the seed of the sums at d = 1."""
 
     def test_the_half_row_identities_hold_from_degree_2_to_60(self):
         # Each sum over R(d1) = C(3d-2, 3 d1 - 1) against the oracle's own
@@ -253,7 +265,7 @@ class TestClosedForms:
         # S_k = sum (d1 d2)^k q over ordered pairs, q = R(d1) N0(d1) N0(d2),
         # against the oracle's own 2m and NODES and a bracket summed over
         # its own binomials C(3d-2, 3 d1 - 2); and the moments s_k that
-        # _moments sums over the unordered pairs, the middle pair at half
+        # n0's loop sums over the unordered pairs, the middle pair at half
         # weight as the pair row holds it, are exactly half of them.
         for d in range(2, 61):
             s0 = s1 = bracket = 0
@@ -275,6 +287,23 @@ class TestClosedForms:
             assert oracle.k0_printed(d) == 3 * n0 - bracket + Fraction(3, 2) * two_m, d
             assert [2 * x for x in half] == [s0, s1], d
 
+    def test_n0_is_a_moment_identity_from_degree_2_to_60(self):
+        # The moments s_k = sum (d1 d2)^k q of the n0 docstring, over the
+        # unordered pairs with the middle pair at half weight, q =
+        # C(3d-2, 3 d1 - 1) N0(d1) N0(d2), summed from the oracle's own N0
+        # and binomials, give its N0 by the identity n0 evaluates.
+        for d in range(2, 61):
+            s = [0, 0, 0]
+            for i, j in oracle.splittings(d):
+                if i <= j:
+                    q = oracle.c(3 * d - 2, 3 * i - 1) * oracle.n0(i) * oracle.n0(j)
+                    weight = Fraction(1, 2) if i == j else 1
+                    for k in range(3):
+                        s[k] += weight * (i * j) ** k * q
+            assert (3 * d - 3) * (3 * d - 2) * oracle.n0(d) == (
+                (3 * d + 6) * s[2] - 2 * d * d * s[1]
+            ), d
+
     def test_the_proof_steps_hold_from_degree_2_to_60(self):
         for d in range(2, 61):
             n0, m = oracle.n0(d), oracle.m_invariant(d)
@@ -292,13 +321,19 @@ class TestClosedForms:
             )
             assert (3 * d - 3) * n0 == bracket, d
 
-    def test_only_the_forms_in_m_fail_at_degree_1_where_2m_branches(self, engine):
+    def test_only_the_forms_in_m_fail_at_degree_1_where_the_sums_are_seeded(
+        self, engine
+    ):
         # Every sum is empty at d = 1, but N0(1) = 1 is the recursion's seed,
         # not its value, so the forms in m give NODES = -9 and LR = -3, and
-        # read backwards 2m = 2: the engine's 2m branches there.  LR's form
-        # in NODES gives 3 LR = 0 + 0, so lr needs no branch.
+        # read backwards 2m = 2: the engine seeds the triple (NODES, 2m, B)
+        # of d = 1 as the empty sums, (0, 0, 0).  LR's form in NODES gives
+        # 3 LR = 0 + 0, so lr needs no seed.
         n0, m = oracle.n0(1), oracle.m_invariant(1)
+        assert list(oracle.splittings(1)) == []
         assert oracle.nodes(1) == oracle.rcount(1) == oracle.lr(1) == m == 0
+        bracket = 3 * n0 - oracle.k0_printed(1) + 3 * m
+        assert InvariantEngine()._sums[1] == (oracle.nodes(1), 2 * m, bracket) == (0, 0, 0)
         assert ((3 + 6) * m - 9 * n0, 3 * m - 3 * n0) == (-9, -3)
         assert 2 * oracle.nodes(1) + 18 * n0 == (3 + 6) * 2
         assert (1 + 2) * oracle.lr(1) == oracle.nodes(1) + 6 * 0 * n0 == 0
@@ -384,10 +419,9 @@ class TestFoldedT:
 
 
 def _assert_untouched(engine):
-    """No count, scaled count, T entry or cached sum was computed."""
-    lists = (engine._n0, engine._a, engine._u, engine._n1, engine._t)
-    assert lists == ([0, 1], [0, 1], [0, 1], [0], [0])
-    assert engine._split == {}
+    """No count, scaled count, T entry or splitting sum was computed, and no
+    pair row was built: the whole state is a fresh engine's."""
+    assert vars(engine) == vars(InvariantEngine())
 
 
 _PER_DEGREE_METHODS = (

@@ -19,7 +19,7 @@ go stale.  Audit-blind mutants change a public accessor that no audit
 check compares with anything: their audit bytes are asserted unchanged
 but for INFO rows, and the retyped oracle is asserted to tell them
 apart.  Only ``m_den`` is blind: the public M reaches only the INFO row
-of its integrality, as G0 reads 2m from the moment pass.  Every
+of its integrality, as G0 reads 2m from the triple of ``n0``'s loop.  Every
 function of the three modules is named by some mutant or listed in
 ``UNMUTATED`` with the tests that pin it instead, so a new function
 cannot escape the gate.
@@ -50,9 +50,9 @@ BLOCKING, PROBE = "blocking", "probe"
 
 # (id, function, token, replacement, outcome, first d_max that catches it)
 MUTANTS = [
-    # The recursions over the half row: N0's pair weight, each constant,
-    # and its divisor.
-    ("n0_slope", "n0", "3 * dd + 6", "3 * dd + 5", BLOCKING, 12),
+    # The recursions over the half row: N0 from the moments s_1 and s_2 of
+    # its pair products, each constant, and its divisor.
+    ("n0_slope", "n0", "(3 * dd + 6) * s2", "(3 * dd + 5) * s2", BLOCKING, 12),
     ("n0_const", "n0", "2 * dd * dd", "3 * dd * dd", BLOCKING, 12),
     ("n0_div", "n0", "(3 * dd - 2), dd)", "(3 * dd - 1), dd)", BLOCKING, 12),
     ("n0_public_d30", "n0", "ExactScalar(n0[d])", "ExactScalar(n0[d] + (d == 30))",
@@ -75,26 +75,32 @@ MUTANTS = [
     ("row_start", "_row", "n * (n - 1) // 2", "n * (n + 1) // 2", BLOCKING, 12),
     ("row_middle", "_row", "row[-1] //= 2", "row[-1] //= 1", BLOCKING, 12),
     ("row_middle_parity", "_row", "if d % 2 == 0:", "if d % 2 == 1:", BLOCKING, 12),
-    # The scaled count lists a = d N0 and u = (3d-2) d N0.
-    ("list_a_d20", "n0", "a.append(dd * n0[dd])", "a.append((dd + (dd == 20)) * n0[dd])",
-     BLOCKING, 30),
-    ("list_u", "n0", "(3 * dd - 2) * a[dd]", "(3 * dd - 1) * a[dd]", BLOCKING, 12),
-    # N0's pair products.
-    ("pair_products", "n0", "a[1:h + 1]", "a[0:h]", BLOCKING, 12),
-    # The moment pass of _moments, which gives NODES as s_1, 2m from it and
-    # the K0_PRINTED bracket from s_0 and s_1: the d1 d2 weight of s_1, the
-    # 18 N0 term and the divisor of 2m, and the bracket's constants and
-    # divisor; then the assembly of K0_PRINTED.
-    ("m_weight", "_moments", "i * (d - i) * q", "i * (d - i + 1) * q", BLOCKING, 12),
-    ("m_n0", "_moments", "18 * n0[d]", "17 * n0[d]", BLOCKING, 12),
-    ("m_div", "_moments", "3 * d + 6, d)", "3 * d + 5, d)", BLOCKING, 12),
-    ("k0_printed_weight", "_moments", "3 * (3 * d + 2)", "3 * (3 * d + 1)", PROBE, 12),
-    ("k0_printed_s0", "_moments", "(3 * d - 1) * s0", "(3 * d - 2) * s0", PROBE, 12),
-    ("k0_printed_pair_den", "_moments", "* s0, 3, d)", "* s0, 1, d)", PROBE, 12),
+    # The scaled count list u = (3d-2) d N0, once from d = 20 on.
+    ("list_u_d20", "n0", "dd * n)", "(dd + (dd == 20)) * n)", BLOCKING, 30),
+    ("list_u", "n0", "(3 * dd - 2) * dd * n", "(3 * dd - 1) * dd * n", BLOCKING, 12),
+    # N0's pair products, and their moments: the d1 d2 weight of s_1 and
+    # s_2, and the second weight of s_2.
+    ("pair_products", "n0", "n0[1:h + 1]", "n0[0:h]", BLOCKING, 12),
+    ("m_weight", "n0", "i * (dd - i)", "i * (dd - i + 1)", BLOCKING, 12),
+    ("n0_s2_weight", "n0", "s2 += w * q", "s2 += q", BLOCKING, 12),
+    # The triple (NODES, 2m, B) that n0's loop stores: NODES is s_1, 2m is
+    # read from it, the K0_PRINTED bracket from s_0 and s_1.  The 18 N0
+    # term and the divisor of 2m, and s_0, the bracket's constants and its
+    # divisor; then the assembly of K0_PRINTED.  A fault of s_0 that
+    # breaks 3 | d s_0 makes the bracket's exact division raise in n0's
+    # loop, so N0 itself fails; one that keeps it reaches K0_PRINTED only.
+    ("m_n0", "n0", "18 * n", "17 * n", BLOCKING, 12),
+    ("m_div", "n0", "3 * dd + 6, dd)", "3 * dd + 5, dd)", BLOCKING, 12),
+    ("n0_s0", "n0", "s0 += q", "s0 += w", BLOCKING, 12),
+    ("k0_printed_weight", "n0", "3 * (3 * dd + 2)", "3 * (3 * dd + 1)", PROBE, 12),
+    ("k0_printed_s0", "n0", "(3 * dd - 1) * s0", "(3 * dd - 2) * s0", PROBE, 12),
+    ("k0_printed_pair_den", "n0", "* s0, 3, dd)", "* s0, 1, dd)", PROBE, 12),
     ("k0_printed_sum", "k0_printed", "- 2 * bracket", "- 3 * bracket", PROBE, 12),
     ("k0_printed_den", "k0_printed", "two_m, 2)", "two_m, 1)", PROBE, 12),
-    # The reads of NODES, and LR's form in NODES and N0: each coefficient,
-    # and the divisor.  K0 reads LR through the public lr.
+    # The read of the triple, the reads of NODES, and LR's form in NODES
+    # and N0: each coefficient, and the divisor.  K0 reads LR through the
+    # public lr.
+    ("moments_read", "_moments", "self._sums[d]", "self._sums[d - 1]", BLOCKING, 12),
     ("nodes_read", "reducible_fibre_count", "_moments(d)[0]", "_moments(d)[1]",
      BLOCKING, 12),
     ("lr_read", "lr", "_moments(d)[0]", "_moments(d)[1]", BLOCKING, 12),
@@ -211,8 +217,6 @@ AUDIT_MUTANTS = [
 
 # (id, function, token, replacement, why the audit cannot see it)
 ENGINE_EQUIVALENT = [
-    ("two_m_always", "_moments", "if d not in self._split:", "if True:",
-     "NODES, 2m and the bracket are summed again at each call, into the same ints"),
     ("row_always", "_row", "if at != d:", "if True:",
      "the half row is built again at each read, into the same ints"),
     # The working-set rule: the T products held in a list.
@@ -246,7 +250,8 @@ AUDIT_BLIND = [
 # every function of the three modules, so that a new one joins the gate
 # or says here why not.
 UNMUTATED = [
-    ("engine", "__init__", "test_invariants._assert_untouched pins its seed lists"),
+    ("engine", "__init__", "its seeds: the golden values at d = 1 and "
+     "TestClosedForms' test of the d = 1 seed pin them"),
     ("engine", "_check_degree", "the degree refusal tests pin it"),
     ("engine", "domain_status", "no check reads it; the domain tests pin it"),
     ("engine", "_domain_status", "no check reads it; the domain tests pin it, "
@@ -378,8 +383,13 @@ def test_the_unmutated_audit_source_audits_like_the_module():
 
 
 def test_an_exact_mutant_reaches_the_fresh_engine_and_audit_and_nothing_else():
+    # The mutant makes N0(2) = 2, so 2m of the same degree, divided in the
+    # same loop, is not integral: a fresh engine's first degree raises.
     engine, _ = _exact_bound("exact_div", "return quotient", "return quotient + 1")
-    assert engine.InvariantEngine().n0(3) != InvariantEngine().n0(3)
+    with pytest.raises(exact_module.InexactDivision) as raised:
+        engine.InvariantEngine().n0(3)
+    assert raised.value.degree == 2
+    assert InvariantEngine().n0(3) == 12
     _, audit = _exact_bound("pascal_row", "[1] if n >= 0", "[2] if n >= 0")
     assert audit.pascal_row(5) != exact_module.pascal_row(5)
     assert sys.modules["severi.exact"] is exact_module

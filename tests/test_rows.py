@@ -77,10 +77,10 @@ class TestRowWindow:
     def test_n1_leaves_one_degree_of_rows_behind(self):
         engine = InvariantEngine()
         engine.n1(200)
-        # No other attribute may hold binomial rows.
-        lists = {"_n0", "_n1", "_t", "_a", "_u"}
-        assert set(vars(engine)) == lists | {"_split", "_window"}
-        assert engine._split == {}
+        # No other attribute may hold binomial rows; the triples of the
+        # splitting sums are filled with N0.
+        lists = {"_n0", "_n1", "_t", "_u", "_sums"}
+        assert set(vars(engine)) == lists | {"_window"}
         d, row = engine._window
         assert d == 200
         assert len(row) == 100
@@ -94,17 +94,18 @@ class TestRowWindow:
     def test_a_fill_holds_under_one_row_beyond_what_it_keeps(self, method, d):
         # The traced peak of a fill less what the engine keeps is the
         # largest working set of one degree: the old and the new half row,
-        # each a sixth of a full row's entries, while N0 and the T fold
-        # stream their products into their sums, as the moment pass of
-        # _moments streams its pair products into s_0 and s_1.  Counted in
-        # rows C(3d-1, .), it is 0.38 for n1(200) and 0.34 for n0(572);
-        # with N0's weights multiplied into a list beside the rows, 0.44
-        # and 0.39; with the old half row bound to n1's locals while n0
-        # builds the next, 0.75, and with the four-row Pascal window, 1.4
-        # and 1.3.  A table's records to 200 are kept, and the values of
-        # its last degree, built after its transient, offset it: 0.05,
-        # against 0.34 with the weight lists of 2m and the bracket and 1.7
-        # with the moment pass's products held in a list.
+        # each a sixth of a full row's entries, while N0's loop streams its
+        # pair products into s_0, s_1 and s_2 and the T fold streams its
+        # products into T.  Counted in rows C(3d-1, .), it is 0.26 for
+        # n1(200) and 0.33 for n0(572), and it was 0.38 and 0.34 with N0
+        # and the moments summed in two passes; with N0's weights
+        # multiplied into a list beside the rows, 0.44 and 0.39; with the
+        # old half row bound to n1's locals while n0 builds the next, 0.75,
+        # and with the four-row Pascal window, 1.4 and 1.3.  A table's
+        # records to 200 are kept, and the values of its last degree, built
+        # after its transient, offset it: 0.03, against 0.34 with the
+        # weight lists of 2m and the bracket and 1.7 with the moment
+        # products held in a list.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -171,7 +172,6 @@ def test_scaled_lists_follow_the_counts_in_any_query_order(queries):
         value = getattr(engine, name)(d) if name.islower() else engine.value(name, d)
         assert value == _fresh_value(InvariantKind(name.upper()), d), (name, d)
     n0 = engine._n0
-    assert engine._a == [k * x for k, x in enumerate(n0)]
     assert engine._u == [(3 * k - 2) * k * x for k, x in enumerate(n0)]
 
 
@@ -207,13 +207,15 @@ class TestRowBuilds:
         # At each of d = 3..100, the row C(3d-4, .), stepped to C(3d-1, .)
         # for the direct T and the direct splitting sums.  The engine
         # builds its pair row at d = 2..5 for the N0 anchors (N0(1) is the
-        # seed), at d = 1..5 when the N1 anchors start T, and at d = 3..100
-        # from K0(3) on: once per degree of each pass.  The K0_PRINTED
-        # probe at d = 3, after d = 100, reads the bracket that the moment
-        # pass of d = 3 cached with 2m, and builds no row.
+        # seed), at d = 1..5 when the N1 anchors start T, and at d = 6..100
+        # when the identity suite moves both on: once per degree of each
+        # pass.  K0(3) and the other splitting statistics up to d = 5 read
+        # the triples that N0's loop stored with N0, and the K0_PRINTED
+        # probe at d = 3, after d = 100, reads the bracket of d = 3: none
+        # builds a row.
         run_full_audit(InvariantEngine(), 100)
         assert [len(made) for made in calls] == [98, 3 * 98]
-        assert [d for _, d in moves] == [*range(2, 6), *range(1, 6), *range(3, 101)]
+        assert [d for _, d in moves] == [*range(2, 6), *range(1, 6), *range(6, 101)]
 
     def test_the_recursions_build_none(self, calls):
         assert not {"pascal_row", "pascal_step"} & set(vars(engine_module))
@@ -272,21 +274,19 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
     for name, state in vars(engine).items():
         if name != "_window":
             assert state, name
-    lists = [engine._n0, engine._n1, engine._t, engine._a, engine._u]
-    triples = list(engine._split.values())
+    lists = [engine._n0, engine._n1, engine._t, engine._u]
+    triples = engine._sums
     assert all(len(triple) == 3 for triple in triples)
     entries = [x for state in lists + triples for x in state]
     assert {type(entry) for entry in entries} == {int}
     # The triple is (NODES, 2m, B): the public NODES and M read its first
     # two entries as they stand.
-    for d, (nodes, two_m, _) in engine._split.items():
+    for d, (nodes, two_m, _) in enumerate(triples[1:], 1):
         assert engine.reducible_fibre_count(d) == nodes, d
         assert 2 * engine.m_invariant(d) == two_m, d
-    # Each sum of a degree reads the pair row once, and only there: N0 at
-    # d = 2..100 (N0(1) is the seed), N1 and T at d = 1..100, and the
-    # moment pass of NODES, 2m and the K0_PRINTED bracket, cached, once
-    # per degree read: d = 3..100 in the audit, whose K0_PRINTED probe at
-    # d = 3 reads the cached triple, and d = 1..100 in a table.
+    # Each sum of a degree reads the pair row once, and only there: N0,
+    # with NODES, 2m and the K0_PRINTED bracket, at d = 2..100 (d = 1 is
+    # the seed), and N1 and T at d = 1..100.
     readers, row = Counter(), engine_module.InvariantEngine._row
 
     def counting(engine, d):
@@ -295,8 +295,8 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(engine_module.InvariantEngine, "_row", counting)
     for entry_point, expected in (
-        (run_full_audit, {"n0": 99, "n1": 100, "_moments": 98}),
-        (build_records, {"n0": 99, "n1": 100, "_moments": 100}),
+        (run_full_audit, {"n0": 99, "n1": 100}),
+        (build_records, {"n0": 99, "n1": 100}),
     ):
         readers.clear()
         entry_point(InvariantEngine(), 100)
@@ -312,15 +312,34 @@ def test_a_filled_engine_reads_alike_from_four_threads():
     assert _four_thread_mismatches(engine) == {seed: [] for seed in range(4)}
 
 
-def test_an_engine_filled_to_its_counts_fills_its_sums_alike_from_four_threads():
-    # N0, N1 and T are filled, NODES, 2m and the K0_PRINTED bracket are
-    # not: the threads race to fill them, each degree's triple by one
-    # assignment.
+def test_an_engine_filled_by_n1_alone_reads_alike_from_four_threads():
+    # N0's loop stores the triple (NODES, 2m, B) with N0, so an engine
+    # filled to its counts holds every sum, and the threads' reads write
+    # nothing but the window.
     engine = InvariantEngine()
     engine.n1(40)
-    assert engine._split == {}
+    assert len(engine._sums) == 41
+    state = {name: list(value) for name, value in vars(engine).items() if name != "_window"}
     assert _four_thread_mismatches(engine) == {seed: [] for seed in range(4)}
-    assert sorted(engine._split) == list(range(1, 41))
+    assert {name: value for name, value in vars(engine).items() if name != "_window"} == state
+
+
+def test_a_table_forms_each_degree_s_pair_products_once(monkeypatch):
+    # Every sum over N0(d1) N0(d2) -- N0, NODES, 2m and the K0_PRINTED
+    # bracket -- is summed in n0's loop, and T in n1's: on a fresh engine,
+    # a table to 40 reads each degree's pair row once from each of them,
+    # and from nowhere else (d = 1 is the seed of N0 and of the sums).
+    reads, row = Counter(), engine_module.InvariantEngine._row
+
+    def counting(engine, d):
+        reads[sys._getframe(1).f_code.co_name, d] += 1
+        return row(engine, d)
+
+    monkeypatch.setattr(engine_module.InvariantEngine, "_row", counting)
+    build_records(InvariantEngine(), 40)
+    expected = Counter({("n0", d): 1 for d in range(2, 41)})
+    expected.update({("n1", d): 1 for d in range(1, 41)})
+    assert reads == expected
 
 
 def _four_thread_mismatches(engine):

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, TextIO
 from ._version import __version__
 from .exact import (
     ExactScalar, InexactDivision, emit, exact_div, format_exact, is_integral,
-    json_string, pascal_row, pascal_step,
+    json_exact, json_string, pascal_step,
 )
 from .engine import InvariantEngine, InvariantKind, _check_degree
 
@@ -98,12 +98,12 @@ class AuditReport:
         statuses = {status: status.value for status in CheckStatus}
         separator = ""
         for id_, degree, kind, actual, expected, status, detail in self.checks:
-            text, same = _json_exact(actual), expected is not None and expected == actual
+            text, same = json_exact(actual), expected is not None and expected == actual
             yield (
                 f'{separator}    {{\n      "id": {json_string(id_)},\n'
                 f'      "degree": {degree},\n'
                 f'      "kind": "{kinds[kind]}",\n'
-                f'      "expected": {text if same else _json_exact(expected)},\n'
+                f'      "expected": {text if same else json_exact(expected)},\n'
                 f'      "actual": {text},\n'
                 f'      "status": "{statuses[status]}",\n'
                 f'      "detail": {json_string(detail)}\n'
@@ -143,12 +143,6 @@ class AuditReport:
             f"\nsummary: {counts['PASS']} PASS, {counts['FAIL']} FAIL, "
             f"{counts['INFO']} INFO\n"
         )
-
-
-def _json_exact(x: ExactScalar | None) -> str:
-    """``json_string`` of ``format_exact``: digits, ``-`` and ``/`` only,
-    quoted as they stand."""
-    return "null" if x is None else f'"{format_exact(x)}"'
 
 
 def _compared(
@@ -231,7 +225,7 @@ def _t_direct(u: list[int], b: list[int], d: int, row: list[int]) -> int:
     ``InvariantEngine.n1``).  So the two paths share neither a binomial nor
     a formula's text, nor the code that builds their rows: the engine
     builds its pair row by exact ratios, and only the audit calls
-    ``exact.pascal_row`` and ``exact.pascal_step``."""
+    ``exact.pascal_step``, which builds a row by Pascal's rule."""
     return sum(map(mul, map(mul, row[2:3 * d - 3:3], u[1:d]), b[d - 1:0:-1]))
 
 
@@ -301,32 +295,38 @@ def run_identity_suite(
     values and the suite's own lists a(k) = k N0(k), u(k) = (3k - 2) a(k)
     and b(k) = k N1(k), one entry per degree from 1 on, appended once the
     degree's checks are made, so they hold the degrees below d.  The
-    direct T and the four direct splitting sums are computed once per
-    degree.  The T feeds ``t_linearity``, against T as the N1 loop stores
+    suite's Pascal rows are one chain carried across degrees: it starts
+    at the empty row C(-1, .), three ``pascal_step`` calls extend it to
+    C(3d-1, .) at each degree, and only the last four rows, C(3d-4, .) ..
+    C(3d-1, .), are kept, so each row is built once, by additions only.
+    The chain's reach is counted in steps, not read from a row's length,
+    so a step that builds rows too long fails a check.  The direct T and
+    the four direct splitting sums are computed once per degree over
+    them.  The T feeds ``t_linearity``, against T as the N1 loop stores
     it (``engine.t_op``), and ``k1_two_path``.  ``rcount_equals_nodes``
     compares the engine's NODES, the moment s_1 that it sums over its
-    pair row, with the audit's direct sum over its own Pascal row
-    C(3d-2, .): the two share the public N0 and no intermediate value.
+    pair row, with the audit's direct RCOUNT, the count of reducible
+    fibres summed over its own Pascal row C(3d-3, .): for d >= 2 the two
+    are equal, and they share the public N0 and no intermediate value.
     ``g0_two_path`` compares ``engine.g0``, from the paper's assembly of
     K0 over the engine's NODES, 2m and LR, with the same assembly over
     the direct sums.  The engine reads 2m and LR from its NODES by their
     closed forms, and K0 reads LR through ``engine.lr``, so this is also
     the check of 2m and of the public LR.  Appends to ``checks`` and
     trusts ``d_max``, as :func:`run_anchor_suite` does."""
-    a, u, b = [0], [0], [0]
+    a, u, b, rows = [0], [0], [0], [[]]
     for d in range(1, d_max + 1):
+        for _ in range(3):  # to C(3d-4, .) .. C(3d-1, .)
+            rows = [*rows[-3:], pascal_step(rows[-1])]
         n1, n0 = engine.n1(d), engine.n0(d)
         if d > 2:
             k1, k0, g0, g1 = engine.k1(d), engine.k0(d), engine.g0(d), engine.g1(d)
             omega, m, t = engine.omega(d), engine.m_invariant(d), engine.t_op(d)
             nodes = engine.reducible_fibre_count(d)
-            rows = [pascal_row(3 * d - 4)]  # C(3d-4, .) .. C(3d-1, .)
-            for _ in range(3):
-                rows.append(pascal_step(rows[-1]))
             direct, sums = _t_direct(u, b, d, rows[3]), _splitting_sums(a, d, rows)
             for check_id, one, other in (
                 ("k1_two_path", k1, _k1_via_c2(n1, omega, direct, d)),
-                ("rcount_equals_nodes", nodes, ExactScalar(sums[1], 2)),
+                ("rcount_equals_nodes", nodes, ExactScalar(sums[2])),
                 ("g0_two_path", g0, _g0_from_splitting_sum(n0, sums, d)),
                 ("t_linearity", t, ExactScalar(direct)),
             ):

@@ -7,13 +7,13 @@ name the rest of the code uses for that value type.  Internally the
 engine's recursions and splitting sums run on plain ``int`` and convert
 to ``ExactScalar`` only where a value can be fractional.
 
-Binomial rows come two ways: ``pascal_row`` builds C(n, .) by a
-multiplicative recurrence, and ``pascal_step`` derives C(n + 1, .) from
-C(n, .) by additions only.  Both compute the first half of a row and
-mirror it, so the mirrored half shares its ints with the first; callers
-see only full rows.  Only the audit builds them, for its second paths:
-one ``pascal_row`` per audited degree, stepped three times.  The engine
-uses neither; it builds its own half row by exact ratios.
+Binomial rows come one way: ``pascal_step`` derives C(n + 1, .) from
+C(n, .) by additions only (Pascal's rule), from the empty row C(-1, .)
+on.  It computes the first half of a row and mirrors it, so the
+mirrored half shares its ints with the first; callers see only full
+rows.  Only the audit builds them, for its second paths: one chain of
+rows carried across its degrees, each row built once.  The engine never
+steps a row; it builds its own half row by exact ratios.
 
 Text conversion never reads or changes Python's process-wide int<->str
 digit limit (3.11+): a part too long for ``str`` and ``int`` is written
@@ -54,15 +54,6 @@ def is_integral(x: ExactScalar) -> bool:
     return x.denominator == 1
 
 
-def pascal_row(n: int) -> list[int]:
-    """The row C(n, .): one multiplicative pass over the first half, then
-    mirrored by symmetry (empty if n < 0)."""
-    half = [1] if n >= 0 else []
-    for k in range(n // 2):
-        half.append(half[-1] * (n - k) // (k + 1))
-    return half + half[::-1][1 - n % 2:]
-
-
 def pascal_step(row: list[int]) -> list[int]:
     """The row C(n + 1, .) from the row C(n, .): additions on the first
     half only, then mirrored by symmetry."""
@@ -79,6 +70,12 @@ def format_exact(x: ExactScalar) -> str:
     except ValueError:
         text = str(Decimal(x.numerator))
         return text if x.denominator == 1 else text + "/" + str(Decimal(x.denominator))
+
+
+def json_exact(x: ExactScalar | None) -> str:
+    """``json_string`` of ``format_exact``, or ``null`` for None: digits,
+    ``-`` and ``/`` only, quoted as they stand."""
+    return "null" if x is None else f'"{format_exact(x)}"'
 
 
 def json_string(s: str | None) -> str:

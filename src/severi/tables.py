@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .exact import ExactScalar, emit, format_exact, is_integral, json_string
+from .exact import ExactScalar, emit, format_exact, is_integral, json_exact, json_string
 from .engine import InvariantEngine, InvariantKind, KIND_ORDER, _check_degree
 
 
@@ -130,7 +130,7 @@ def _json_members(lines: list[str]) -> str:
 
 def _record_json(record: InvariantRecord) -> str:
     values = [
-        f'      "{kind.value}": {json_string(format_exact(value))}'
+        f'      "{kind.value}": {json_exact(value)}'
         for kind, value in record.values.items()
     ]
     flags = [

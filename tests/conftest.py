@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ import pytest
 from severi import InvariantEngine
 from severi import audit
 from severi.cli import main as cli_main
-from severi.exact import pascal_row, pascal_step
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "invariants_d12.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -29,12 +29,10 @@ def golden_value(golden: dict, name: str, d: int) -> Fraction:
 
 
 def audit_rows(d: int) -> list[list[int]]:
-    """C(3d-4, .) .. C(3d-1, .) as ``run_identity_suite`` builds them: one
-    ``pascal_row``, stepped three times."""
-    rows = [pascal_row(3 * d - 4)]
-    for _ in range(3):
-        rows.append(pascal_step(rows[-1]))
-    return rows
+    """C(3d-4, .) .. C(3d-1, .), the rows ``run_identity_suite`` keeps at
+    degree d, each entry from ``math.comb`` rather than the audit's own
+    Pascal steps."""
+    return [[comb(n, k) for k in range(n + 1)] for n in range(3 * d - 4, 3 * d)]
 
 
 def audit_second_paths(engine: InvariantEngine, d: int) -> tuple[Fraction, ...]:

@@ -13,6 +13,7 @@ from severi.exact import (
     InexactDivision,
     exact_div,
     format_exact,
+    json_exact,
     json_string,
     parse_exact,
 )
@@ -130,3 +131,9 @@ def test_conversion_past_the_digit_limit_leaves_the_limit_alone(monkeypatch):
 @example("newline \n \u00e9 \u2028")
 def test_json_string_writes_what_json_dumps_writes(s):
     assert json_string(s) == json.dumps(s)
+
+
+@given(st.none() | st.fractions())
+@example(Fraction(-7, 3))
+def test_json_exact_writes_what_json_dumps_writes_of_format_exact(x):
+    assert json_exact(x) == json.dumps(None if x is None else format_exact(x))

@@ -5,7 +5,7 @@ Each mutant is a module's source with one token changed inside one
 function, executed as a fresh module of the ``severi`` package.  An
 ``exact`` mutant stands in for ``severi.exact`` in ``sys.modules`` while
 fresh engine and audit modules are executed, so it reaches the engine's
-divisions and the audit's own Pascal rows (the engine builds none), but
+divisions and the audit's own Pascal steps (the engine takes none), but
 not the real modules.  An engine built from an ``engine`` mutant goes
 through the real ``run_full_audit``; an ``audit`` mutant's own
 ``run_full_audit`` audits a real engine, and an ``exact`` mutant's fresh
@@ -18,8 +18,12 @@ apart, and their audit bytes are asserted unchanged, so neither list can
 go stale.  Audit-blind mutants change a public accessor that no audit
 check compares with anything: their audit bytes are asserted unchanged
 but for INFO rows, and the retyped oracle is asserted to tell them
-apart.  Only ``m_den`` is blind: the public M reaches only the INFO row
-of its integrality, as G0 reads 2m from the triple of ``n0``'s loop.  Every
+apart.  Two are blind.  ``m_den``: the public M reaches only the INFO
+row of its integrality, as G0 reads 2m from the triple of ``n0``'s loop.
+``k0_printed_s0_i``: only the ``k0_printed_vs_anchor`` probe reads
+K0_PRINTED, at d = 3, where the pair row has the one entry i = 1, so a
+fault of the bracket's s_0 that vanishes there leaves the audit bytes
+as they are.  Every
 function of the three modules is named by some mutant or listed in
 ``UNMUTATED`` with the tests that pin it instead, so a new function
 cannot escape the gate.
@@ -131,22 +135,19 @@ MUTANTS = [
     ("g1num_const", "g1", "+ 48", "+ 47", BLOCKING, 12),
 ]
 
-# The same, in severi/exact.py: the audit's binomial rows, the engine's
+# The same, in severi/exact.py: the audit's Pascal step, the engine's
 # exact division, and the audit's integrality test.
 EXACT_MUTANTS = [
-    ("row_seed", "pascal_row", "[1] if n >= 0", "[2] if n >= 0", BLOCKING, 12),
-    ("row_numerator", "pascal_row", "(n - k)", "(n - k + 1)", BLOCKING, 12),
-    ("row_denominator", "pascal_row", "(k + 1))", "(k + 2))", BLOCKING, 12),
-    ("row_mirror", "pascal_row", "[1 - n % 2:]", "[n % 2:]", BLOCKING, 12),
     ("step_seed", "pascal_step", "[1, *map", "[2, *map", BLOCKING, 12),
     ("step_add", "pascal_step", "map(add,", "map(max,", BLOCKING, 12),
     ("step_shift", "pascal_step", "row[1:", "row[0:", BLOCKING, 12),
     ("step_mirror", "pascal_step", "[1 - len(row) % 2:]", "[len(row) % 2:]",
      BLOCKING, 12),
     # A fault first made at d = 14, in the step from C(39, .) to C(40, .):
-    # every entry from C(40, 2) on is wrong.  (A fault of its leading 1
-    # reaches only the end entries of C(40, .) and C(41, .), which no
-    # direct sum reads.)
+    # every entry from C(40, 2) on is wrong.  The audit carries its rows
+    # across degrees, so a wrong row reaches every later one: even a
+    # fault of the leading 1 of C(40, .), which no direct sum at d = 14
+    # reads, blocks from d = 15 on.
     ("step_len40", "pascal_step", "[1, *map(add, row,",
      "[1, *map(add, row[:len(row) == 40] + row,", BLOCKING, 30),
     ("div_guard", "exact_div", "if remainder:", "if not remainder:", BLOCKING, 12),
@@ -166,10 +167,12 @@ AUDIT_MUTANTS = [
     ("t_direct_weight", "run_identity_suite", "(3 * d - 2) * a[d]", "(3 * d - 1) * a[d]",
      BLOCKING, 12),
     ("t_direct_row", "_t_direct", "row[2:", "row[1:", BLOCKING, 12),
-    ("rows_seed", "run_identity_suite", "pascal_row(3 * d - 4)", "pascal_row(3 * d - 3)",
+    # The chain of rows: seeded one row high, it keeps C(3d-3, .) ..
+    # C(3d, .); with a fourth step per degree it drifts one row higher
+    # at each degree.
+    ("rows_seed", "run_identity_suite", "[0], [0], [0], [[]]", "[0], [0], [0], [[1]]",
      BLOCKING, 12),
-    ("rows_step", "run_identity_suite", "pascal_step(rows[-1])", "pascal_step(rows[0])",
-     BLOCKING, 12),
+    ("rows_step", "run_identity_suite", "range(3)", "range(4)", BLOCKING, 12),
     ("k1c2_n1", "run_identity_suite", "_k1_via_c2(n1,", "_k1_via_c2(n0,", BLOCKING, 12),
     ("k1c2_omega_read", "_k1_via_c2", "a, b = omega", "b, a = omega", BLOCKING, 12),
     ("k1c2_omega_coeff", "_k1_via_c2", "(3 * d - 12) * a", "(3 * d - 13) * a",
@@ -194,10 +197,10 @@ AUDIT_MUTANTS = [
     ("g0s_nodes", "_g0_from_splitting_sum", "- two_nodes", "- 2 * two_nodes",
      BLOCKING, 12),
     ("g0s_const", "_g0_from_splitting_sum", "+ 4, 4)", "+ 2, 4)", BLOCKING, 12),
-    ("rcount_vs_nodes_sum", "run_identity_suite", "ExactScalar(sums[1], 2)",
-     "ExactScalar(sums[2], 2)", BLOCKING, 12),
-    ("lists_start", "run_identity_suite", "a, u, b = [0], [0], [0]",
-     "a, u, b = [0], [0], [0, 0]", BLOCKING, 12),
+    ("rcount_vs_nodes_sum", "run_identity_suite", "ExactScalar(sums[2])",
+     "ExactScalar(sums[1])", BLOCKING, 12),
+    ("lists_start", "run_identity_suite", "a, u, b, rows = [0], [0], [0],",
+     "a, u, b, rows = [0], [0], [0, 0],", BLOCKING, 12),
     ("lists_n0", "run_identity_suite", "a.append(d * n0", "a.append(d * n1", BLOCKING, 12),
     ("lists_n1", "run_identity_suite", "b.append(d * n1", "b.append(d * n0", BLOCKING, 12),
     # The ramification residual, which only its probe runs.
@@ -244,6 +247,7 @@ AUDIT_EQUIVALENT = [
 AUDIT_BLIND = [
     ("m_den", "m_invariant", "_moments(d)[1], 2)", "_moments(d)[1], 1)",
      ("integrality_m",), "m_invariant"),
+    ("k0_printed_s0_i", "n0", "s0 += q", "s0 += i * q", (), "k0_printed"),
 ]
 
 # (module, function, why no mutant above names it): with the lists above,
@@ -263,6 +267,8 @@ UNMUTATED = [
      "the digit limit the 5001-digit round trip, the no-limit test and the N0 572 digest"),
     ("exact", "parse_exact", "text conversion; the round-trip tests pin it, past "
      "the digit limit the 5001-digit round trip, the no-limit test and the N0 572 digest"),
+    ("exact", "json_exact", "rendering; its json.dumps property test and the "
+     "audit and table digests pin it"),
     ("exact", "json_string", "rendering; its json.dumps property test pins it"),
     ("exact", "emit", "rendering; the streaming tests pin it"),
     ("audit", "__init__", "AuditReport's fields; TestReport pins them"),
@@ -272,7 +278,6 @@ UNMUTATED = [
     ("audit", "_json_pieces", "rendering; the audit digests pin it"),
     ("audit", "to_text", "rendering; the audit digests pin it"),
     ("audit", "_text_lines", "rendering; the audit digests pin it"),
-    ("audit", "_json_exact", "rendering; the audit digests pin it"),
     ("audit", "_compared", "a check's status; TestAnchorSuite's mismatch test pins it"),
     ("audit", "_probe", "a probe's status; TestDiscrepancyProbes pins it"),
     ("audit", "run_anchor_suite", "which anchors run; TestAnchorSuite pins it"),
@@ -390,10 +395,10 @@ def test_an_exact_mutant_reaches_the_fresh_engine_and_audit_and_nothing_else():
         engine.InvariantEngine().n0(3)
     assert raised.value.degree == 2
     assert InvariantEngine().n0(3) == 12
-    _, audit = _exact_bound("pascal_row", "[1] if n >= 0", "[2] if n >= 0")
-    assert audit.pascal_row(5) != exact_module.pascal_row(5)
+    _, audit = _exact_bound("pascal_step", "[1, *map", "[2, *map")
+    assert audit.pascal_step([1]) != exact_module.pascal_step([1])
     assert sys.modules["severi.exact"] is exact_module
-    assert audit_module.pascal_row is exact_module.pascal_row
+    assert audit_module.pascal_step is exact_module.pascal_step
 
 
 _MUTANT_CASES = [

@@ -3,10 +3,11 @@
 The window serves the pair row of one degree at a time: the half row
 R(i) = C(3d-2, 3i-1), 1 <= i <= d // 2, with the middle pair of an even
 d at half weight, built anew by exact ratios at each degree; the engine
-builds no ``exact.pascal_*`` row.  The audit builds the Pascal
-rows C(3d-4, .) .. C(3d-1, .) anew at every audited degree for its
-direct T and splitting sums, from one ``pascal_row`` and three
-``exact.pascal_step`` calls.  Every row is compared with ``math.comb``.
+builds no ``exact.pascal_step`` row.  The audit carries one chain of
+Pascal rows across its degrees, stepped three times per degree by
+``exact.pascal_step`` from the empty row C(-1, .), and keeps C(3d-4, .)
+.. C(3d-1, .) at each degree for its direct T and splitting sums.  Every row is compared with
+``math.comb``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,14 @@ from severi import InvariantEngine, InvariantKind
 from severi import audit as audit_module
 from severi import engine as engine_module
 from severi.audit import run_full_audit, run_identity_suite
-from severi.exact import pascal_row, pascal_step
+from severi.exact import pascal_step
 from severi.tables import build_records
+
+
+@lru_cache(maxsize=None)
+def _stepped_row(n):
+    """C(n, .) by ``pascal_step`` alone, from the empty row C(-1, .)."""
+    return pascal_step(_stepped_row(n - 1)) if n >= 0 else []
 
 
 @lru_cache(maxsize=8)
@@ -51,12 +58,11 @@ def _assert_window_row(engine, d):
 
 
 class TestPascalRows:
-    # The row is built from its first half and mirrored; the step adds
-    # on the first half only.  Both parities of n, and n = -1 and 0.
+    # The step adds on the first half only and mirrors it.  The chain from
+    # the empty row C(-1, .), through both parities of n and n = 0.
     @pytest.mark.parametrize("n", range(-1, 61))
     def test_half_full_and_step_match_comb(self, n):
-        assert pascal_row(n) == [comb(n, k) for k in range(n + 1)]
-        assert pascal_step(pascal_row(n)) == [comb(n + 1, k) for k in range(n + 2)]
+        assert _stepped_row(n) == [comb(n, k) for k in range(n + 1)]
 
 
 class TestRowWindow:
@@ -105,11 +111,15 @@ class TestRowWindow:
         # records to 200 are kept, and the values of its last degree, built
         # after its transient, offset it: 0.03, against 0.34 with the
         # weight lists of 2m and the bracket and 1.7 with the moment
-        # products held in a list.
+        # products held in a list.  The yardstick is a stepped row, whose
+        # mirrored half shares its ints with the first: a row of
+        # ``math.comb`` entries would weigh about twice as much.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            row = pascal_row(3 * d - 1)
+            row = []
+            for _ in range(3 * d):  # C(-1, .) to C(3d-1, .)
+                row = pascal_step(row)
             row_size = tracemalloc.get_traced_memory()[0] - before
             del row
             engine = InvariantEngine()
@@ -126,16 +136,15 @@ class TestRowWindow:
     @pytest.mark.slow
     def test_every_row_up_to_the_ceiling(self):
         # The pair row for every d <= 600; the audit's rows C(3d-4, .) ..
-        # C(3d-1, .) for d <= 600 reach n = 1799, and both the
-        # multiplicative pascal_row and pascal_step, from C(-1, .), are
-        # checked over that range.
+        # C(3d-1, .) for d <= 600 reach n = 1799, and the chain of
+        # pascal_step from C(-1, .) is checked over that range.
         engine = InvariantEngine()
         for d in range(1, 601):
             _assert_window_row(engine, d)
         row = []
         for n in range(0, 1800):
             row = pascal_step(row)
-            assert pascal_row(n) == row == _comb_row(n), n
+            assert row == _comb_row(n), n
 
 
 @lru_cache(maxsize=None)
@@ -176,17 +185,21 @@ def test_scaled_lists_follow_the_counts_in_any_query_order(queries):
 
 
 class TestRowBuilds:
-    """Only the audit builds Pascal rows: one ``pascal_row`` and three
-    steps per audited degree.  The engine builds its pair row once per
-    change of degree."""
+    """Only the audit builds Pascal rows, each once, by ``pascal_step``
+    alone: three steps per degree.  The engine builds its pair row once
+    per change of degree."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        """Records of the audit's ``pascal_row`` and ``pascal_step`` calls."""
-        return [
-            _count_calls(monkeypatch, name, function)
-            for name, function in (("pascal_row", pascal_row), ("pascal_step", pascal_step))
-        ]
+    def stepped(self, monkeypatch):
+        """The rows that the audit's ``pascal_step`` calls return."""
+        stepped = []
+
+        def stepping(row):
+            stepped.append(pascal_step(row))
+            return stepped[-1]
+
+        monkeypatch.setattr(audit_module, "pascal_step", stepping)
+        return stepped
 
     @pytest.fixture
     def moves(self, monkeypatch):
@@ -201,11 +214,12 @@ class TestRowBuilds:
         monkeypatch.setattr(engine_module.InvariantEngine, "_row", recording)
         return moves
 
-    def test_full_audit_builds_one_row_and_three_steps_per_audited_degree(
-        self, calls, moves
+    def test_full_audit_steps_each_row_once_and_builds_no_other(
+        self, monkeypatch, stepped, moves
     ):
-        # At each of d = 3..100, the row C(3d-4, .), stepped to C(3d-1, .)
-        # for the direct T and the direct splitting sums.  The engine
+        # The chain from C(-1, .) = [], three steps to C(3d-1, .) at each
+        # of d = 1..100: 300 rows, and every row that the direct T and the direct splitting sums read
+        # is one of them, so the audit builds no row another way.  The engine
         # builds its pair row at d = 2..5 for the N0 anchors (N0(1) is the
         # seed), at d = 1..5 when the N1 anchors start T, and at d = 6..100
         # when the identity suite moves both on: once per degree of each
@@ -213,15 +227,25 @@ class TestRowBuilds:
         # the triples that N0's loop stored with N0, and the K0_PRINTED
         # probe at d = 3, after d = 100, reads the bracket of d = 3: none
         # builds a row.
+        read, sums = [], audit_module._splitting_sums
+
+        def splitting_sums(a, d, rows):
+            read.append(rows)
+            return sums(a, d, rows)
+
+        monkeypatch.setattr(audit_module, "_splitting_sums", splitting_sums)
         run_full_audit(InvariantEngine(), 100)
-        assert [len(made) for made in calls] == [98, 3 * 98]
+        assert len(stepped) == 3 * 100
+        built = {id(row) for row in stepped}  # kept alive, so ids are unique
+        assert len(read) == 98
+        assert all(len(rows) == 4 and {id(row) for row in rows} <= built for rows in read)
         assert [d for _, d in moves] == [*range(2, 6), *range(1, 6), *range(6, 101)]
 
-    def test_the_recursions_build_none(self, calls):
-        assert not {"pascal_row", "pascal_step"} & set(vars(engine_module))
+    def test_the_recursions_build_none(self, stepped):
+        assert "pascal_step" not in vars(engine_module)
         InvariantEngine().n1(200)
         build_records(InvariantEngine(), 100)
-        assert [len(made) for made in calls] == [0, 0]
+        assert stepped == []
 
     def test_a_table_builds_the_pair_row_once_per_degree(self, moves):
         # Every invariant of a degree reads the same half row.
@@ -369,12 +393,11 @@ def _four_thread_mismatches(engine):
     return mismatches
 
 
-def _count_calls(monkeypatch, name, function, target=audit_module, active=None):
-    """Patch ``target``'s ``<name>`` (the audit module's by default) to
-    record the arguments of each call to ``function``; returns the list of
-    them.  Counters that share the list ``active`` record outermost calls
-    only: a call made while another runs (``g0`` reading ``k0``) is left
-    out."""
+def _count_calls(monkeypatch, name, function, target, active=None):
+    """Patch ``target``'s ``<name>`` to record the arguments of each call
+    to ``function``; returns the list of them.  Counters that share the
+    list ``active`` record outermost calls only: a call made while
+    another runs (``g0`` reading ``k0``) is left out."""
     calls, active = [], [] if active is None else active
 
     def counting(*args):

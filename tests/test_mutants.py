@@ -169,10 +169,15 @@ AUDIT_MUTANTS = [
     ("t_direct_row", "_t_direct", "row[2:", "row[1:", BLOCKING, 12),
     # The chain of rows: seeded one row high, it keeps C(3d-3, .) ..
     # C(3d, .); with a fourth step per degree it drifts one row higher
-    # at each degree.
+    # at each degree; with a fifth row kept, the direct sums read rows one
+    # lower.  Then the rows that the direct T and the splitting sums read.
     ("rows_seed", "run_identity_suite", "[0], [0], [0], [[]]", "[0], [0], [0], [[1]]",
      BLOCKING, 12),
     ("rows_step", "run_identity_suite", "range(3)", "range(4)", BLOCKING, 12),
+    ("rows_window", "run_identity_suite", "rows[-3:]", "rows[-4:]", BLOCKING, 12),
+    ("rows_t_read", "run_identity_suite", "d, rows[3])", "d, rows[2])", BLOCKING, 12),
+    ("rows_sums_read", "run_identity_suite", "_splitting_sums(a, d, rows)",
+     "_splitting_sums(a, d, rows[1:])", BLOCKING, 12),
     ("k1c2_n1", "run_identity_suite", "_k1_via_c2(n1,", "_k1_via_c2(n0,", BLOCKING, 12),
     ("k1c2_omega_read", "_k1_via_c2", "a, b = omega", "b, a = omega", BLOCKING, 12),
     ("k1c2_omega_coeff", "_k1_via_c2", "(3 * d - 12) * a", "(3 * d - 13) * a",

@@ -237,12 +237,13 @@ def _k1_via_c2(n1: ExactScalar, omega: ExactScalar, t: int, d: int) -> ExactScal
         K1 = 3 N1 + (3d - 12) omega + T(3 d1 - 2),
 
     with ``n1`` and ``omega`` the engine's public values at d and ``t`` the
-    direct T(d).  With omega = (d-1)(d-2)/24 N0, the omega term is the same
-    polynomial in d times N0 as the ((d-1)(d-2)(d-4)/8) N0 that
-    ``engine.k1`` has inline.  So the two paths differ only in their T and
-    in this one's omega, from ``engine.omega``: the ``k1_two_path`` check
-    adds the omega closed form to what ``t_linearity`` checks, and a wrong
-    omega reaches an exit-1 check."""
+    direct T(d).  ``engine.k1`` evaluates 12 (N1 - omega), the paper's K1
+    with T eliminated by the recursion 36 N1 = 3 C(d,3) N0 + 4 T, which
+    is 9 N1 = 3d omega + T.  So the two paths agree if and only if the
+    direct T satisfies that recursion with the engine's N1: the
+    ``k1_two_path`` check audits the recursion of N1 on the engine's
+    stored N1 against the audit's own T, as ``t_linearity`` audits the
+    engine's stored T, and a wrong omega reaches it through this path."""
     a, b = omega.as_integer_ratio()
     return ExactScalar((3 * n1.numerator + t) * b + (3 * d - 12) * a, b)
 
@@ -303,11 +304,15 @@ def run_identity_suite(
     so a step that builds rows too long fails a check.  The direct T and
     the four direct splitting sums are computed once per degree over
     them.  The T feeds ``t_linearity``, against T as the N1 loop stores
-    it (``engine.t_op``), and ``k1_two_path``.  ``rcount_equals_nodes``
-    compares the engine's NODES, the moment s_1 that it sums over its
-    pair row, with the audit's direct RCOUNT, the count of reducible
-    fibres summed over its own Pascal row C(3d-3, .): for d >= 2 the two
-    are equal, and they share the public N0 and no intermediate value.
+    it (``engine.t_op``), and ``k1_two_path``, which compares the engine's
+    K1 = 12 (N1 - omega) with 3 N1 + (3d - 12) omega + T over the direct
+    T: the recursion of N1 on the engine's N1, so that a wrong stored T
+    fails the one check and a wrong stored N1 the other.
+    ``rcount_equals_nodes`` compares the engine's NODES, the moment s_1
+    that it sums over its pair row, with the audit's direct RCOUNT, the
+    count of reducible fibres summed over its own Pascal row C(3d-3, .):
+    for d >= 2 the two are equal, and they share the public N0 and no
+    intermediate value.
     ``g0_two_path`` compares ``engine.g0``, from the paper's assembly of
     K0 over the engine's NODES, 2m and LR, with the same assembly over
     the direct sums.  The engine reads 2m and LR from its NODES by their
@@ -367,8 +372,10 @@ def _ramification_residual(engine: InvariantEngine, d: int) -> ExactScalar:
 
     under the "9" reading of its ambiguous middle coefficient, as printed,
     from the engine's public values.  With omega = (d-1)(d-2)/24 N0, the
-    formula of ``engine.g1`` gives 2 (2 g1 - 2 - K1) = (6d - 8) omega -
-    9 N1 + T, so the residual is (3d + 1) omega / 2 (2015/2 at d = 4).
+    engine's forms of G1 and K1, each the paper's with T or N1 eliminated
+    by the recursion of N1, give 2 (2 g1 - 2 - K1) = (3d - 8) omega.  The
+    recursion, T - 9 N1 = -3d omega, makes the right side -(9/2) omega, so
+    the residual is (3d + 1) omega / 2 (2015/2 at d = 4).
 
     The identity is evaluated in ints, as 48 times the residual over 48:
     g1 and K1 are scaled by 48, and omega, N1 and T, which the identity

@@ -32,11 +32,13 @@ one dot product over i <= d/2 with u(i) N1(j) + u(j) N1(i), from the
 scaled count u = (3d-2) d N0 that the N0 loop keeps (see ``n1``).
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
-stored.  ``g1`` reads the numerator 8 K1 of ``k1``, ``g0`` that of
-``k0`` and ``k0`` that of ``lr``, so a wrong LR reaches K0 and a wrong
-K0 reaches G0; ``k1`` has its N0 term inline.  Every public per-degree
-method checks its degree before any arithmetic on it, so a bad degree
-is a ``ValueError`` that leaves the state untouched.
+stored.  ``k1`` is the int 12 (N1 - omega) and ``g1`` one read of T,
+the paper's formulas with T, or N1 and K1, eliminated by the recursion
+of N1, so the audit's second path for K1, over its own T, checks that
+recursion.  ``g0`` reads the numerator of ``k0`` and ``k0`` that of
+``lr``, so a wrong LR reaches K0 and a wrong K0 reaches G0.  Every
+public per-degree method checks its degree before any arithmetic on it,
+so a bad degree is a ``ValueError`` that leaves the state untouched.
 
 Each degree builds its half row anew, one small-by-big product and
 division per entry, C(n, k+3) = C(n, k) (n-k)(n-k-1)(n-k-2) /
@@ -469,19 +471,24 @@ class InvariantEngine:
         return ExactScalar(6 * self._n0[d] - 2 * bracket + 3 * two_m, 2)
 
     def k1(self, d: int) -> ExactScalar:
-        """One-cuspidal elliptic curves through 3d-1 points:
+        """One-cuspidal elliptic curves through 3d-1 points, the paper's
 
-            K1 = 3 N1 + ((d-1)(d-2)(d-4)/8) N0 + T(3 d1 - 2).
+            K1 = 3 N1 + ((d-1)(d-2)(d-4)/8) N0 + T(3 d1 - 2),
 
-        K1(1) = K1(2) = 0 (no elliptic curves of degree < 3); the
-        formula itself already evaluates to 0 there.
+        with T eliminated by the recursion of :meth:`n1`, 36 N1 =
+        3 C(d,3) N0 + 4 T, that is T = 9 N1 - (d (d-1)(d-2)/8) N0, so that
+        the N0 terms add to ((d-4) - d)(d-1)(d-2)/8 = -C(d-1, 2):
+
+            K1 = 12 N1 - C(d-1, 2) N0 = 12 (N1 - omega),
+
+        an int.  K1(1) = K1(2) = 0 (no elliptic curves of degree < 3); the
+        form already evaluates to 0 there.  A degree not yet stored fills
+        N1 to it, as :meth:`t_op` does.
         """
-        return ExactScalar(self._k1_numerator(d), 8)
-
-    def _k1_numerator(self, d: int) -> int:
-        """8 K1, with T read through :meth:`t_op`."""
-        t, q = self.t_op(d).numerator, (d - 1) * (d - 2) * (d - 4)
-        return 24 * self._n1[d] + q * self._n0[d] + 8 * t
+        _check_degree(d)
+        if d >= len(self._n1):
+            self.n1(d)
+        return ExactScalar(12 * self._n1[d] - comb(d - 1, 2) * self._n0[d])
 
     def g0(self, d: int) -> ExactScalar:
         """Linear genus of the rational-curve family:
@@ -494,19 +501,24 @@ class InvariantEngine:
         return ExactScalar(k0 - two_m + 2, 2)
 
     def g1(self, d: int) -> ExactScalar:
-        """Linear genus of the elliptic-curve family:
+        """Linear genus of the elliptic-curve family, the paper's
 
             2 g1 - 2 = K1 - (9/2) N1 + ((d-1)(d-2)(3d-4)/24) N0
-                       + (1/2) T(3 d1 - 2).
+                       + (1/2) T(3 d1 - 2),
 
-        Valid for d >= 4.  At d = 3 the formula yields the non-integer
-        5/4 (the family is birational to the plane and the ramification
-        analysis degenerates); the value is computed and flagged, never
-        silently corrected.
+        with K1 its paper's assembly (see :meth:`k1`), which gives 2 g1 - 2 =
+        (3/2) (T - N1) + ((d-1)(d-2)(6d-16)/24) N0, and then N1 eliminated
+        by the recursion of :meth:`n1`, 36 N1 = 3 C(d,3) N0 + 4 T:
+
+            96 (g1 - 1) = 64 T + (d-1)(d-2)(11d-32) N0,
+
+        one read of T.  Valid for d >= 4.  At d = 3 the formula yields the
+        non-integer 5/4 (the family is birational to the plane and the
+        ramification analysis degenerates); the value is computed and
+        flagged, never silently corrected.
         """
-        k1, p = self._k1_numerator(d), (d - 1) * (d - 2) * (3 * d - 4)
-        g1 = 3 * k1 - 108 * self._n1[d] + p * self._n0[d] + 12 * self._t[d] + 48
-        return ExactScalar(g1, 48)
+        t, p = self.t_op(d).numerator, (d - 1) * (d - 2) * (11 * d - 32)
+        return ExactScalar(64 * t + p * self._n0[d] + 96, 96)
 
     # -- kind-indexed access ---------------------------------------------
 

@@ -136,15 +136,26 @@ class TestIdentitySuite:
         assert check.status is CheckStatus.PASS
         assert check.actual == 840 and check.expected == 840
 
-    def test_a_corrupted_t_basis_fails_both_two_path_t_checks(self):
-        # k1 and the left side of t_linearity read the stored T; the
-        # other sides sum T term by term, so tampering shows up in both.
+    def test_a_stored_t_off_by_one_fails_t_linearity_only(self):
+        # The left side of t_linearity reads the stored T, the right side
+        # sums T term by term.  K1 reads no T, so k1_two_path holds.
         engine = InvariantEngine()
         engine.n1(6)
         engine._t[6] += 1
         checks = _appended(run_identity_suite, engine, 6)
         failed = {(c.id, c.degree) for c in checks if c.status is CheckStatus.FAIL}
-        assert failed == {("k1_two_path", 6), ("t_linearity", 6)}
+        assert failed == {("t_linearity", 6)}
+
+    def test_a_stored_n1_off_by_one_fails_k1_two_path_only(self):
+        # K1 = 12 (N1 - omega) reads the stored N1, and k1_two_path
+        # compares it with the recursion of N1 over the direct T, which
+        # reads N1 below d only; the stored T is untouched.
+        engine = InvariantEngine()
+        engine.n1(6)
+        engine._n1[6] += 1
+        checks = _appended(run_identity_suite, engine, 6)
+        failed = {(c.id, c.degree) for c in checks if c.status is CheckStatus.FAIL}
+        assert failed == {("k1_two_path", 6)}
 
 
 def test_the_audit_reads_no_private_engine_attribute():
@@ -197,8 +208,9 @@ class TestCorruptedEngine:
 
     def test_a_wrong_omega_fails_k1_two_path_and_the_residual_probe(self):
         # k1_via_c2, fed by the identity suite, and the residual read omega
-        # through engine.omega; k1 has its N0 term inline.  Of the exit-1 checks only k1_two_path
-        # sees the change, and not at d = 4, where 3d - 12 = 0.
+        # through engine.omega; k1 has its N0 term, 12 omega, inline.  Of
+        # the exit-1 checks only k1_two_path sees the change, and not at
+        # d = 4, where 3d - 12 = 0.
         engine = InvariantEngine()
         omega = engine.omega
         engine.omega = lambda d: omega(d) + 1
@@ -403,11 +415,13 @@ class TestRenderedValues:
         return text, [(entry["expected"], entry["actual"]) for entry in entries]
 
     def test_every_line_prints_its_own_expected_value(self):
-        # T(6) off by one, as in the corrupted-basis test: t_linearity and
-        # k1_two_path FAIL at d = 6, each with expected != actual.
+        # T(6) and N1(6) off by one, as in the identity suite's tests of
+        # each: t_linearity and k1_two_path FAIL at d = 6, each with
+        # expected != actual.
         engine = InvariantEngine()
         engine.n1(6)
         engine._t[6] += 1
+        engine._n1[6] += 1
         made = run_full_audit(engine, 6)
         # PASS and FAIL exchanged: a renderer that read equality off the
         # status would print a former FAIL's actual value as its expected.

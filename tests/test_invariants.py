@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -230,7 +231,9 @@ class TestClosedForms:
     the engine's half row, with the ratio rule that builds it; NODES, 2m
     and the bracket from the two moments S_0 and S_1 of one pair product,
     twice those of the engine's pair row; N0 from its moments s_1 and s_2;
-    and the seed of the sums at d = 1."""
+    the seed of the sums at d = 1; and K1 = 12 (N1 - omega) and
+    96 (G1 - 1) = 64 T + (d-1)(d-2)(11d-32) N0, the paper's K1 and G1
+    with T, or N1 and K1, eliminated by the recursion of N1."""
 
     def test_the_half_row_identities_hold_from_degree_2_to_60(self):
         # Each sum over R(d1) = C(3d-2, 3 d1 - 1) against the oracle's own
@@ -351,6 +354,18 @@ class TestClosedForms:
                 assert nodes == oracle.rcount(d) == (3 * d + 6) * m - 9 * n0, d
                 assert oracle.lr(d) == 3 * d * m - 3 * n0, d
                 assert oracle.k0(d) == 12 * (n0 - m), d
+
+    def test_k1_and_g1_are_the_paper_forms_with_t_or_n1_eliminated(self):
+        # The oracle's K1 and G1, the paper's forms over its own T, against
+        # the int forms the engine evaluates, which the recursion of N1
+        # gives: T eliminated from K1, N1 and K1 from G1.
+        for d in range(1, 61):
+            n0, n1, t = oracle.n0(d), oracle.n1(d), oracle.t_weighted(3, -2, d)
+            assert oracle.k1(d) == 12 * n1 - comb(d - 1, 2) * n0, d
+            assert oracle.k1(d) == 12 * (n1 - oracle.omega(d)), d
+            assert 96 * oracle.g1(d) == (
+                64 * t + (d - 1) * (d - 2) * (11 * d - 32) * n0 + 96
+            ), d
 
     def test_the_audit_sums_match_the_engine_at_two_degrees(self, engine):
         # Both parities of d, so the middle pair d1 = d2 is hit; T too, the

@@ -12,7 +12,9 @@ through the real ``run_full_audit``; an ``audit`` mutant's own
 audit module audits an engine of its fresh engine module.  Each runs at d_max 12
 and, if no FAIL counts there, at 30.  A mutant must end in a blocking
 FAIL (the audit exits 1), or, where it sits in code that only a
-discrepancy probe runs, in a probe FAIL.
+discrepancy probe runs, in a probe FAIL, or, where it breaks the audit's
+own indexing, in an exception that ``run_full_audit`` does not report
+as a check (the CLI exits 3).
 Equivalent mutants are listed with the reason the audit cannot tell them
 apart, and their audit bytes are asserted unchanged, so neither list can
 go stale.  Audit-blind mutants change a public accessor that no audit
@@ -50,7 +52,7 @@ SOURCES = {
     name: Path(module.__file__).read_text(encoding="utf-8")
     for name, module in MODULES.items()
 }
-BLOCKING, PROBE = "blocking", "probe"
+BLOCKING, PROBE, RAISES = "blocking", "probe", "raises"
 
 # (id, function, token, replacement, outcome, first d_max that catches it)
 MUTANTS = [
@@ -118,21 +120,23 @@ MUTANTS = [
     ("k0_nodes", "k0", "4 * nodes", "5 * nodes", BLOCKING, 12),
     ("k0_div", "k0", "two_k0, 2, d)", "two_k0, 1, d)", BLOCKING, 12),
     ("omega_den", "omega", "24)", "12)", BLOCKING, 12),
-    # K1.
-    ("k1num_poly", "_k1_numerator", "(d - 4)", "(d - 3)", BLOCKING, 12),
-    ("k1num_n1", "_k1_numerator", "24 * self._n1[d]", "25 * self._n1[d]", BLOCKING, 12),
-    ("k1num_t", "_k1_numerator", "8 * t", "7 * t", BLOCKING, 12),
-    ("k1_den", "k1", ", 8)", ", 4)", BLOCKING, 12),
+    # K1 = 12 (N1 - omega): the N1 coefficient, the binomial C(d-1, 2)
+    # (its top, its bottom), and the sign of the N0 term.
+    ("k1_n1", "k1", "12 * self._n1[d]", "13 * self._n1[d]", BLOCKING, 12),
+    ("k1_poly", "k1", "comb(d - 1, 2)", "comb(d - 2, 2)", BLOCKING, 12),
+    ("k1_comb", "k1", "comb(d - 1, 2)", "comb(d - 1, 3)", BLOCKING, 12),
+    ("k1_n0_sign", "k1", "- comb(d - 1, 2)", "+ comb(d - 1, 2)", BLOCKING, 12),
+    # A stored N1 wrong at the audit's top degree only: k1_two_path
+    # compares K1, which reads it, with the recursion over the direct T.
+    ("n1_stored_d30", "n1", "36, dd))", "36, dd) + (dd == 30))", BLOCKING, 30),
     # The genera.
     ("g0_two_m", "g0", "self._moments(d)[1]", "self._moments(d + 1)[1]", BLOCKING, 12),
     ("g0_const", "g0", "two_m + 2,", "two_m + 1,", BLOCKING, 12),
     ("g0_den", "g0", ", 2)", ", 1)", BLOCKING, 12),
-    ("g1_den", "g1", ", 48)", ", 24)", BLOCKING, 12),
-    ("g1num_k1", "g1", "3 * k1", "2 * k1", BLOCKING, 12),
-    ("g1num_n1", "g1", "108 *", "107 *", BLOCKING, 12),
-    ("g1num_poly", "g1", "(3 * d - 4)", "(3 * d - 5)", BLOCKING, 12),
-    ("g1num_t", "g1", "12 * self._t[d]", "11 * self._t[d]", BLOCKING, 12),
-    ("g1num_const", "g1", "+ 48", "+ 47", BLOCKING, 12),
+    ("g1_den", "g1", ", 96)", ", 48)", BLOCKING, 12),
+    ("g1num_poly", "g1", "(11 * d - 32)", "(11 * d - 31)", BLOCKING, 12),
+    ("g1num_t", "g1", "64 * t", "63 * t", BLOCKING, 12),
+    ("g1num_const", "g1", "+ 96", "+ 95", BLOCKING, 12),
 ]
 
 # The same, in severi/exact.py: the audit's Pascal step, the engine's
@@ -178,6 +182,10 @@ AUDIT_MUTANTS = [
     ("rows_t_read", "run_identity_suite", "d, rows[3])", "d, rows[2])", BLOCKING, 12),
     ("rows_sums_read", "run_identity_suite", "_splitting_sums(a, d, rows)",
      "_splitting_sums(a, d, rows[1:])", BLOCKING, 12),
+    # Each step from the chain's first row: the rows stay shorter than
+    # C(3d-4, .) .. C(3d-1, .), and the direct sums index past their end.
+    ("rows_step_first", "run_identity_suite", "pascal_step(rows[-1])",
+     "pascal_step(rows[0])", RAISES, 12),
     ("k1c2_n1", "run_identity_suite", "_k1_via_c2(n1,", "_k1_via_c2(n0,", BLOCKING, 12),
     ("k1c2_omega_read", "_k1_via_c2", "a, b = omega", "b, a = omega", BLOCKING, 12),
     ("k1c2_omega_coeff", "_k1_via_c2", "(3 * d - 12) * a", "(3 * d - 13) * a",
@@ -352,6 +360,19 @@ def _mutant_audit(function: str, token: str, replacement: str, name: str,
     return run_full_audit(engine, d_max), audit_module
 
 
+def _outcome_at(function: str, token: str, replacement: str, name: str,
+                d_max: int) -> str | None:
+    """The mutant's outcome at ``d_max``: RAISES if the audit raises (at
+    the CLI, exit 3; ``run_full_audit`` reports an ``InexactDivision`` as
+    a check, so that one never reaches here), else ``_outcome`` of its
+    report."""
+    try:
+        made = _mutant_audit(function, token, replacement, name, d_max)
+    except Exception:
+        return RAISES
+    return _outcome(*made)
+
+
 def _outcome(report, audit) -> str | None:
     """BLOCKING, PROBE or None, read with ``audit``'s own enums: a mutated
     audit module has classes of its own."""
@@ -423,7 +444,7 @@ def test_the_audit_catches_the_mutant(
     name, function, token, replacement, expected, caught_at
 ):
     for d_max in (12, 30):
-        outcome = _outcome(*_mutant_audit(function, token, replacement, name, d_max))
+        outcome = _outcome_at(function, token, replacement, name, d_max)
         if outcome is not None:
             break
     assert (outcome, d_max) == (expected, caught_at)

@@ -273,22 +273,25 @@ def test_the_identity_suite_reads_each_public_value_once_per_degree(monkeypatch)
         assert [d for d, in made] == list(range(first, 31)), name
 
 
-def test_t_k1_and_g1_read_the_stored_t_without_the_public_n1(monkeypatch):
-    # t_op reads T from the list the N1 loop stores and fills N1 only for
-    # a degree not yet stored: on a fresh engine one call fills to its
+def test_t_k1_and_g1_read_the_stored_lists_without_the_public_n1(monkeypatch):
+    # t_op and k1 read T and N1 from the lists the N1 loop stores, and g1
+    # reads T through t_op; each fills N1 only for a degree not yet
+    # stored: on a fresh engine one call of t_op or k1 fills to its
     # degree, and then no read of T, K1 or G1 calls the public n1.
-    engine, filled = InvariantEngine(), InvariantEngine()
+    filled = InvariantEngine()
     filled.n1(20)
-    made = _count_calls(monkeypatch, "n1", engine.n1, engine)
-    assert engine.t_op(20) == filled.t_op(20)
-    assert made == [(20,)]
-    made.clear()
-    for d in range(1, 21):
-        assert engine.t_op(d) == filled.t_op(d), d
-        assert engine.k1(d) == filled.k1(d), d
-        if d >= 3:
-            assert engine.g1(d) == filled.g1(d), d
-    assert made == []
+    for first in ("t_op", "k1"):
+        engine = InvariantEngine()
+        made = _count_calls(monkeypatch, "n1", engine.n1, engine)
+        assert getattr(engine, first)(20) == getattr(filled, first)(20)
+        assert made == [(20,)], first
+        made.clear()
+        for d in range(1, 21):
+            assert engine.t_op(d) == filled.t_op(d), d
+            assert engine.k1(d) == filled.k1(d), d
+            if d >= 3:
+                assert engine.g1(d) == filled.g1(d), d
+        assert made == [], first
 
 
 def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):

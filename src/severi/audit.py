@@ -218,14 +218,16 @@ def _t_direct(u: list[int], b: list[int], d: int, row: list[int]) -> int:
     term by term over the ordered pairs, as the paper prints it: a term is
     C(3d-1, 3 d1 - 1) u(d1) b(d2), with ``row`` C(3d-1, .) and the audit's
     own lists u(k) = (3k - 2) k N0(k) and b(k) = k N1(k) below d.  The
-    engine's stored T is a different formula over different binomials:
-    the ratio rule moves it onto the engine's pair row, the half row
-    C(3d-2, 3 d1 - 1) with the middle pair at half weight, where it is
-    folded onto the unordered pairs and divided by 3 (see
-    ``InvariantEngine.n1``).  So the two paths share neither a binomial nor
-    a formula's text, nor the code that builds their rows: the engine
-    builds its pair row by exact ratios, and only the audit calls
-    ``exact.pascal_step``, which builds a row by Pascal's rule."""
+    engine's T is read back from its stored N1 by recursion (1), 4 T =
+    36 N1 - 3 C(d,3) N0 (see ``InvariantEngine.t_op``), and the N1 loop
+    sums T by a different formula over different binomials: the ratio
+    rule moves it onto the engine's pair row, the half row C(3d-2,
+    3 d1 - 1) with the middle pair at half weight, where it is folded onto
+    the unordered pairs and divided by 3 (see ``InvariantEngine.n1``).  So
+    the two paths share neither a binomial nor a formula's text, nor the
+    code that builds their rows: the engine builds its pair row by exact
+    ratios, and only the audit calls ``exact.pascal_step``, which builds a
+    row by Pascal's rule."""
     return sum(map(mul, map(mul, row[2:3 * d - 3:3], u[1:d]), b[d - 1:0:-1]))
 
 
@@ -242,8 +244,9 @@ def _k1_via_c2(n1: ExactScalar, omega: ExactScalar, t: int, d: int) -> ExactScal
     is 9 N1 = 3d omega + T.  So the two paths agree if and only if the
     direct T satisfies that recursion with the engine's N1: the
     ``k1_two_path`` check audits the recursion of N1 on the engine's
-    stored N1 against the audit's own T, as ``t_linearity`` audits the
-    engine's stored T, and a wrong omega reaches it through this path."""
+    stored N1 against the audit's own T through K1's form, as
+    ``t_linearity`` does through ``t_op``'s form, and a wrong omega reaches
+    it through this path."""
     a, b = omega.as_integer_ratio()
     return ExactScalar((3 * n1.numerator + t) * b + (3 * d - 12) * a, b)
 
@@ -287,7 +290,7 @@ def _g0_from_splitting_sum(
 def run_identity_suite(
     engine: InvariantEngine, d_max: int, checks: list[AuditCheck]
 ) -> None:
-    """Two-path equalities, the component-count identity, the stored T
+    """Two-path equalities, the component-count identity, the engine's T
     against a direct sum, and integrality scans, for 3 <= d <= d_max.
 
     Each public value of a degree is read once, through the engine's
@@ -303,11 +306,13 @@ def run_identity_suite(
     The chain's reach is counted in steps, not read from a row's length,
     so a step that builds rows too long fails a check.  The direct T and
     the four direct splitting sums are computed once per degree over
-    them.  The T feeds ``t_linearity``, against T as the N1 loop stores
-    it (``engine.t_op``), and ``k1_two_path``, which compares the engine's
-    K1 = 12 (N1 - omega) with 3 N1 + (3d - 12) omega + T over the direct
-    T: the recursion of N1 on the engine's N1, so that a wrong stored T
-    fails the one check and a wrong stored N1 the other.
+    them.  The T feeds ``t_linearity``, against the T that ``engine.t_op``
+    reads back from the stored N1 by recursion (1), and ``k1_two_path``,
+    which compares the engine's K1 = 12 (N1 - omega) with 3 N1 +
+    (3d - 12) omega + T over the direct T.  Both check recursion (1) on
+    the engine's N1, each through its own form: a wrong stored N1 fails
+    both, a fault in ``t_op``'s form ``t_linearity`` alone, and one in
+    K1's form or omega ``k1_two_path``.
     ``rcount_equals_nodes`` compares the engine's NODES, the moment s_1
     that it sums over its pair row, with the audit's direct RCOUNT, the
     count of reducible fibres summed over its own Pascal row C(3d-3, .):

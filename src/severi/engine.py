@@ -13,10 +13,11 @@ The engine computes, for each degree d >= 1:
 
 All values are exact.  The recursions and the splitting sums run on
 plain ``int``: N0 and N1 are integer lists, N1 is carried as 36 N1 and
-reduced by exact division, T is one int per degree, and NODES
-(= RCOUNT), 2m and the K0_PRINTED bracket are one triple of ints per
-degree.  Every sum of degree d reads one pair row: the half row
-R(i) = C(3d-2, 3i-1), 1 <= i <= d/2, which the symmetry
+reduced by exact division, and NODES (= RCOUNT), 2m and the K0_PRINTED
+bracket are one triple of ints per degree.  T is not stored: the N1 loop
+sums it, and ``t_op`` reads it back from N1 by recursion (1).  Every sum
+of degree d reads one pair row: the half row R(i) = C(3d-2, 3i-1),
+1 <= i <= d/2, which the symmetry
 C(3d-2, 3i-1) = C(3d-2, 3j-1), j = d - i, makes the row of every
 unordered pair i <= j, with the middle pair i = j of an even d, which
 has one order only, at half weight (see ``_row``).  Pascal's ratio rule
@@ -27,16 +28,20 @@ s_2 (see ``n0``): N0 is one exact division of (3d + 6) s_2 - 2d^2 s_1,
 NODES is s_1, 2m is read from it by the NODES form (3d + 6) m - 9 N0,
 proved in ``_moments``, and the bracket is read from s_0 and s_1.  LR is
 one exact division of NODES, (d + 2) LR = d NODES + 6 (d - 1) N0, and K0
-is the paper's assembly over them, which makes it 12 (N0 - m).  T is
-one dot product over i <= d/2 with u(i) N1(j) + u(j) N1(i), from the
-scaled count u = (3d-2) d N0 that the N0 loop keeps (see ``n1``).
+is the paper's assembly over them, which makes it 12 (N0 - m).  N1's
+loop sums T as one dot product over i <= d/2 with u(i) N1(j) + u(j)
+N1(i), from the scaled count u = (3d-2) d N0 that the N0 loop keeps, and
+stores N1 alone (see ``n1``).  Recursion (1), 36 N1 = 3 C(d,3) N0 + 4 T,
+makes T and N1 one fact, so ``t_op`` is the O(1) form 4 T = 36 N1 -
+3 C(d,3) N0 over the stored N1.
 Every derived value is one ``Fraction``: an ``int`` numerator over its
 formula's own denominator, with no ``Fraction`` arithmetic and none
 stored.  ``k1`` is the int 12 (N1 - omega) and ``g1`` one read of T,
-the paper's formulas with T, or N1 and K1, eliminated by the recursion
-of N1, so the audit's second path for K1, over its own T, checks that
-recursion.  ``g0`` reads the numerator of ``k0`` and ``k0`` that of
-``lr``, so a wrong LR reaches K0 and a wrong K0 reaches G0.  Every
+the paper's formulas with T, or N1 and K1, eliminated by recursion (1),
+so the audit's second paths for K1 and T, over its own T, both check
+that recursion on the stored N1.  ``g0`` reads the numerator of ``k0``
+and ``k0`` that of ``lr``, so a wrong LR reaches K0 and a wrong K0
+reaches G0.  Every
 public per-degree method checks its degree before any arithmetic on it,
 so a bad degree is a ``ValueError`` that leaves the state untouched.
 
@@ -154,18 +159,17 @@ class InvariantEngine:
     ``n0``/``n1`` at degree d use only degrees below d, and every
     derived invariant at degree d uses only same-degree values of
     already-defined quantities, so no stored entry is ever overwritten.
-    The state is all ``int``: N0, N1, T, the scaled count u and the
-    triple (NODES, 2m, B) of splitting sums, B the K0_PRINTED bracket's
-    first sum, are lists indexed by degree (entry 0 unused), the triple
-    filled with N0 by one loop per degree; the window holds the pair row
-    of one degree only (at degree 0, empty).  Every other value is
+    The state is all ``int``: N0, N1, the scaled count u and the triple
+    (NODES, 2m, B) of splitting sums, B the K0_PRINTED bracket's first
+    sum, are lists indexed by degree (entry 0 unused), the triple filled
+    with N0 by one loop per degree; the window holds the pair row of one
+    degree only (at degree 0, empty).  Every other value, T included, is
     rebuilt per call, as an O(1) assembly over these.
     """
 
     def __init__(self) -> None:
         self._n0: list[int] = [0, 1]
         self._n1: list[int] = [0]
-        self._t: list[int] = [0]
         # Scaled count u = (3d-2) d N0, and (NODES, 2m, B): every splitting
         # sum is empty at d = 1.
         self._u: list[int] = [0, 1]
@@ -267,9 +271,10 @@ class InvariantEngine:
             N1(d) = (1/12) C(d,3) N0(d)
                   + sum ((3 d1 - 2)/9) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2).
 
-        The sum is T(d) / 9, so one loop per degree fills both N1 and T,
-        and 36 N1 = 3 C(d,3) N0 + 4 T(d) is reduced by exact division
-        (an ``ArithmeticError`` naming the degree if N1 is not integral).
+        The sum is T(d) / 9, so one loop per degree sums T and stores N1
+        alone, reducing recursion (1), 36 N1 = 3 C(d,3) N0 + 4 T(d), by
+        exact division (an ``ArithmeticError`` naming the degree if N1 is
+        not integral); :meth:`t_op` reads T back from N1.
         With u(k) = (3k-2) k N0(k), a term of T is C(3d-1, 3 d1 - 1) u(d1)
         d2 N1(d2), and the ratio rule C(3d-1, 3 d1 - 1) = (3d-1) C(3d-2,
         3 d1 - 1) / (3 d2) moves it onto the row C(3d-2, .), which the swap
@@ -288,7 +293,7 @@ class InvariantEngine:
         so both read the same pair row.
         """
         _check_degree(d)
-        n0, n1, t, u = self._n0, self._n1, self._t, self._u
+        n0, n1, u = self._n0, self._n1, self._u
         for dd in range(len(n1), d + 1):
             self.n0(dd)
             h = dd // 2
@@ -296,7 +301,6 @@ class InvariantEngine:
                         map(mul, u[dd - 1:dd - h - 1:-1], n1[1:h + 1]))
             s = exact_div((3 * dd - 1) * sum(map(mul, self._row(dd), pairs)), 3, dd)
             n1.append(exact_div(3 * comb(dd, 3) * n0[dd] + 4 * s, 36, dd))
-            t.append(s)
         return ExactScalar(n1[d])
 
     # -- the T-operator -------------------------------------------------
@@ -306,16 +310,23 @@ class InvariantEngine:
 
             T(d) = sum (3 d1 - 2) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2)
 
-        over ordered pairs d1 + d2 = d, read from the list the N1 loop
-        stores.  That loop sums it folded over the pair row of C(3d-2,
-        3 d1 - 1) (see :meth:`n1`); the audit's second path sums the ordered terms
+        over ordered pairs d1 + d2 = d, read from the stored N1 by
+        recursion (1) read backwards,
+
+            4 T = 36 N1 - 3 C(d,3) N0,
+
+        an O(1) form, as :meth:`k1` is.  The N1 loop sums T folded over the
+        pair row of C(3d-2, 3 d1 - 1) and stores only the N1 that (1) gives
+        (see :meth:`n1`); the audit's second path sums the ordered terms
         over its own Pascal row C(3d-1, .), so the two share neither a row,
-        a binomial nor a formula.  A degree not yet stored fills N1 to it.
+        a binomial nor a formula, and ``t_linearity`` checks this form and
+        the stored N1 together.  A degree not yet stored fills N1 to it.
         """
         _check_degree(d)
-        if d >= len(self._t):
+        if d >= len(self._n1):
             self.n1(d)
-        return ExactScalar(self._t[d])
+        four_t = 36 * self._n1[d] - 3 * comb(d, 3) * self._n0[d]
+        return ExactScalar(exact_div(four_t, 4, d))
 
     # -- derived invariants ----------------------------------------------
 

@@ -136,26 +136,18 @@ class TestIdentitySuite:
         assert check.status is CheckStatus.PASS
         assert check.actual == 840 and check.expected == 840
 
-    def test_a_stored_t_off_by_one_fails_t_linearity_only(self):
-        # The left side of t_linearity reads the stored T, the right side
-        # sums T term by term.  K1 reads no T, so k1_two_path holds.
-        engine = InvariantEngine()
-        engine.n1(6)
-        engine._t[6] += 1
-        checks = _appended(run_identity_suite, engine, 6)
-        failed = {(c.id, c.degree) for c in checks if c.status is CheckStatus.FAIL}
-        assert failed == {("t_linearity", 6)}
-
-    def test_a_stored_n1_off_by_one_fails_k1_two_path_only(self):
+    def test_a_stored_n1_off_by_one_fails_k1_two_path_and_t_linearity(self):
         # K1 = 12 (N1 - omega) reads the stored N1, and k1_two_path
         # compares it with the recursion of N1 over the direct T, which
-        # reads N1 below d only; the stored T is untouched.
+        # reads N1 below d only.  t_op reads T back from the stored N1 by
+        # the same recursion, so t_linearity, against the direct T, fails
+        # too: T moves by 9, and G1 by 6, an integer.
         engine = InvariantEngine()
         engine.n1(6)
         engine._n1[6] += 1
         checks = _appended(run_identity_suite, engine, 6)
         failed = {(c.id, c.degree) for c in checks if c.status is CheckStatus.FAIL}
-        assert failed == {("k1_two_path", 6)}
+        assert failed == {("k1_two_path", 6), ("t_linearity", 6)}
 
 
 def test_the_audit_reads_no_private_engine_attribute():
@@ -415,12 +407,11 @@ class TestRenderedValues:
         return text, [(entry["expected"], entry["actual"]) for entry in entries]
 
     def test_every_line_prints_its_own_expected_value(self):
-        # T(6) and N1(6) off by one, as in the identity suite's tests of
-        # each: t_linearity and k1_two_path FAIL at d = 6, each with
-        # expected != actual.
+        # N1(6) off by one, as in the identity suite's test of it:
+        # t_linearity and k1_two_path FAIL at d = 6, each with expected !=
+        # actual.
         engine = InvariantEngine()
         engine.n1(6)
-        engine._t[6] += 1
         engine._n1[6] += 1
         made = run_full_audit(engine, 6)
         # PASS and FAIL exchanged: a renderer that read equality off the

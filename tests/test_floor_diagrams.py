@@ -1,12 +1,16 @@
-"""The engine's N0, N1 and stored T against floor-diagram counts.
+"""The engine's N0, N1 and T, and recursion (1) itself, against
+floor-diagram counts.
 
 ``floor_diagrams`` counts curves by enumerating diagrams and markings;
 it shares no formula with the engine's recursions or with the oracle.
-Through 36 N1 = 3 C(d,3) N0 + 4 T it also pins the T the N1 loop stores.
+T is summed term by term, as the paper prints it, from the floor counts
+of the lower degrees, so 36 N1 = 3 C(d,3) N0 + 4 T is checked on counts
+that no recursion produced.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 import pytest
@@ -14,13 +18,26 @@ import pytest
 from floor_diagrams import floor_count
 from severi import InvariantEngine
 
+floors = cache(floor_count)
+
+
+def _t_from_floors(d):
+    """T(d) = sum (3 d1 - 2) d1 d2 C(3d-1, 3 d1 - 1) N0(d1) N1(d2) over
+    ordered pairs d1 + d2 = d, every count a floor-diagram count."""
+    return sum(
+        (3 * d1 - 2) * d1 * (d - d1) * comb(3 * d - 1, 3 * d1 - 1)
+        * floors(d1, 0) * floors(d - d1, 1)
+        for d1 in range(1, d)
+    )
+
 
 def _assert_engine_matches_floors(d):
     engine = InvariantEngine()
-    n0, n1 = floor_count(d, 0), floor_count(d, 1)
+    n0, n1, t = floors(d, 0), floors(d, 1), _t_from_floors(d)
+    assert 36 * n1 == 3 * comb(d, 3) * n0 + 4 * t
     assert engine.n0(d) == n0
     assert engine.n1(d) == n1
-    assert 4 * engine._t[d] == 36 * n1 - 3 * comb(d, 3) * n0
+    assert engine.t_op(d) == t
 
 
 @pytest.mark.parametrize("d", range(1, 6))

@@ -72,7 +72,10 @@ MUTANTS = [
     ("n1_t_mirror", "n1", "n1[1:h + 1]", "n1[0:h]", BLOCKING, 12),
     ("n1_t_pair", "n1", "u[1:h + 1]", "u[0:h]", BLOCKING, 12),
     ("n1_t_ratio", "n1", "(3 * dd - 1)", "(3 * dd - 2)", BLOCKING, 12),
-    ("t_op_read", "t_op", "self._t[d]", "self._t[d - 1]", BLOCKING, 12),
+    # T read back from the stored N1 by recursion (1): the N1 it reads,
+    # and the binomial of the N0 term.
+    ("t_op_read", "t_op", "36 * self._n1[d]", "36 * self._n1[d - 1]", BLOCKING, 12),
+    ("t_op_comb", "t_op", "3 * comb(d, 3)", "3 * comb(d, 2)", BLOCKING, 12),
     # The pair row: the extension's factor (numerator and denominator),
     # its start C(n, 2), and the middle pair's halving, which every sum
     # over the row reads, and the parity that picks the degrees it halves.

@@ -85,7 +85,7 @@ class TestRowWindow:
         engine.n1(200)
         # No other attribute may hold binomial rows; the triples of the
         # splitting sums are filled with N0.
-        lists = {"_n0", "_n1", "_t", "_u", "_sums"}
+        lists = {"_n0", "_n1", "_u", "_sums"}
         assert set(vars(engine)) == lists | {"_window"}
         d, row = engine._window
         assert d == 200
@@ -274,8 +274,8 @@ def test_the_identity_suite_reads_each_public_value_once_per_degree(monkeypatch)
 
 
 def test_t_k1_and_g1_read_the_stored_lists_without_the_public_n1(monkeypatch):
-    # t_op and k1 read T and N1 from the lists the N1 loop stores, and g1
-    # reads T through t_op; each fills N1 only for a degree not yet
+    # t_op and k1 are O(1) forms over the N1 and N0 the N1 loop stores,
+    # and g1 reads T through t_op; each fills N1 only for a degree not yet
     # stored: on a fresh engine one call of t_op or k1 fills to its
     # degree, and then no read of T, K1 or G1 calls the public n1.
     filled = InvariantEngine()
@@ -301,7 +301,7 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
     for name, state in vars(engine).items():
         if name != "_window":
             assert state, name
-    lists = [engine._n0, engine._n1, engine._t, engine._u]
+    lists = [engine._n0, engine._n1, engine._u]
     triples = engine._sums
     assert all(len(triple) == 3 for triple in triples)
     entries = [x for state in lists + triples for x in state]
@@ -313,7 +313,7 @@ def test_the_engine_stores_ints_only_and_sums_each_degree_once(monkeypatch):
         assert 2 * engine.m_invariant(d) == two_m, d
     # Each sum of a degree reads the pair row once, and only there: N0,
     # with NODES, 2m and the K0_PRINTED bracket, at d = 2..100 (d = 1 is
-    # the seed), and N1 and T at d = 1..100.
+    # the seed), and N1, through T, at d = 1..100.
     readers, row = Counter(), engine_module.InvariantEngine._row
 
     def counting(engine, d):
